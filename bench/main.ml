@@ -1118,21 +1118,19 @@ let run_flat ~jobs cfg =
 
 module Profile = Tessera_obs.Profile
 
-(* Three oracles over the sampling profiler:
+(* Two oracles over the sampling profiler (attribution parity between
+   the flat tier and the tree walker is checked in test/test_flat.ml):
 
    - determinism: two same-seed runs must serialize to byte-identical
      canonical profiles (the virtual clock is the sampling trigger, so
      host speed cannot move a sample);
-   - attribution: the flat tier and the tree walker are two independent
-     interpreters charging the same virtual costs, so each one's
-     hottest method must appear among the other's top three;
    - off-state cost: with the profiler off the interpreters select the
      unwrapped charge closure, so the off state must be
      indistinguishable — within the <3% observability budget, which
      here bounds pure measurement noise — from a pristine run made
      before the profiler was ever enabled in the process. *)
 let run_profile ~jobs cfg =
-  section "Sampling profiler: determinism, attribution, off-state cost";
+  section "Sampling profiler: determinism, off-state cost";
   let bench =
     Suites.scale_bench
       (Option.get (Suites.find "compress"))
@@ -1191,7 +1189,6 @@ let run_profile ~jobs cfg =
   let top_flat =
     match Profile.hot_methods () with (m, _) :: _ -> m | [] -> ""
   in
-  let top3_flat = List.filteri (fun i _ -> i < 3) (Profile.hot_methods ()) in
   let profile_json = Profile.to_json () in
   let total = Profile.total_samples () in
   let sites = Profile.site_count () in
@@ -1201,18 +1198,6 @@ let run_profile ~jobs cfg =
   ignore (run ());
   let canon2 = Profile.to_canonical_string () in
   let deterministic = String.equal canon1 canon2 in
-  (* attribution cross-check on the other interpreter *)
-  Tessera_flat.Cache.set_enabled false;
-  Profile.enable ~period ();
-  ignore (run ());
-  let top_tree =
-    match Profile.hot_methods () with (m, _) :: _ -> m | [] -> ""
-  in
-  let top3_tree = List.filteri (fun i _ -> i < 3) (Profile.hot_methods ()) in
-  Tessera_flat.Cache.set_enabled true;
-  let top_matches =
-    List.mem_assoc top_flat top3_tree && List.mem_assoc top_tree top3_flat
-  in
   Profile.disable ();
   Profile.reset ();
   let coverage =
@@ -1230,10 +1215,9 @@ let run_profile ~jobs cfg =
     (pristine_s *. 1e3) (off_s *. 1e3) off_overhead_pct (on_s *. 1e3)
     on_overhead_pct;
   Format.fprintf fmt
-    "determinism: %s; hottest method flat=%s tree=%s (%s)@.@."
+    "determinism: %s; hottest method %s@.@."
     (if deterministic then "byte-identical" else "DIVERGED")
-    top_flat top_tree
-    (if top_matches then "attribution agrees" else "ATTRIBUTION DISAGREES");
+    top_flat;
   let json =
     Printf.sprintf
       "{\n\
@@ -1253,21 +1237,17 @@ let run_profile ~jobs cfg =
       \  \"profiler_on_overhead_pct\": %.4f,\n\
       \  \"deterministic\": %b,\n\
       \  \"top_method_flat\": %S,\n\
-      \  \"top_method_tree\": %S,\n\
-      \  \"top_method_matches\": %b,\n\
       \  \"profile\": %s}\n"
       bench.Suites.profile.Tessera_workloads.Profile.name iterations reps
       (host_json_fields ~jobs) period total sites dropped coverage pristine_s
       off_s on_s off_overhead_pct on_overhead_pct deterministic top_flat
-      top_tree top_matches profile_json
+      profile_json
   in
   Tessera_util.Fileio.atomic_write ~path:"BENCH_profile.json" json;
   Format.fprintf fmt "[wrote BENCH_profile.json]@.@.";
   let failures = ref [] in
   let check cond what = if not cond then failures := what :: !failures in
   check deterministic "same-seed profiles were not byte-identical";
-  check top_matches
-    "flat-tier and tree-walker hot-method attributions disagree";
   check (total > 0) "the profiled run produced no samples";
   if !failures <> [] then begin
     List.iter (Format.fprintf fmt "FAILED: %s@.") (List.rev !failures);
@@ -1853,9 +1833,6 @@ let () =
         serve_requests := Some (int_flag "--requests" n);
         parse (cmd, quick, jobs) rest
     | "quick" :: rest -> parse (cmd, true, jobs) rest
-    | "--no-flat" :: rest ->
-        Tessera_flat.Cache.set_enabled false;
-        parse (cmd, quick, jobs) rest
     | "--lint" :: rest ->
         (* audit every JIT pass application through the global hook; the
            verdict prints after the run (and after any digest line, so

@@ -212,8 +212,7 @@ let run_target ~fmt ~model_dir ~iterations ~tir ~fault_spec ~fault_seed
 
 let run targets jobs model_dir iterations tir fault_spec fault_seed
     compile_budget code_cache_dir code_cache_mb code_cache_readonly trace_out
-    metrics_out profile_out no_flat =
-  if no_flat then Tessera_flat.Cache.set_enabled false;
+    metrics_out profile_out =
   (* tracing must be live before the engine exists: Engine.create emits
      nothing itself, but it registers its clock as the trace cycle
      source, and the very first invocation already compiles *)
@@ -335,18 +334,12 @@ let profile_out =
                profiler and write the profile (hot methods, hot opcodes, \
                collapsed-stack flame lines) as JSON to FILE.")
 
-let no_flat =
-  Arg.(value & flag & info [ "no-flat" ]
-         ~doc:"Interpret methods with the tree walker instead of the flat \
-               bytecode tier (identical results and cycles; the flat tier \
-               only changes host time).")
-
 let cmd =
   Cmd.v
     (Cmd.info "tessera_run" ~doc:"Run a benchmark on the simulated JVM")
     Term.(const run $ targets $ jobs $ model_dir $ iterations $ tir
           $ fault_spec $ fault_seed $ compile_budget $ code_cache_dir
           $ code_cache_mb $ code_cache_readonly $ trace_out $ metrics_out
-          $ profile_out $ no_flat)
+          $ profile_out)
 
 let () = exit (Cmd.eval' cmd)

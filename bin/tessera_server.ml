@@ -167,8 +167,7 @@ let run_socket ms path fault_spec fault_seed resync_budget
 let run model_dir in_fifo out_fifo socket fault_spec fault_seed code_cache_dir
     code_cache_mb code_cache_readonly resync_budget max_protocol_errors
     max_conns per_conn_queue queue_hwm workers drain_deadline slo_objective
-    slo_target metrics_out no_flat =
-  if no_flat then Tessera_flat.Cache.set_enabled false;
+    slo_target metrics_out =
   (* a client that vanishes mid-write must surface as Channel.Closed
      (EPIPE), not kill the process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -287,12 +286,6 @@ let metrics_out =
                shutdown (the same text a client receives for a stats \
                request).")
 
-let no_flat =
-  Arg.(value & flag & info [ "no-flat" ]
-         ~doc:"Disable the flat bytecode execution tier for any method \
-               execution this process performs (identical results and \
-               cycles; the flat tier only changes host time).")
-
 let cmd =
   Cmd.v
     (Cmd.info "tessera_server"
@@ -301,6 +294,6 @@ let cmd =
           $ fault_seed $ code_cache_dir $ code_cache_mb $ code_cache_readonly
           $ resync_budget $ max_protocol_errors $ max_conns $ per_conn_queue
           $ queue_hwm $ workers $ drain_deadline $ slo_objective $ slo_target
-          $ metrics_out $ no_flat)
+          $ metrics_out)
 
 let () = exit (Cmd.eval' cmd)

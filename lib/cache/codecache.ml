@@ -115,42 +115,6 @@ let lookup t ~key ~level ~modifier =
 
 let store t ~key e = Store.add t key (encode_entry e)
 
-(* -- flat-form persistence ------------------------------------------
-   The flat tier rides the same store under its own key namespace
-   ("tessera-flatcache" salt), so warm runs skip re-flattening as well
-   as recompiling.  Only unfused base forms are persisted; fusion is a
-   deterministic rewrite reapplied after load, keeping the bytes
-   independent of the runtime fusion toggle. *)
-
-module Flat_prog = Tessera_flat.Prog
-module Flat_codec = Tessera_flat.Codec
-
-let flat_key m =
-  let acc = H.string H.init "tessera-flatcache" in
-  let acc = H.int acc Flat_codec.format_version in
-  H.int64 acc (Meth.fingerprint m)
-
-let lookup_flat t ~meth =
-  let key = flat_key meth in
-  match Store.find t key with
-  | None -> None
-  | Some bytes -> (
-      match Flat_codec.of_string bytes with
-      | exception _ ->
-          (* decode re-verifies structure and hash; any failure is
-             indistinguishable from disk damage *)
-          Store.drop_corrupt t key;
-          None
-      | p ->
-          if Int64.equal p.Flat_prog.source_fp (Meth.fingerprint meth) then
-            Some p
-          else begin
-            Store.drop_stale t key;
-            None
-          end)
-
-let store_flat t ~meth p = Store.add t (flat_key meth) (Flat_codec.to_string p)
-
 let entry_count = Store.entry_count
 let byte_size = Store.byte_size
 let readonly = Store.readonly

@@ -73,21 +73,6 @@ val lookup :
 val store : t -> key:int64 -> entry -> unit
 (** Write-back after a successful compilation; no-op when read-only. *)
 
-(** {1 Flat-form persistence}
-
-    The flat execution tier persists unfused flat programs in the same
-    store under a separate key namespace, so warm runs skip
-    re-flattening interpreted methods.  Same decode-and-verify
-    contract as compiled entries: corrupt or stale bytes are dropped
-    and [None] is returned, never an exception. *)
-
-val flat_key : Meth.t -> int64
-
-val lookup_flat : t -> meth:Meth.t -> Tessera_flat.Prog.t option
-
-val store_flat : t -> meth:Meth.t -> Tessera_flat.Prog.t -> unit
-(** [p] must be the unfused base form; no-op when read-only. *)
-
 val entry_count : t -> int
 val byte_size : t -> int
 val readonly : t -> bool

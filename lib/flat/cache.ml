@@ -1,48 +1,16 @@
-(* Process-wide flat-form cache: per-method lazy flatten, memoized by
-   the (memoized) [Meth.fingerprint] plus the fusion setting.
-
-   The memo table is domain-local (Domain.DLS), so evaluation-pool
-   domains never contend on a lock in the interpreter hot path; each
-   domain flattens its own copy, which is cheap and has no observable
-   effect (flattening charges nothing).  The [enabled] and [fuse]
-   toggles are plain flags set at process start (`--no-flat`,
-   `bench flat` legs) before worker domains spawn. *)
+(* Instrumented lowering to flat form.  Engines memoize the result per
+   method themselves (see [Engine]), so flattening points stay
+   per-engine and same-seed runs stay byte-identical. *)
 
 module Meth = Tessera_il.Meth
 module Trace = Tessera_obs.Trace
 module Metrics = Tessera_obs.Metrics
-
-let enabled_flag = ref true
-let fuse_flag = ref true
-
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-let fuse_enabled () = !fuse_flag
-let set_fuse b = fuse_flag := b
 
 (* registered on the default registry (idempotent by name) so the flat
    tier shows up in every metrics exposition alongside jit_* counters *)
 let m_flatten =
   Metrics.counter Metrics.default ~help:"Methods lowered to flat form"
     "flat_flatten_total"
-
-let m_hits =
-  Metrics.counter Metrics.default ~help:"Flat-form memo hits"
-    "flat_cache_hits_total"
-
-let m_fused_sites =
-  Metrics.counter Metrics.default
-    ~help:"Superinstruction sites produced by fusion" "flat_fused_sites_total"
-
-let m_persist_loads =
-  Metrics.counter Metrics.default
-    ~help:"Flat forms loaded from the persistent code cache"
-    "flat_persist_loads_total"
-
-let memo_key : (int64 * bool, Prog.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let clear () = Hashtbl.reset (Domain.DLS.get memo_key)
 
 let flatten (m : Meth.t) =
   if !Trace.enabled then
@@ -56,31 +24,3 @@ let flatten (m : Meth.t) =
       ~args:[ ("code_size", Trace.Int (Int64.of_int (Prog.code_size p))) ]
       "flatten";
   p
-
-let get ?load ?save (m : Meth.t) =
-  let tbl = Domain.DLS.get memo_key in
-  let fuse = !fuse_flag in
-  let key = (Meth.fingerprint m, fuse) in
-  match Hashtbl.find_opt tbl key with
-  | Some p ->
-      Metrics.inc m_hits;
-      p
-  | None ->
-      let base =
-        match load with
-        | None -> flatten m
-        | Some f -> (
-            match f () with
-            | Some p ->
-                Metrics.inc m_persist_loads;
-                p
-            | None ->
-                let p = flatten m in
-                (match save with Some s -> s p | None -> ());
-                p)
-      in
-      let p = if fuse then Prog.fuse base else base in
-      if p.Prog.fused_pairs > 0 then
-        Metrics.add m_fused_sites p.Prog.fused_pairs;
-      Hashtbl.replace tbl key p;
-      p

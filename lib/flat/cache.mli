@@ -1,30 +1,6 @@
-(** Process-wide flat-form cache and tier toggles.
-
-    [get] returns the memoized flat form of a method (keyed by the
-    memoized [Meth.fingerprint] and the current fusion setting),
-    flattening lazily on first use.  The memo is domain-local, so the
-    interpreter hot path never takes a lock.  [load]/[save] optionally
-    bridge to a persistent store (the code cache): [load] is consulted
-    on memo miss before flattening, [save] is called with the freshly
-    flattened {e unfused} base form. *)
-
-val enabled : unit -> bool
-(** The [--no-flat] escape hatch: when false, engines fall back to the
-    tree walker. *)
-
-val set_enabled : bool -> unit
-
-val fuse_enabled : unit -> bool
-val set_fuse : bool -> unit
-
-val get :
-  ?load:(unit -> Prog.t option) ->
-  ?save:(Prog.t -> unit) ->
-  Tessera_il.Meth.t ->
-  Prog.t
+(** Instrumented lowering to flat form. *)
 
 val flatten : Tessera_il.Meth.t -> Prog.t
-(** Uncached lowering (with Obs span/counter instrumentation). *)
-
-val clear : unit -> unit
-(** Drop the current domain's memo table (tests and benchmarks). *)
+(** [Prog.of_meth] inside a [flatten] trace span, counted by the
+    [flat_flatten_total] counter of the default metrics registry.
+    Uncached: engines keep their own per-method memo. *)

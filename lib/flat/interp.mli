@@ -1,7 +1,8 @@
 (** Dispatch-loop interpreter over the flat form.
 
     Shares [Vm.Interp.context] (and its [Out_of_fuel] exception) with
-    the tree walker so engines can switch tiers without re-plumbing.
+    the tree walker, so tests and [bench flat] run the two interpreters
+    under one harness.
     Observable behaviour — result value, traps, every charged cycle and
     fuel decrement in order — is bit-identical to [Vm.Interp.run] on
     the source method; the speedup is purely host-side. *)

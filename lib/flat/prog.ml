@@ -20,7 +20,6 @@ module Meth = Tessera_il.Meth
 module Symbol = Tessera_il.Symbol
 module Values = Tessera_vm.Values
 module Cost = Tessera_vm.Cost
-module H = Tessera_util.Hash64
 
 type instr =
   (* fuel-event carriers: each mirrors exactly one fuel decrement of the
@@ -97,12 +96,11 @@ type t = {
   sync_charge : int;  (** synchronized-method prologue charge, else 0 *)
   max_stack : int;  (** verified operand-stack bound *)
   fused_pairs : int;  (** superinstruction sites (0 in the base form) *)
-  source_fp : int64;  (** [Meth.fingerprint] of the source method *)
 }
 
 let code_size p = Array.length p.instrs
 
-(* -- instruction kinds (for pair counting and hashing) -------------- *)
+(* -- instruction kinds (for pair counting) ---------------------------- *)
 
 let kind = function
   | Enter -> 0
@@ -215,9 +213,9 @@ let width i = if kind i >= 34 then 2 else 1
 
 (* -- verifier -------------------------------------------------------
    Mirrors [Il.Validate]'s role for tree IL: structural soundness of the
-   flat form, checked after lowering, after fusion, and after decoding a
-   persisted form.  Also computes the exact operand-stack bound so the
-   interpreter can allocate a fixed-size stack with no overflow check. *)
+   flat form, checked after lowering.  Also computes the exact
+   operand-stack bound so the interpreter can allocate a fixed-size
+   stack with no overflow check. *)
 
 (* pops, pushes *)
 let stack_io = function
@@ -546,7 +544,6 @@ let of_meth (m : Meth.t) =
          else 0);
       max_stack = 0;
       fused_pairs = 0;
-      source_fp = Meth.fingerprint m;
     }
   in
   match verify p with
@@ -605,78 +602,3 @@ let fuse p =
   done;
   { p with instrs = out; fused_pairs = p.fused_pairs + !fused }
 
-(* -- identity -------------------------------------------------------
-   A stable hash of the whole flat form, used as the integrity check of
-   the binary codec and as a cheap identity for the flat array (the
-   memoized [Meth.fingerprint] keys the cache; this guards the bytes). *)
-
-let hash_instr acc ins =
-  let acc = H.byte acc (kind ins) in
-  match ins with
-  | Enter | Elem_load | Elem_store | Monitor | Drop_void | Bounds_chk
-  | Arr_copy | Arr_cmp | Arr_len | Pop | Ret_void | Ret_val | Raise_user ->
-      acc
-  | Begin c | Charge c | Void_leaf c | F_enter_begin c | F_pop_begin c ->
-      H.int acc c
-  | Const (c, k) -> H.int (H.int acc c) k
-  | Load_local (c, s) -> H.int (H.int acc c) s
-  | Inc_local (c, s, d, ty) ->
-      H.int (H.int64 (H.int (H.int acc c) s) d) (Types.index ty)
-  | New_obj (c, cls) -> H.int (H.int acc c) cls
-  | Store_local (s, ty) -> H.int (H.int acc s) (Types.index ty)
-  | Field_load f | Field_store f | Checkcast f | Instance_of f -> H.int acc f
-  | Binop (op, ty) -> H.int (H.string acc (Opcode.name op)) (Types.index ty)
-  | Negate ty | New_arr ty | New_multi ty -> H.int acc (Types.index ty)
-  | Cast_to (k, ty) ->
-      H.int (H.string acc (Opcode.name (Opcode.Cast k))) (Types.index ty)
-  | Invoke (callee, argc) -> H.int (H.int acc callee) argc
-  | Mixed (argc, ty) -> H.int (H.int acc argc) (Types.index ty)
-  | Jmp t -> H.int acc t
-  | Cond_br (t, f) -> H.int (H.int acc t) f
-  | F_begin_begin (c1, c2) -> H.int (H.int acc c1) c2
-  | F_begin_load (c1, c2, s) | F_begin_const (c1, c2, s) ->
-      H.int (H.int (H.int acc c1) c2) s
-  | F_load_load (c1, s1, c2, s2) ->
-      H.int (H.int (H.int (H.int acc c1) s1) c2) s2
-  | F_load_binop (c, s, op, ty) | F_const_binop (c, s, op, ty) ->
-      H.int (H.string (H.int (H.int acc c) s) (Opcode.name op)) (Types.index ty)
-  | F_load_store (c, src, dst, ty) ->
-      H.int (H.int (H.int (H.int acc c) src) dst) (Types.index ty)
-  | F_binop_store (op, ty, dst, dty) ->
-      H.int
-        (H.int (H.int (H.string acc (Opcode.name op)) (Types.index ty)) dst)
-        (Types.index dty)
-  | F_store_pop (s, ty) -> H.int (H.int acc s) (Types.index ty)
-  | F_inc_pop (c, s, d, ty) ->
-      H.int (H.int64 (H.int (H.int acc c) s) d) (Types.index ty)
-  | F_load_const (c1, s, c2, k) ->
-      H.int (H.int (H.int (H.int acc c1) s) c2) k
-  | F_load_begin (c1, s, c2) -> H.int (H.int (H.int acc c1) s) c2
-  | F_binop_binop (op1, ty1, op2, ty2) ->
-      H.int
-        (H.string
-           (H.int (H.string acc (Opcode.name op1)) (Types.index ty1))
-           (Opcode.name op2))
-        (Types.index ty2)
-
-let hash p =
-  let acc = H.string H.init p.method_name in
-  let acc = Array.fold_left hash_instr acc p.instrs in
-  let acc =
-    Array.fold_left
-      (fun acc v ->
-        match v with
-        | Values.Int_v i -> H.int64 (H.byte acc 0) i
-        | Values.Float_v f -> H.int64 (H.byte acc 1) (Int64.bits_of_float f)
-        | _ -> H.byte acc 2)
-      acc p.pool
-  in
-  let acc = Array.fold_left H.int acc p.block_entry in
-  let acc = Array.fold_left H.int acc p.handler_of_block in
-  let acc =
-    Array.fold_left (fun acc ty -> H.int acc (Types.index ty)) acc p.local_types
-  in
-  let acc = Array.fold_left H.bool acc p.local_is_arg in
-  let acc = H.int acc (Types.index p.ret) in
-  let acc = H.int acc p.sync_charge in
-  H.int64 acc p.source_fp

@@ -79,7 +79,6 @@ type t = {
   sync_charge : int;
   max_stack : int;
   fused_pairs : int;
-  source_fp : int64;
 }
 
 val of_meth : Meth.t -> t
@@ -99,10 +98,6 @@ val verify : t -> (int, string) result
     Returns the maximum operand-stack depth on success. *)
 
 val code_size : t -> int
-
-val hash : t -> int64
-(** Stable hash of the whole flat form — the codec integrity check and
-    the cheap identity of the flat array. *)
 
 val width : instr -> int
 (** 2 for superinstructions (their second slot is dead padding), else 1. *)

@@ -101,7 +101,6 @@ let specs =
       [
         Max_budget ([ "profiler_off_overhead_pct" ], 3.0, 2.0);
         Invariant_true [ "deterministic" ];
-        Invariant_true [ "top_method_matches" ];
       ] );
     ( "BENCH_parallel.json",
       [ Invariant_true [ "digests_identical" ] ] );

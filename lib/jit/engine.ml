@@ -39,9 +39,6 @@ type config = {
   compile_cycle_budget : int option;
   code_cache : Codecache.t option;  (** persistent compiled-code cache *)
   aot_load_cycles : int;  (** cycles charged per cache hit (AOT load) *)
-  use_flat : bool;
-      (** run interpreted methods through the flat bytecode tier
-          (cycle-identical to the tree walker, much faster on the host) *)
 }
 
 let default_config =
@@ -59,7 +56,6 @@ let default_config =
     compile_cycle_budget = None;
     code_cache = None;
     aot_load_cycles = 2_000;
-    use_flat = true;
   }
 
 type t = {
@@ -609,29 +605,14 @@ let adaptive_controller t meth_id =
 
 let instrumentation_overhead = 35 (* cycles per TR_jitPTTMethod{Enter,Exit} *)
 
-(* Memoized flat form of an interpreted method, optionally backed by the
-   persistent code cache (warm runs then skip re-flattening too).  The
-   unfused base form is what persists; fusion is reapplied per the
-   process-wide toggle. *)
+(* Memoized fused flat form of an interpreted method: the only
+   interpreted path.  Flattening charges nothing, so when it happens
+   never moves a cycle. *)
 let flat_form t meth_id meth =
   match t.flat_forms.(meth_id) with
   | Some p -> p
   | None ->
-      let base =
-        match t.config.code_cache with
-        | None -> Flat_cache.flatten meth
-        | Some cache -> (
-            match Codecache.lookup_flat cache ~meth with
-            | Some p -> p
-            | None ->
-                let p = Flat_cache.flatten meth in
-                Codecache.store_flat cache ~meth p;
-                p)
-      in
-      let p =
-        if Flat_cache.fuse_enabled () then Tessera_flat.Prog.fuse base
-        else base
-      in
+      let p = Tessera_flat.Prog.fuse (Flat_cache.flatten meth) in
       t.flat_forms.(meth_id) <- Some p;
       p
 
@@ -673,10 +654,9 @@ let rec invoke t meth_id args =
               fuel = t.fuel;
             }
           in
-          let meth = Program.meth t.program meth_id in
-          if t.config.use_flat && Flat_cache.enabled () then
-            Flat_interp.run ictx (flat_form t meth_id meth) args
-          else Interp.run ictx meth args
+          Flat_interp.run ictx
+            (flat_form t meth_id (Program.meth t.program meth_id))
+            args
       | Compiled comp ->
           Exec.run
             {

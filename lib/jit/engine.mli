@@ -69,13 +69,6 @@ type config = {
   aot_load_cycles : int;
       (** cycle charge per cache hit — the simulated cost of relocating
           AOT code into the code heap (small next to any compilation) *)
-  use_flat : bool;
-      (** execute interpreted methods through the flat bytecode tier
-          ([Flat.Interp] over a memoized [Flat.Prog]); observable
-          behaviour — results, traps, charged cycles, fuel — is
-          bit-identical to the tree walker, only host time differs.
-          Also gated by the process-wide [Flat.Cache.enabled] escape
-          hatch ([--no-flat]). *)
 }
 
 val default_config : config

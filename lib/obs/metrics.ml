@@ -1,4 +1,4 @@
-type counter = { c_name : string; c_help : string; mutable c_value : int }
+type counter = { c_name : string; c_help : string; c_value : int Atomic.t }
 type gauge = { g_name : string; g_help : string; mutable g_value : float }
 
 type histogram = {
@@ -8,14 +8,16 @@ type histogram = {
   h_counts : int array;  (* length = length h_bounds + 1 *)
   mutable h_sum : float;
   mutable h_count : int;
+  h_mu : Mutex.t;  (* guards the three fields above *)
 }
 
 type instrument = C of counter | G of gauge | H of histogram
 
-(* The registry table is the only state shared across domains:
-   registration, exposition, and reset take [mu]; instrument reads and
-   writes are plain record-field operations on values handed out at
-   registration time, so the hot path never locks or hashes. *)
+(* Registration, exposition, and reset take the registry's [mu].
+   Instruments are handed out at registration time, so updates never
+   hash: a counter is one atomic add, a histogram observation takes that
+   histogram's own [h_mu], so domains sharing an instrument never lose
+   an update. *)
 type t = { tbl : (string, instrument) Hashtbl.t; mu : Mutex.t }
 
 let create () = { tbl = Hashtbl.create 32; mu = Mutex.create () }
@@ -45,7 +47,7 @@ let register t name make found =
 let counter t ?(help = "") name =
   register t name
     (fun () ->
-      let c = { c_name = name; c_help = help; c_value = 0 } in
+      let c = { c_name = name; c_help = help; c_value = Atomic.make 0 } in
       (c, C c))
     (function C c -> Some c | _ -> None)
 
@@ -74,18 +76,19 @@ let histogram t ?(help = "") ?(buckets = default_buckets) name =
           h_counts = Array.make (Array.length buckets + 1) 0;
           h_sum = 0.0;
           h_count = 0;
+          h_mu = Mutex.create ();
         }
       in
       (h, H h))
     (function H h -> Some h | _ -> None)
 
-let inc c = c.c_value <- c.c_value + 1
+let inc c = Atomic.incr c.c_value
 
 let add c n =
   if n < 0 then invalid_arg "Metrics.add: counters only go up";
-  c.c_value <- c.c_value + n
+  ignore (Atomic.fetch_and_add c.c_value n)
 
-let counter_value c = c.c_value
+let counter_value c = Atomic.get c.c_value
 
 let set_gauge g v = g.g_value <- v
 let add_gauge g v = g.g_value <- g.g_value +. v
@@ -98,9 +101,10 @@ let bucket_index h v =
 
 let observe h v =
   let i = bucket_index h v in
-  h.h_counts.(i) <- h.h_counts.(i) + 1;
-  h.h_sum <- h.h_sum +. v;
-  h.h_count <- h.h_count + 1
+  Mutex.protect h.h_mu (fun () ->
+      h.h_counts.(i) <- h.h_counts.(i) + 1;
+      h.h_sum <- h.h_sum +. v;
+      h.h_count <- h.h_count + 1)
 
 let bucket_counts h =
   Array.init
@@ -207,7 +211,8 @@ let expose t =
       match Hashtbl.find t.tbl name with
       | C c ->
           header c.c_name c.c_help "counter";
-          Buffer.add_string buf (Printf.sprintf "%s %d\n" c.c_name c.c_value)
+          Buffer.add_string buf
+            (Printf.sprintf "%s %d\n" c.c_name (Atomic.get c.c_value))
       | G g ->
           header g.g_name g.g_help "gauge";
           Buffer.add_string buf
@@ -238,10 +243,11 @@ let reset t =
       Hashtbl.iter
         (fun _ i ->
           match i with
-          | C c -> c.c_value <- 0
+          | C c -> Atomic.set c.c_value 0
           | G g -> g.g_value <- 0.0
           | H h ->
-              Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-              h.h_sum <- 0.0;
-              h.h_count <- 0)
+              Mutex.protect h.h_mu (fun () ->
+                  Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
+                  h.h_sum <- 0.0;
+                  h.h_count <- 0))
         t.tbl)

@@ -11,16 +11,14 @@
 
     Registries are values: per-engine state (one simulated JVM each)
     lives in its own registry, process-wide state (the model server's
-    request counters) in {!default}.  Instrument reads and writes are
-    plain record-field operations — no hashing on the hot path.
+    request counters) in {!default}.  Instrument updates never hash.
 
     Domain safety: registration, {!expose}, {!names}, and {!reset} are
     mutex-guarded, so concurrent domains may register against one
-    registry (e.g. {!default}) freely.  Instrument updates stay
-    lock-free; the intended discipline is that each instrument is
-    written by one domain (engines own their registries in a work
-    pool) — concurrent writers of a {e single} instrument may lose
-    increments, but never corrupt the registry. *)
+    registry (e.g. {!default}) freely.  Counter updates are atomic and
+    each histogram guards its own buckets, so concurrent writers of one
+    counter or histogram never lose an update.  Gauges are plain
+    stores: give each gauge one writer. *)
 
 type t
 (** A registry. *)

@@ -1,11 +1,12 @@
-(** The tree-IL interpreter — the VM's slow path.
+(** The tree-IL interpreter — the semantic reference for interpretation.
 
     Every node evaluation pays the native operation cost plus a dispatch
     overhead, charged through the [charge] callback so the caller decides
     which clock the cycles land on.  Method calls are delegated to the
-    [invoke] callback: the execution engine (in [tessera.jit]) uses it to
-    dispatch each callee to whichever implementation — interpreted or
-    compiled — is current at that moment. *)
+    [invoke] callback.  The execution engine (in [tessera.jit]) runs the
+    flat tier ([tessera.flat]), which charges bit-identical cycles; this
+    walker is what tests and [bench flat] compare it against.  The
+    [context] type is shared by both interpreters. *)
 
 type context = {
   classes : Tessera_il.Classdef.t array;

@@ -1,7 +1,7 @@
 (* The flat execution tier: fuel semantics, the differential oracle
    against the tree walker (results AND charged cycles, the property the
-   whole tier rests on), the verifier, the binary codec, code-cache
-   persistence, and engine-level parity. *)
+   whole tier rests on), the verifier, profiler attribution parity, and
+   engine-level parity. *)
 
 module Program = Tessera_il.Program
 module Meth = Tessera_il.Meth
@@ -9,11 +9,11 @@ module Values = Tessera_vm.Values
 module Interp = Tessera_vm.Interp
 module Prog = Tessera_flat.Prog
 module Flat_interp = Tessera_flat.Interp
-module Flat_codec = Tessera_flat.Codec
-module Codecache = Tessera_cache.Codecache
 module Engine = Tessera_jit.Engine
 module Parser = Tessera_lang.Parser
 module Plan = Tessera_opt.Plan
+module Profile = Tessera_obs.Profile
+module Suites = Tessera_workloads.Suites
 
 (* ---- execution harnesses ------------------------------------------ *)
 
@@ -247,137 +247,60 @@ let test_verifier_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated code accepted"
 
-(* ---- binary codec ------------------------------------------------- *)
+(* ---- profiler attribution ----------------------------------------- *)
 
-let test_codec_roundtrip () =
-  QCheck.Test.make ~count:30 ~name:"flat codec round-trips (hash-equal)"
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let program = Helpers.gen_program (Int64.of_int (seed + 29)) in
-      Array.for_all
-        (fun m ->
-          let base = Prog.of_meth m in
-          let p' = Flat_codec.of_string (Flat_codec.to_string base) in
-          Int64.equal (Prog.hash p') (Prog.hash base)
-          && p'.Prog.max_stack = base.Prog.max_stack
-          && Int64.equal p'.Prog.source_fp base.Prog.source_fp)
-        program.Program.methods)
-
-let test_codec_rejects_corruption () =
-  QCheck.Test.make ~count:20
-    ~name:"flat codec: corrupt bytes raise, never decode wrong"
-    QCheck.(pair (int_bound 10_000) (int_bound 1_000))
-    (fun (seed, pos_seed) ->
-      let program = Helpers.gen_program (Int64.of_int (seed + 31)) in
-      let m = Program.meth program program.Program.entry in
-      let base = Prog.of_meth m in
-      let s = Flat_codec.to_string base in
-      let pos = pos_seed mod String.length s in
-      let corrupt = Bytes.of_string s in
-      Bytes.set corrupt pos (Char.chr (Char.code (Bytes.get corrupt pos) lxor 0x2a));
-      match Flat_codec.of_string (Bytes.to_string corrupt) with
-      | exception Flat_codec.Malformed _ -> true
-      | exception Tessera_util.Codec.Truncated _ -> true
-      | p' ->
-          (* the trailing integrity hash makes silent acceptance of a
-             damaged payload effectively impossible *)
-          Int64.equal (Prog.hash p') (Prog.hash base))
-
-let test_codec_rejects_fused () =
-  let p =
-    flat_of_src
-      {|
-program "s" entry 0
-method "S.m()I" () returns int {
-  temp "t" int
-  block 0 {
-    (store void $0 (loadconst int 1))
-    (return (loadconst int 2))
-  }
-}
-|}
+(* The sampling profiler fires on charged cycles, and every tier charges
+   the same cycles in the same order, so the per-method attribution must
+   be exactly equal across tiers.  (Per-opcode tables differ by design:
+   the flat tiers attribute a fused pair to its superinstruction.) *)
+let test_profile_attribution () =
+  let hot tier program =
+    Profile.enable ~period:4096 ();
+    Fun.protect ~finally:Profile.disable (fun () ->
+        ignore (run_tier ~tier program (Helpers.entry_args 0));
+        Profile.hot_methods ())
   in
-  let fused = Prog.fuse p in
-  Alcotest.(check bool) "source fuses at least one pair" true
-    (fused.Prog.fused_pairs > 0);
-  match Flat_codec.to_string fused with
-  | exception Flat_codec.Malformed _ -> ()
-  | _ -> Alcotest.fail "fused program encoded"
-
-(* ---- code-cache persistence --------------------------------------- *)
-
-let with_cache_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tessera_test_flat_%d" (Unix.getpid ()))
-  in
-  let clear () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  clear ();
-  Fun.protect ~finally:clear (fun () -> f dir)
-
-let test_codecache_flat_roundtrip () =
-  with_cache_dir (fun dir ->
-      let program = Helpers.gen_program 4242L in
-      let m = Program.meth program program.Program.entry in
-      let base = Prog.of_meth m in
-      let cache = Codecache.create ~dir () in
-      Alcotest.(check bool) "miss on empty" true
-        (Codecache.lookup_flat cache ~meth:m = None);
-      Codecache.store_flat cache ~meth:m base;
-      (match Codecache.lookup_flat cache ~meth:m with
-      | Some p' ->
-          Alcotest.(check bool) "hash-equal after reload" true
-            (Int64.equal (Prog.hash p') (Prog.hash base))
-      | None -> Alcotest.fail "stored flat form not found");
-      Codecache.close cache;
-      (* survives a reopen (true persistence, not the in-memory map) *)
-      let cache = Codecache.create ~dir () in
-      (match Codecache.lookup_flat cache ~meth:m with
-      | Some p' ->
-          Alcotest.(check bool) "hash-equal after reopen" true
-            (Int64.equal (Prog.hash p') (Prog.hash base))
-      | None -> Alcotest.fail "flat form lost across reopen");
-      Codecache.close cache)
-
-let test_codecache_flat_stale_dropped () =
-  with_cache_dir (fun dir ->
-      let program = Helpers.gen_program 777L in
-      let m = Program.meth program program.Program.entry in
-      let base = Prog.of_meth m in
-      (* an entry whose recorded source fingerprint disagrees with the
-         method must be dropped as stale, never returned *)
-      let stale = { base with Prog.source_fp = Int64.add base.Prog.source_fp 1L } in
-      let cache = Codecache.create ~dir () in
-      Codecache.store_flat cache ~meth:m stale;
-      Alcotest.(check bool) "stale entry dropped" true
-        (Codecache.lookup_flat cache ~meth:m = None);
-      Codecache.close cache)
+  let pp = Alcotest.(list (pair string int)) in
+  List.iter
+    (fun (b : Suites.bench) ->
+      let b = Suites.scale_bench b 0.1 in
+      let program = Tessera_workloads.Generate.program b.Suites.profile in
+      let tree = hot `Tree program in
+      Alcotest.(check bool) "tree run sampled" true (tree <> []);
+      List.iter
+        (fun (name, tier) ->
+          Alcotest.check pp
+            (Printf.sprintf "%s: %s hot methods = tree"
+               b.Suites.profile.Tessera_workloads.Profile.name name)
+            tree (hot tier program))
+        [ ("flat", `Flat); ("fused", `Fused) ])
+    Suites.all;
+  Profile.reset ()
 
 (* ---- engine-level parity ------------------------------------------ *)
 
+(* A non-adaptive engine never compiles, so every invocation runs its
+   memoized fused flat forms: results and application cycles must match
+   the tree walker invocation for invocation. *)
 let test_engine_parity () =
   let program = Helpers.gen_program 99L in
-  let run use_flat =
-    let engine =
-      Engine.create ~config:{ Engine.default_config with Engine.use_flat } program
-    in
-    let results =
-      List.init 8 (fun i -> Engine.invoke_entry engine (Helpers.entry_args i))
-    in
-    (results, Engine.app_cycles engine)
+  let engine =
+    Engine.create
+      ~config:{ Engine.default_config with Engine.adaptive = false }
+      program
   in
-  let flat_results, flat_cycles = run true in
-  let tree_results, tree_cycles = run false in
-  List.iter2
-    (fun a b -> Alcotest.check Helpers.outcome_testable "invocation result" a b)
-    tree_results flat_results;
-  Alcotest.(check int64) "app cycles" tree_cycles flat_cycles
+  let tree_cycles =
+    List.fold_left
+      (fun acc i ->
+        let args = Helpers.entry_args i in
+        let tree, cycles = run_tier ~tier:`Tree program args in
+        Alcotest.check ext_testable "invocation result" tree
+          (Done (Engine.invoke_entry engine args));
+        acc + cycles)
+      0 (List.init 8 Fun.id)
+  in
+  Alcotest.(check int64) "app cycles" (Int64.of_int tree_cycles)
+    (Engine.app_cycles engine)
 
 let suite =
   [
@@ -386,12 +309,8 @@ let suite =
       test_fuel_boundary_flat;
     Alcotest.test_case "verifier rejects corruption" `Quick
       test_verifier_rejects_corruption;
-    Alcotest.test_case "codec rejects fused programs" `Quick
-      test_codec_rejects_fused;
-    Alcotest.test_case "codecache flat round-trip" `Quick
-      test_codecache_flat_roundtrip;
-    Alcotest.test_case "codecache drops stale flat forms" `Quick
-      test_codecache_flat_stale_dropped;
+    Alcotest.test_case "profile attribution: tree = flat = fused" `Quick
+      test_profile_attribution;
     Alcotest.test_case "engine parity flat vs tree" `Quick test_engine_parity;
   ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -399,6 +318,4 @@ let suite =
         test_fingerprint_memo ();
         test_differential ();
         test_differential_low_fuel ();
-        test_codec_roundtrip ();
-        test_codec_rejects_corruption ();
       ]
