@@ -47,13 +47,17 @@ let section_on fmt title =
 
 let section title = section_on fmt title
 
-(* host provenance, recorded in every BENCH_*.json artifact: wall-clock
-   numbers are only comparable between runs made on a known core budget
-   (the regress sentinel's tolerances assume like-for-like hosts) *)
+(* provenance header, recorded in every BENCH_*.json artifact: wall-clock
+   numbers are only comparable between runs made at the same scale on a
+   known core budget (the regress sentinel's tolerances assume
+   like-for-like hosts) *)
 let host_cores = Domain.recommended_domain_count ()
 
-let host_json_fields ~jobs =
-  Printf.sprintf "  \"host_cores\": %d,\n  \"jobs\": %d,\n" host_cores jobs
+let host_json_fields ~quick ~jobs =
+  Printf.sprintf "  \"quick\": %b,\n  \"host_cores\": %d,\n  \"jobs\": %d,\n"
+    quick host_cores jobs
+
+let is_quick cfg = cfg == Harness.Expconfig.quick
 
 (* collect once, reuse across experiment groups *)
 let collected = ref None
@@ -155,7 +159,6 @@ let run_parallel ~jobs cfg =
   let json =
     Printf.sprintf
       "{\n\
-      \  \"quick\": %b,\n\
       %s\
       \  \"seq_jobs\": 1,\n\
       \  \"par_jobs\": %d,\n\
@@ -166,8 +169,7 @@ let run_parallel ~jobs cfg =
       \  \"seq_digest\": %S,\n\
       \  \"par_digest\": %S\n\
        }\n"
-      (cfg == Harness.Expconfig.quick)
-      (host_json_fields ~jobs) par_jobs seq_s par_s
+      (host_json_fields ~quick:(is_quick cfg) ~jobs) par_jobs seq_s par_s
       (seq_s /. Float.max 1e-9 par_s)
       identical seq_digest par_digest
   in
@@ -193,7 +195,7 @@ let run_fork_bench ~jobs cfg =
   section
     "Compilation forking: full training matrix from one warm run \
      (BENCH_fork.json)";
-  let quick = cfg == Harness.Expconfig.quick in
+  let quick = is_quick cfg in
   (* Both collectors run over the same two training benchmarks at half
      workload scale — enough diversity for a fair records-per-invocation
      comparison without paying for the whole suite — and the forking
@@ -312,7 +314,6 @@ let run_fork_bench ~jobs cfg =
   let json =
     Printf.sprintf
       "{\n\
-      \  \"quick\": %b,\n\
        %s\
       \  \"sweep_records\": %d,\n\
       \  \"sweep_invocations\": %d,\n\
@@ -333,8 +334,7 @@ let run_fork_bench ~jobs cfg =
       \  \"oracle_reexec_wall_s\": %.3f,\n\
       \  \"oracle_ok\": %b\n\
        }\n"
-      quick
-      (host_json_fields ~jobs) sweep_records sweep_invs sweep_s fork_records
+      (host_json_fields ~quick ~jobs) sweep_records sweep_invs sweep_s fork_records
       fork_invs forks branches branch_invs skipped fork_s sweep_rpi fork_rpi
       gain
       (List.length snap_archive.Tessera_collect.Archive.records)
@@ -816,7 +816,7 @@ let run_cache ~jobs cfg =
     Buffer.add_string buf
       (Printf.sprintf "  \"benchmark\": %S,\n  \"iterations\": %d,\n"
          bench.Suites.profile.Tessera_workloads.Profile.name iterations);
-    Buffer.add_string buf (host_json_fields ~jobs);
+    Buffer.add_string buf (host_json_fields ~quick:(is_quick cfg) ~jobs);
     Buffer.add_string buf "  \"runs\": {\n";
     List.iteri
       (fun i (name, (marks, compile_cycles, compilations, aot_loads)) ->
@@ -912,7 +912,8 @@ let run_obs ~jobs cfg =
       \  \"dropped\": %d\n\
        }\n"
       bench.Suites.profile.Tessera_workloads.Profile.name iterations reps
-      (host_json_fields ~jobs) off_s on_s overhead_pct events dropped
+      (host_json_fields ~quick:(is_quick cfg) ~jobs)
+      off_s on_s overhead_pct events dropped
   in
   Tessera_util.Fileio.atomic_write ~path:"BENCH_obs.json" json;
   Format.fprintf fmt "[wrote BENCH_obs.json]@.@."
@@ -935,7 +936,7 @@ module Flat_interp = Tessera_flat.Interp
    opcode-pair census behind the fusion table. *)
 let run_flat ~jobs cfg =
   section "Flat execution tier: tree walker vs threaded code";
-  let quick = cfg == Harness.Expconfig.quick in
+  let quick = is_quick cfg in
   let reps = if quick then 3 else 5 in
   let fuel_budget = Engine.default_config.Engine.fuel_per_invocation in
   let time_best f =
@@ -1078,8 +1079,8 @@ let run_flat ~jobs cfg =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"quick\": %b,\n  \"reps\": %d,\n%s  \"benchmarks\": [\n"
-       quick reps (host_json_fields ~jobs));
+    (Printf.sprintf "%s  \"reps\": %d,\n  \"benchmarks\": [\n"
+       (host_json_fields ~quick ~jobs) reps);
   List.iteri
     (fun i (name, cycles, tree_s, flat_s, super_s, fused_sites, top_pairs) ->
       Buffer.add_string buf
@@ -1239,7 +1240,8 @@ let run_profile ~jobs cfg =
       \  \"top_method_flat\": %S,\n\
       \  \"profile\": %s}\n"
       bench.Suites.profile.Tessera_workloads.Profile.name iterations reps
-      (host_json_fields ~jobs) period total sites dropped coverage pristine_s
+      (host_json_fields ~quick:(is_quick cfg) ~jobs)
+      period total sites dropped coverage pristine_s
       off_s on_s off_overhead_pct on_overhead_pct deterministic top_flat
       profile_json
   in
@@ -1317,10 +1319,9 @@ let serve_json ~mode ~quick ~jobs ~clients ~requests ~fields =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"mode\": %S,\n  \"quick\": %b,\n  \"clients\": %d,\n\
+       "  \"mode\": %S,\n%s  \"clients\": %d,\n\
        \  \"requests_per_client\": %d,\n"
-       mode quick clients requests);
-  Buffer.add_string buf (host_json_fields ~jobs);
+       mode (host_json_fields ~quick ~jobs) clients requests);
   List.iteri
     (fun i (k, v) ->
       Buffer.add_string buf
@@ -1361,7 +1362,7 @@ let run_serve ~jobs ?clients cfg =
   section "Concurrent serving: mixed fleet, backpressure, shedding, drain";
   let outcomes = get_outcomes ~jobs cfg in
   let ms = Harness.Training.train_on_all ~name:"serve" outcomes in
-  let quick = cfg == Harness.Expconfig.quick in
+  let quick = is_quick cfg in
   let n_clients =
     match clients with Some n -> n | None -> if quick then 250 else 1200
   in

@@ -6,8 +6,8 @@ type instance = { label : int; x : Sparse.t }
 let instance_to_line i =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (string_of_int i.label);
-  Array.iter
-    (fun (idx, v) ->
+  Sparse.iter
+    (fun idx v ->
       (* 1-based component indices in the file format *)
       Buffer.add_string buf (Printf.sprintf " %d:%.17g" (idx + 1) v))
     i.x;

@@ -36,13 +36,15 @@ let train ?(solver = Crammer_singer) ?(params = Tessera_svm.Linear.default_param
         let problem = Trainset.problem ts in
         if Tessera_svm.Problem.n_classes problem < 2 then None
         else begin
-          let t0 = Sys.time () in
+          (* wall clock: process CPU time would also count the levels
+             training beside this one on other domains *)
+          let t0 = Unix.gettimeofday () in
           let model =
             match solver with
             | Ovr -> Tessera_svm.Linear.train_ovr ~params problem
             | Crammer_singer -> Tessera_svm.Cs.train ~params problem
           in
-          let train_seconds = Sys.time () -. t0 in
+          let train_seconds = Unix.gettimeofday () -. t0 in
           Some
             {
               level;

@@ -37,8 +37,8 @@ val train :
     than two classes) are skipped.  [jobs] (default 1) trains the levels
     on a {!Tessera_util.Pool}; the solvers are deterministic and levels
     come back in order, so the trained set does not depend on [jobs].
-    [train_seconds] is process CPU time and will over-count when other
-    domains train concurrently — it is a diagnostic, not a figure. *)
+    [train_seconds] is the solver's wall time for that level alone, so
+    it never exceeds the wall time of the whole call. *)
 
 val predict : t -> level:Plan.level -> Features.t -> Modifier.t
 (** Null modifier for levels without a model. *)

@@ -1,8 +1,10 @@
 (** Sparse feature vectors: index/value pairs with strictly increasing
     indices, the representation of LIBLINEAR's data format where
-    zero-valued components are omitted. *)
+    zero-valued components are omitted.  Stored packed (an index array
+    beside a flat float array) so the solvers' inner loops touch no
+    boxed float. *)
 
-type t = (int * float) array
+type t
 
 val of_dense : float array -> t
 (** Drops zero components. *)
@@ -27,5 +29,13 @@ val max_index : t -> int
 (** -1 for the empty vector. *)
 
 val nnz : t -> int
+
+val iter : (int -> float -> unit) -> t -> unit
+(** [iter f x] calls [f index value] on each stored component in
+    increasing index order. *)
+
 val equal : t -> t -> bool
+(** Same indices and bitwise-equal values ([Int64.bits_of_float]), so a
+    NaN component equals itself and [0.0] differs from [-0.0]. *)
+
 val pp : Format.formatter -> t -> unit

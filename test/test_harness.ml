@@ -91,6 +91,26 @@ let test_modelset_training () =
     (Tessera_modifiers.Modifier.is_null
        (Harness.Modelset.predict ms ~level:Plan.Scorching f))
 
+(* Levels train concurrently at [~jobs > 1], so a level timed by process
+   CPU time also counts its siblings' domains and can exceed the wall
+   time of the whole call.  That over-count needs a second core to show;
+   on one core the check holds under either clock. *)
+let test_modelset_train_seconds_wall () =
+  let records = Harness.Training.records_of (Lazy.force outcomes) in
+  let t0 = Unix.gettimeofday () in
+  let ms = Harness.Modelset.train ~jobs:3 ~name:"tiny" records in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "trained levels" true (ms.Harness.Modelset.levels <> []);
+  List.iter
+    (fun (lm : Harness.Modelset.level_model) ->
+      let s = lm.Harness.Modelset.train_seconds in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4fs within the call's %.4fs"
+           (Plan.level_name lm.Harness.Modelset.level) s wall)
+        true
+        (s >= 0.0 && s <= wall))
+    ms.Harness.Modelset.levels
+
 let test_modelset_save_load () =
   let outcomes = Lazy.force outcomes in
   let ms = Harness.Training.train_on_all ~name:"tiny" outcomes in
@@ -189,6 +209,8 @@ let suite =
       test_draws_for_trial;
     Alcotest.test_case "fork collection" `Slow test_fork_collection;
     Alcotest.test_case "model-set training" `Slow test_modelset_training;
+    Alcotest.test_case "model-set train_seconds is wall time" `Slow
+      test_modelset_train_seconds_wall;
     Alcotest.test_case "model-set save/load" `Slow test_modelset_save_load;
     Alcotest.test_case "leave-one-out structure" `Slow test_loo_structure;
     Alcotest.test_case "evaluation cells" `Slow test_evaluation_cells;

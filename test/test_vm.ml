@@ -122,6 +122,93 @@ let test_clock_migrations () =
   Alcotest.check_raises "negative advance"
     (Invalid_argument "Clock.advance: negative") (fun () -> Clock.advance c (-1))
 
+(* The clock as it was with an [int64] counter, kept as the reference
+   the native-int clock must match step for step. *)
+module Ref_clock = struct
+  module Prng = Tessera_util.Prng
+
+  type t = {
+    mutable cycles : int64;
+    mutable core : int;
+    mutable next_migration : int64;
+    mutable migrations : int;
+    cores : int;
+    rng : Prng.t;
+  }
+
+  let draw_interval rng =
+    let ms = 200 + Prng.int rng 4800 in
+    Int64.of_int (ms * Cost.cycles_per_ms)
+
+  let create ~cores ~seed =
+    let rng = Prng.create seed in
+    { cycles = 0L; core = 0; next_migration = draw_interval rng; migrations = 0; cores; rng }
+
+  let advance t n =
+    if n < 0 then invalid_arg "Clock.advance: negative";
+    t.cycles <- Int64.add t.cycles (Int64.of_int n);
+    while t.cycles >= t.next_migration do
+      t.core <- (t.core + 1 + Prng.int t.rng (max 1 (t.cores - 1))) mod t.cores;
+      t.migrations <- t.migrations + 1;
+      t.next_migration <- Int64.add t.next_migration (draw_interval t.rng)
+    done
+
+  let copy t = { t with rng = Prng.copy t.rng }
+end
+
+let test_clock_matches_int64_reference () =
+  QCheck.Test.make ~count:200 ~name:"clock = int64 reference clock"
+    QCheck.(pair (int_range 1 8) (int_bound 1_000_000))
+    (fun (cores, seed) ->
+      let rng = Tessera_util.Prng.create (Int64.of_int seed) in
+      let clock_seed = Int64.of_int (seed * 7919) in
+      let c = Clock.create ~cores ~seed:clock_seed () in
+      let r = Ref_clock.create ~cores ~seed:clock_seed in
+      let same c (r : Ref_clock.t) =
+        Clock.now c = r.Ref_clock.cycles
+        && Clock.core c = r.Ref_clock.core
+        && Clock.migrations c = r.Ref_clock.migrations
+        && Clock.read_tsc c = (r.Ref_clock.cycles, r.Ref_clock.core)
+      in
+      (* zero, instruction-sized, landing exactly on the next migration
+         point, and long enough (up to ~12 virtual seconds) to cross
+         several migration points at once *)
+      let step (r : Ref_clock.t) =
+        match Tessera_util.Prng.int rng 5 with
+        | 0 -> 0
+        | 1 -> Tessera_util.Prng.int rng 400
+        | 2 -> Int64.to_int (Int64.sub r.Ref_clock.next_migration r.Ref_clock.cycles)
+        | 3 -> Tessera_util.Prng.int rng (50 * Cost.cycles_per_ms)
+        | _ -> Tessera_util.Prng.int rng (12_000 * Cost.cycles_per_ms)
+      in
+      let run c r steps =
+        let ok = ref (same c r) in
+        for _ = 1 to steps do
+          let n = step r in
+          Clock.advance c n;
+          Ref_clock.advance r n;
+          ok := !ok && same c r
+        done;
+        !ok
+      in
+      let ok_before = run c r 40 in
+      (* a copy advances on its own; the original must not move *)
+      let c' = Clock.copy c and r' = Ref_clock.copy r in
+      let ok_copy = run c' r' 40 in
+      let ok_isolated = same c r in
+      (* restoring the advanced copy rejoins its stream exactly, and
+         advancing the restored clock leaves the source where it was *)
+      Clock.restore c c';
+      let ok_restored = same c r' in
+      let r_src = Ref_clock.copy r' in
+      let ok_after = run c r' 20 && same c' r_src in
+      let ok_negative =
+        match Clock.advance c (-1) with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      ok_before && ok_copy && ok_isolated && ok_restored && ok_after && ok_negative)
+
 let test_flag_discounts () =
   let alloc = Tessera_il.Node.mk ~sym:0 Opcode.New Types.Object_ [||] in
   Alcotest.(check int) "no flags no discount" 0 (Cost.flag_discount alloc);
@@ -152,6 +239,7 @@ let suite =
     Alcotest.test_case "object semantics" `Quick test_object_semantics;
     Alcotest.test_case "mixed deterministic" `Quick test_mixed_deterministic;
     Alcotest.test_case "clock migrations" `Quick test_clock_migrations;
+    QCheck_alcotest.to_alcotest (test_clock_matches_int64_reference ());
     Alcotest.test_case "flag discounts" `Quick test_flag_discounts;
     Alcotest.test_case "decimal cost factor" `Quick test_decimal_cost_factor;
   ]
