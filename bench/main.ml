@@ -425,8 +425,16 @@ let run_pipe_overhead ~jobs cfg =
     match Unix.fork () with
     | 0 ->
         let ch = open_a () in
-        Tessera_protocol.Server.serve ch predictor;
-        Unix._exit 0
+        let server =
+          Tessera_protocol.Serve.create
+            ~make_predictor:(fun _ -> Harness.Modelset.server_batch_predictor ms)
+            ()
+        in
+        ignore (Tessera_protocol.Serve.accept server ch);
+        Unix._exit
+          (if Tessera_protocol.Serve.serve_fds server ~stop:(fun () -> false)
+           then 0
+           else 1)
     | pid ->
         let ch = open_b () in
         let client = Tessera_protocol.Client.connect ~model_name:"bench" ch in
@@ -1742,7 +1750,13 @@ let run_micro ~jobs cfg =
   let archive = (List.hd outcomes).Harness.Collection.merged in
   let archive_bytes = Tessera_collect.Archive.to_string archive in
   let server_ch, client_ch = Tessera_protocol.Channel.pipe_pair () in
-  let predictor = Harness.Modelset.server_predictor ms in
+  let serve_tick =
+    Tessera_protocol.Serve.lockstep
+      (Tessera_protocol.Serve.create
+         ~make_predictor:(fun _ -> Harness.Modelset.server_batch_predictor ms)
+         ())
+      server_ch
+  in
   let wire_features = Array.make Tessera_features.Features.dim 0.5 in
   let rng = Tessera_util.Prng.create 1L in
   let tests =
@@ -1774,7 +1788,7 @@ let run_micro ~jobs cfg =
                     features = wire_features;
                     trace = Tessera_protocol.Tracectx.none;
                   });
-             ignore (Tessera_protocol.Server.step server_ch predictor);
+             serve_tick ();
              ignore (Tessera_protocol.Message.decode_from client_ch)));
       Test.make ~name:"progressive modifier generation"
         (Staged.stage (fun () ->

@@ -4,7 +4,8 @@
 
    This example forks a model-server child, connects the JIT's
    strategy-control hook to the protocol client, runs a benchmark, and
-   shuts the server down.
+   shuts the server down.  It exits non-zero unless the server child
+   exited 0.
 
    Run with: dune exec examples/pipe_integration.exe *)
 
@@ -14,6 +15,7 @@ module Engine = Tessera_jit.Engine
 module Values = Tessera_vm.Values
 module Channel = Tessera_protocol.Channel
 module Client = Tessera_protocol.Client
+module Serve = Tessera_protocol.Serve
 module Features = Tessera_features.Features
 
 let () =
@@ -31,10 +33,16 @@ let () =
 
   match Unix.fork () with
   | 0 ->
-      (* child: the model server *)
+      (* child: the model server, serving the pipe pair as its one
+         connection until the client shuts it down *)
       let ch = open_server () in
-      Tessera_protocol.Server.serve ch (Harness.Modelset.server_predictor ms);
-      exit 0
+      let server =
+        Serve.create
+          ~make_predictor:(fun _ -> Harness.Modelset.server_batch_predictor ms)
+          ()
+      in
+      ignore (Serve.accept server ch);
+      exit (if Serve.serve_fds server ~stop:(fun () -> false) then 0 else 1)
   | child_pid ->
       let ch = open_client () in
       let client = Client.connect ~model_name:"piped" ch in
@@ -68,5 +76,8 @@ let () =
         (Engine.app_cycles engine)
         (Engine.compile_count engine);
       Client.shutdown client;
-      ignore (Unix.waitpid [] child_pid);
-      Format.printf "server exited cleanly@."
+      match Unix.waitpid [] child_pid with
+      | _, Unix.WEXITED 0 -> Format.printf "server exited cleanly@."
+      | _ ->
+          Format.printf "server did not exit cleanly@.";
+          exit 1

@@ -74,27 +74,22 @@ let choose_modifier t engine ~meth_id ~level =
   let m = Program.meth program meth_id in
   Some (predict t ~level (Features.extract ~program m))
 
+(* wire features are raw; apply this level model's scaling file *)
+let predict_raw lm features =
+  Trainset.predictor ~scaling:lm.scaling ~labels:lm.labels ~model:lm.model
+    (Features.of_array (Array.map int_of_float features))
+
 let server_predictor t ~level ~features =
   match find t level with
   | None -> Modifier.null
-  | Some lm ->
-      (* wire features are raw; apply this model's scaling file *)
-      let raw = Array.map int_of_float features in
-      Trainset.predictor ~scaling:lm.scaling ~labels:lm.labels ~model:lm.model
-        (Features.of_array raw)
+  | Some lm -> predict_raw lm features
 
 let server_batch_predictor t ~level rows =
   (* one level-model lookup for the whole batch: the serving engine
      groups its queue by level before calling *)
   match find t level with
   | None -> Array.map (fun _ -> Modifier.null) rows
-  | Some lm ->
-      Array.map
-        (fun features ->
-          let raw = Array.map int_of_float features in
-          Trainset.predictor ~scaling:lm.scaling ~labels:lm.labels
-            ~model:lm.model (Features.of_array raw))
-        rows
+  | Some lm -> Array.map (predict_raw lm) rows
 
 let level_file dir what level ext =
   Filename.concat dir

@@ -97,6 +97,12 @@ let read_exact ?deadline t n =
       Bytes.to_string buf
   | Wrapped w -> w.on_read w.base ~deadline n
 
+(* Descriptor reads land in one buffer per domain and only the bytes read
+   are copied out.  A fresh [n]-byte buffer per call would put the pump's
+   64 KiB cap straight into the major heap on every read; one buffer per
+   channel would cost 64 KiB per open connection. *)
+let read_buf = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
 (* Up to [n] bytes of whatever is already available, without blocking:
    the read primitive of a multiplexing poll loop.  "" means nothing is
    buffered right now; [Closed] is raised only once the stream is both
@@ -120,8 +126,8 @@ let read_avail t n =
         let readable, _, _ = Unix.select [ f.fin ] [] [] 0.0 in
         if readable = [] then ""
         else begin
-          let buf = Bytes.create n in
-          match Unix.read f.fin buf 0 n with
+          let buf = Domain.DLS.get read_buf in
+          match Unix.read f.fin buf 0 (min n (Bytes.length buf)) with
           | 0 -> raise Closed
           | r -> Bytes.sub_string buf 0 r
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)

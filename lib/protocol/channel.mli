@@ -28,6 +28,7 @@ val read_exact : ?deadline:float -> t -> int -> string
 val read_avail : t -> int -> string
 (** [read_avail t n] returns up to [n] bytes of already-available input
     without blocking — [""] when nothing is buffered (or [n <= 0]).
+    A descriptor read returns at most 64 KiB per call.
     Raises {!Closed} only at end of stream with nothing left buffered,
     so bytes written before a close are still delivered.  This is the
     read primitive of the multiplexing server: it never commits the

@@ -81,9 +81,9 @@ val connect :
     handshake cannot be completed the client still returns — with the
     breaker open, so every prediction falls back until a later half-open
     ping finds the server alive.  [lockstep], when given, is run between
-    sending a request and reading the response — in-process setups use
-    it to run one {!Server.step} on the other endpoint of an in-memory
-    pipe.  Also sets [SIGPIPE] to ignore (where supported), so a peer
+    sending a request and reading the response — in-process setups pass
+    {!Serve.lockstep} over the other endpoint of an in-memory pipe, so
+    one engine tick answers each request.  Also sets [SIGPIPE] to ignore (where supported), so a peer
     dying mid-write surfaces as a counted fallback instead of killing
     the process. *)
 

@@ -136,7 +136,7 @@ let decode_after_magic ?deadline ch =
    magic at [pos] and either yields the message plus the position one
    past its frame, reports that the buffer holds only a frame prefix, or
    rejects the bytes at [pos] (the caller then advances one byte and
-   hunts for the next magic, exactly like {!recv}'s resync). *)
+   hunts for the next magic). *)
 type scan =
   | Scan_msg of t * int
   | Scan_need_more
@@ -181,25 +181,6 @@ let decode_from ?deadline ch =
   if m.[0] <> magic then
     raise (Malformed (Printf.sprintf "bad frame magic 0x%02x" (Char.code m.[0])));
   decode_after_magic ?deadline ch
-
-let recv ?deadline ?(resync_budget = 4096) ch =
-  try decode_from ?deadline ch
-  with Malformed first ->
-    (* scan forward for the next magic byte and try to pick the stream
-       back up there; payload bytes can alias the magic, so decoding may
-       fail again and the scan continues on a bounded budget *)
-    let rec scan remaining =
-      if remaining <= 0 then
-        raise (Malformed ("resync budget exhausted after: " ^ first))
-      else
-        let b = Channel.read_exact ?deadline ch 1 in
-        if b.[0] = magic then
-          match decode_after_magic ?deadline ch with
-          | m -> m
-          | exception Malformed _ -> scan (remaining - 1)
-        else scan (remaining - 1)
-    in
-    scan resync_budget
 
 let send ch m = Channel.write ch (encode m)
 

@@ -54,13 +54,6 @@ val decode_from : ?deadline:float -> Channel.t -> t
     checksum mismatch, unknown tag, or bad payload, [Channel.Closed] at
     end of stream, and [Channel.Timeout] past the optional deadline. *)
 
-val recv : ?deadline:float -> ?resync_budget:int -> Channel.t -> t
-(** Like {!decode_from}, but on a malformed frame scans forward for the
-    next magic byte and retries, consuming at most [resync_budget]
-    (default 4096) scan positions before giving up with {!Malformed}.
-    This is what keeps one corrupted frame from permanently desyncing a
-    stream. *)
-
 val send : Channel.t -> t -> unit
 
 (** {1 Incremental decoding} — for non-blocking connection pumps that

@@ -85,9 +85,9 @@ type pending = {
 
 type worker = { wid : int; mutable predict : batch_predictor }
 
-(* process-wide serving metrics, exported alongside the old Server's
-   counters; idempotent registration means several engines in one
-   process (tests, the in-process bench fleet) share them *)
+(* process-wide serving metrics, what a [Stats_req] reports by default;
+   idempotent registration means several engines in one process (tests,
+   the in-process bench fleet) share them *)
 let latency_buckets = [| 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0 |]
 
 let m_conns =
@@ -242,6 +242,14 @@ let close_conn t conn =
     note_closed t
   end
 
+(* [Conn.send] closes the connection when the peer is gone; count that
+   close like any other *)
+let send t conn m =
+  if Conn.state conn <> Conn.Closed then begin
+    Conn.send conn m;
+    if Conn.state conn = Conn.Closed then note_closed t
+  end
+
 let accept t ch =
   if t.draining || connection_count t >= t.cfg.max_conns then begin
     t.c.refused <- t.c.refused + 1;
@@ -266,7 +274,7 @@ let shed t conn =
   Conn.note_shed conn;
   bump 1;
   trace "shed";
-  Conn.send conn Message.Overloaded
+  send t conn Message.Overloaded
 
 let strike t conn =
   t.c.strikes <- t.c.strikes + 1;
@@ -275,7 +283,7 @@ let strike t conn =
     t.c.struck_out <- t.c.struck_out + 1;
     bump 4;
     trace "struck_out";
-    Conn.send conn (Message.Error_msg "protocol error budget exhausted");
+    send t conn (Message.Error_msg "protocol error budget exhausted");
     close_conn t conn
   end
 
@@ -284,20 +292,20 @@ let note_semantic_strike t conn =
      like a malformed one: answering Error_msg forever to a looping
      byzantine peer is an unbounded obligation *)
   Conn.note_strike conn;
-  Conn.send conn (Message.Error_msg "unexpected client->server message");
+  send t conn (Message.Error_msg "unexpected client->server message");
   strike t conn
 
 let handle_msg t conn (m : Message.t) =
   t.c.requests <- t.c.requests + 1;
   match m with
-  | Message.Init _ -> Conn.send conn Message.Init_ok
-  | Message.Ping -> Conn.send conn Message.Pong
+  | Message.Init _ -> send t conn Message.Init_ok
+  | Message.Ping -> send t conn Message.Pong
   | Message.Stats_req -> (
       match t.cfg.stats () with
-      | s -> Conn.send conn (Message.Stats_text s)
+      | s -> send t conn (Message.Stats_text s)
       | exception e ->
           t.c.errors <- t.c.errors + 1;
-          Conn.send conn (Message.Error_msg (Printexc.to_string e)))
+          send t conn (Message.Error_msg (Printexc.to_string e)))
   | Message.Shutdown ->
       (* per-connection goodbye: queued requests still get answers, then
          the connection closes; other clients are unaffected *)
@@ -386,7 +394,7 @@ let dispatch_batch t =
                     (t.cfg.now () -. p.p_t);
                   req_span t Trace.Span_end "predict" p.p_trace;
                   req_span t Trace.Span_begin "reply" p.p_trace;
-                  Conn.send p.p_conn
+                  send t p.p_conn
                     (Message.Prediction
                        { modifier = modifiers.(i); trace = p.p_trace });
                   req_span t Trace.Span_end "reply" p.p_trace)
@@ -397,7 +405,7 @@ let dispatch_batch t =
                   t.c.errors <- t.c.errors + 1;
                   req_span t Trace.Span_end "predict" p.p_trace;
                   req_span t Trace.Span_begin "reply" p.p_trace;
-                  Conn.send p.p_conn (Message.Error_msg why);
+                  send t p.p_conn (Message.Error_msg why);
                   req_span t Trace.Span_end "reply" p.p_trace)
                 group
         end)
@@ -483,12 +491,12 @@ let finish_drain ?deadline_s t =
   clean
 
 (* ------------------------------------------------------------------ *)
-(* Descriptor-backed serving: the accept/select loop of tessera_server *)
+(* Descriptor-backed serving: the select loop of tessera_server        *)
 (* ------------------------------------------------------------------ *)
 
-let serve_fds ?(select_timeout_s = 0.05) t ~listen ~wrap ~stop =
-  Unix.set_nonblock listen;
-  let accept_pending () =
+let serve_fds ?(select_timeout_s = 0.05) ?listen ?(wrap = Fun.id) t ~stop =
+  Option.iter Unix.set_nonblock listen;
+  let accept_pending listen =
     let continue = ref true in
     while !continue do
       match Unix.accept listen with
@@ -498,24 +506,29 @@ let serve_fds ?(select_timeout_s = 0.05) t ~listen ~wrap ~stop =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done
   in
-  while not (stop ()) do
+  (* without a listener the roster can only shrink: serve it until empty *)
+  let finished () = Option.is_none listen && connection_count t = 0 in
+  while not (stop () || finished ()) do
     let fds =
-      listen
-      :: List.filter_map
-           (fun conn ->
-             (* a connection at its queue bound is left unpolled: its
-                bytes wait in the kernel buffer — backpressure *)
-             if Conn.state conn = Conn.Active
-                && Conn.queued conn < t.cfg.per_conn_queue then
-               Conn.read_fd conn
-             else None)
-           t.conns
+      Option.to_list listen
+      @ List.filter_map
+          (fun conn ->
+            (* a connection at its queue bound is left unpolled: its
+               bytes wait in the kernel buffer — backpressure *)
+            if Conn.state conn = Conn.Active
+               && Conn.queued conn < t.cfg.per_conn_queue then
+              Conn.read_fd conn
+            else None)
+          t.conns
     in
     (* wake immediately on input, or on the timeout while the queue is
        non-empty (dispatch continues even when no new bytes arrive) *)
     let timeout = if t.qlen > 0 then 0.0 else select_timeout_s in
     (match Unix.select fds [] [] timeout with
-    | readable, _, _ -> if List.memq listen readable then accept_pending ()
+    | readable, _, _ -> (
+        match listen with
+        | Some l when List.memq l readable -> accept_pending l
+        | _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (Unix.EBADF, _, _) ->
         (* a peer closed between roster snapshot and select: the next
@@ -524,3 +537,17 @@ let serve_fds ?(select_timeout_s = 0.05) t ~listen ~wrap ~stop =
     ignore (tick t)
   done;
   finish_drain t
+
+(* ------------------------------------------------------------------ *)
+(* In-process peers                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let lockstep t ch =
+  (* [Conn.close] closes its channel; the engine gets a view whose close
+     leaves [ch] open, so the endpoint can be accepted again after its
+     connection is closed (a crashed-then-revived injector, a peer struck
+     out over the error cap) *)
+  let view = Channel.wrap ~on_close:ignore ch in
+  fun () ->
+    if connection_count t = 0 then ignore (accept t view);
+    ignore (tick t)

@@ -1,8 +1,7 @@
-(** Concurrent multi-client model serving.
+(** Model serving: the one loop that answers the wire protocol.
 
-    Where {!Server} answers one blocking channel, [Serve] multiplexes
-    many {!Conn}s through a non-blocking engine designed around
-    robustness: bounded per-connection and global request queues with
+    [Serve] multiplexes {!Conn}s through a non-blocking engine designed
+    around robustness: bounded per-connection and global request queues with
     real backpressure (a connection at its bound is simply not read),
     load-shedding past a high-water mark (answered with
     {!Message.Overloaded}, never silence, so client circuit breakers
@@ -14,9 +13,9 @@
     connection, and a deadline-bounded graceful drain.
 
     The engine is driven by {!tick} — one bounded scheduling round —
-    so in-process fleets (tests, [bench serve]) run it deterministically
-    in lockstep, while {!serve_fds} wraps it in a [select] accept loop
-    for socket deployments.  Everything is instrumented through
+    so in-process peers ({!lockstep}, tests, [bench serve]) run it
+    deterministically, while {!serve_fds} wraps it in a [select] loop
+    over descriptors: a socket listener, or a pre-accepted FIFO pair.  Everything is instrumented through
     {!Tessera_obs.Metrics.default} ([serve_*] gauges, counters, and the
     [serve_latency_seconds] histogram). *)
 
@@ -98,14 +97,24 @@ val finish_drain : ?deadline_s:float -> t -> bool
 
 val serve_fds :
   ?select_timeout_s:float ->
+  ?listen:Unix.file_descr ->
+  ?wrap:(Channel.t -> Channel.t) ->
   t ->
-  listen:Unix.file_descr ->
-  wrap:(Channel.t -> Channel.t) ->
   stop:(unit -> bool) ->
   bool
-(** Accept/select loop over a listening socket until [stop ()], then
-    {!finish_drain}.  [wrap] interposes on every accepted channel (the
-    fault injector hooks in here).  Returns the drain verdict. *)
+(** Select loop over the descriptors of the roster until [stop ()], then
+    {!finish_drain}; returns the drain verdict.  With [listen], new
+    connections are accepted from that socket, each channel passed
+    through [wrap] (default identity; the fault injector hooks in here).
+    Without it the roster is the connections {!accept}ed before the
+    call, and the loop also ends once they have all closed. *)
+
+val lockstep : t -> Channel.t -> unit -> unit
+(** [lockstep t ch] serves the in-process endpoint [ch] one call at a
+    time: each call accepts [ch] if the engine has no open connection,
+    then runs one {!tick}.  Closing the connection (end of stream, error
+    cap, a dead peer) leaves [ch] open, so the next call accepts it
+    again.  Pass the result as {!Client.connect}'s [lockstep]. *)
 
 val counters : t -> counters
 val queue_depth : t -> int

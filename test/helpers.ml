@@ -99,3 +99,20 @@ let optimize_all ?(validate = true) ~plan ~enabled (program : Program.t) id m =
   r.Manager.meth
 
 let seeds n base = List.init n (fun i -> Int64.of_int ((i * 7919) + base))
+
+(* An in-process model server on the endpoint [ch] of an in-memory pipe,
+   advanced one Serve tick per call: the [lockstep] of a Client on the
+   other end.  [predict] answers row by row; the default echoes each
+   request's feature count into the modifier. *)
+let lockstep_server
+    ?(predict =
+      fun ~level:_ ~features -> Modifier.of_disabled [ Array.length features mod 58 ])
+    ch =
+  let module Serve = Tessera_protocol.Serve in
+  let engine =
+    Serve.create
+      ~make_predictor:(fun _ ~level rows ->
+        Array.map (fun features -> predict ~level ~features) rows)
+      ()
+  in
+  Serve.lockstep engine ch

@@ -7,7 +7,6 @@ open Helpers
 module Channel = Tessera_protocol.Channel
 module Message = Tessera_protocol.Message
 module Tracectx = Tessera_protocol.Tracectx
-module Server = Tessera_protocol.Server
 module Client = Tessera_protocol.Client
 module Spec = Tessera_faults.Spec
 module Injector = Tessera_faults.Injector
@@ -110,8 +109,6 @@ let test_channel_stream_integrity () =
 
 (* ---------- frame integrity ---------- *)
 
-let msg_testable = Alcotest.testable Message.pp Message.equal
-
 (* Any single bit flip anywhere in a frame must surface as Malformed (or
    Closed at end of stream) — never as a silently different message. *)
 let test_bit_flips_never_decode () =
@@ -147,31 +144,6 @@ let test_bit_flips_never_decode () =
       done)
     messages
 
-let test_resync_recovers () =
-  let a, b = Channel.pipe_pair () in
-  (* leading garbage (no magic byte), then a valid frame *)
-  Channel.write a "\x00\x13\x99\xfe";
-  Message.send a Message.Ping;
-  Alcotest.check msg_testable "recovered after garbage" Message.Ping
-    (Message.recv b);
-  (* a corrupted frame followed by a valid one: the bad frame is
-     discarded and the stream resynchronizes on the next magic byte *)
-  let bad = Bytes.of_string (Message.encode Message.Pong) in
-  let last = Bytes.length bad - 1 in
-  Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 1));
-  Channel.write a (Bytes.to_string bad);
-  Message.send a (Message.Init { model_name = "x" });
-  Alcotest.check msg_testable "skipped corrupted frame"
-    (Message.Init { model_name = "x" })
-    (Message.recv b)
-
-let test_resync_budget_exhausted () =
-  let a, b = Channel.pipe_pair () in
-  Channel.write a (String.make 64 '\x00');
-  match Message.recv ~resync_budget:16 b with
-  | _ -> Alcotest.fail "recv returned from pure garbage"
-  | exception Message.Malformed _ -> ()
-
 (* ---------- client resilience ---------- *)
 
 let lockstep_config =
@@ -187,13 +159,7 @@ let session ?(config = lockstep_config) ?(requests = 40) ~spec ~seed () =
   in
   let server_ch = Injector.wrap_channel server_inj server_raw in
   let client_ch = Injector.wrap_channel client_inj client_raw in
-  let predictor ~level:_ ~features =
-    Modifier.of_disabled [ Array.length features mod 58 ]
-  in
-  let lockstep () =
-    try ignore (Server.step server_ch predictor)
-    with Channel.Closed | Channel.Timeout -> ()
-  in
+  let lockstep = lockstep_server server_ch in
   let client = Client.connect ~model_name:"faulty" ~lockstep ~config client_ch in
   let outcomes =
     List.init requests (fun i ->
@@ -436,16 +402,9 @@ let test_engine_over_faulty_protocol () =
       in
       let server_ch = Injector.wrap_channel server_inj server_raw in
       let client_ch = Injector.wrap_channel client_inj client_raw in
-      let predictor ~level:_ ~features =
-        Modifier.of_disabled [ Array.length features mod 58 ]
-      in
-      let lockstep () =
-        try ignore (Server.step server_ch predictor)
-        with Channel.Closed | Channel.Timeout -> ()
-      in
       let client =
-        Client.connect ~model_name:"e2e" ~lockstep ~config:lockstep_config
-          client_ch
+        Client.connect ~model_name:"e2e" ~lockstep:(lockstep_server server_ch)
+          ~config:lockstep_config client_ch
       in
       let choose _engine ~meth_id:_ ~level =
         Some (Client.predict client ~level ~features:(Array.make 4 0.5))
@@ -477,9 +436,6 @@ let suite =
       test_channel_stream_integrity;
     Alcotest.test_case "bit flips never decode" `Quick
       test_bit_flips_never_decode;
-    Alcotest.test_case "resync recovers" `Quick test_resync_recovers;
-    Alcotest.test_case "resync budget exhausted" `Quick
-      test_resync_budget_exhausted;
     Alcotest.test_case "client survives fault matrix" `Quick
       test_client_survives_fault_matrix;
     Alcotest.test_case "clean session all predicted" `Quick

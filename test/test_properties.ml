@@ -196,7 +196,6 @@ let test_client_total_under_faults () =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let module Channel = Tessera_protocol.Channel in
-      let module Server = Tessera_protocol.Server in
       let module Client = Tessera_protocol.Client in
       let module Spec = Tessera_faults.Spec in
       let module Injector = Tessera_faults.Injector in
@@ -223,13 +222,7 @@ let test_client_total_under_faults () =
       in
       let server_ch = Injector.wrap_channel server_inj server_raw in
       let client_ch = Injector.wrap_channel client_inj client_raw in
-      let predictor ~level:_ ~features =
-        Tessera_modifiers.Modifier.of_disabled [ Array.length features mod 58 ]
-      in
-      let lockstep () =
-        try ignore (Server.step server_ch predictor)
-        with Channel.Closed | Channel.Timeout -> ()
-      in
+      let lockstep = lockstep_server server_ch in
       let config = { Client.default_config with Client.log = ignore } in
       let client =
         Client.connect ~model_name:"prop" ~lockstep ~config client_ch

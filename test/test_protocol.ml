@@ -1,7 +1,7 @@
 module Channel = Tessera_protocol.Channel
 module Message = Tessera_protocol.Message
 module Tracectx = Tessera_protocol.Tracectx
-module Server = Tessera_protocol.Server
+module Serve = Tessera_protocol.Serve
 module Client = Tessera_protocol.Client
 module Modifier = Tessera_modifiers.Modifier
 module Plan = Tessera_opt.Plan
@@ -63,12 +63,16 @@ let test_malformed_detected () =
 let test_server_client_session () =
   let server_ch, client_ch = Channel.pipe_pair () in
   let served = ref 0 in
-  let predictor ~level ~features =
+  let failing = ref false in
+  let predict features =
+    if !failing then failwith "model exploded";
     incr served;
-    ignore level;
     Modifier.of_disabled [ Array.length features mod 58 ]
   in
-  let lockstep () = ignore (Server.step server_ch predictor) in
+  let engine =
+    Serve.create ~make_predictor:(fun _ ~level:_ rows -> Array.map predict rows) ()
+  in
+  let lockstep = Serve.lockstep engine server_ch in
   let client = Client.connect ~model_name:"test" ~lockstep client_ch in
   Alcotest.(check bool) "ping" true (Client.ping client);
   let m = Client.predict client ~level:Plan.Hot ~features:(Array.make 5 0.1) in
@@ -76,18 +80,20 @@ let test_server_client_session () =
     (Modifier.disabled_indices m);
   Alcotest.(check int) "served one predict" 1 !served;
   (* a predictor exception becomes Error_msg and the client falls back *)
-  let failing ~level:_ ~features:_ = failwith "model exploded" in
-  let lockstep_fail () = ignore (Server.step server_ch failing) in
+  failing := true;
   Message.send client_ch
     (Message.Predict { level = Plan.Hot; features = [||]; trace = Tracectx.none });
-  lockstep_fail ();
+  lockstep ();
   (match Message.decode_from client_ch with
   | Message.Error_msg _ -> ()
   | other -> Alcotest.fail (Format.asprintf "expected error, got %a" Message.pp other));
-  (* shutdown stops the loop *)
+  (* shutdown ends the session: the connection closes *)
   Message.send client_ch Message.Shutdown;
-  Alcotest.(check bool) "step returns false on shutdown" false
-    (Server.step server_ch predictor)
+  lockstep ();
+  Alcotest.(check int) "shutdown closes the connection" 0
+    (Serve.connection_count engine);
+  Alcotest.(check int) "one connection, closed once" 1
+    (Serve.counters engine).Serve.conns_closed
 
 let test_fifo_two_process () =
   let dir = Filename.get_temp_dir_name () in
@@ -100,11 +106,18 @@ let test_fifo_two_process () =
     (fun () ->
       match Unix.fork () with
       | 0 ->
-          (* child: echo server over real named pipes *)
-          let ch = open_a () in
-          Server.serve ch (fun ~level:_ ~features ->
-              Modifier.of_disabled [ Array.length features ]);
-          Unix._exit 0
+          (* child: echo server over real named pipes, the pair served as
+             one pre-accepted connection *)
+          let engine =
+            Serve.create
+              ~make_predictor:(fun _ ~level:_ rows ->
+                Array.map
+                  (fun features -> Modifier.of_disabled [ Array.length features ])
+                  rows)
+              ()
+          in
+          ignore (Serve.accept engine (open_a ()));
+          Unix._exit (if Serve.serve_fds engine ~stop:(fun () -> false) then 0 else 1)
       | pid ->
           let ch = open_b () in
           let client = Client.connect ~model_name:"fifo" ch in
@@ -121,6 +134,25 @@ let test_channel_close () =
   Alcotest.check_raises "read after close" Channel.Closed (fun () ->
       ignore (Channel.read_exact b 1))
 
+(* a descriptor read copies out only the bytes it read: a 64 KiB cap must
+   not cost a 64 KiB buffer per call *)
+let test_read_avail_allocation () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let ch = Channel.of_fds r w in
+  Fun.protect
+    ~finally:(fun () -> Channel.close ch)
+    (fun () ->
+      Channel.write ch "warm!";
+      Alcotest.(check string) "warm-up read" "warm!" (Channel.read_avail ch 65536);
+      Channel.write ch "hello";
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      let got = Channel.read_avail ch 65536 in
+      let _, _, major1 = Gc.counters () in
+      Alcotest.(check string) "pending bytes" "hello" got;
+      Alcotest.(check bool) "under 1024 major words" true
+        (major1 -. major0 < 1024.0))
+
 let suite =
   [
     Alcotest.test_case "message roundtrips" `Quick test_message_roundtrips;
@@ -129,6 +161,8 @@ let suite =
     Alcotest.test_case "server/client session" `Quick test_server_client_session;
     Alcotest.test_case "two-process FIFO" `Quick test_fifo_two_process;
     Alcotest.test_case "channel close" `Quick test_channel_close;
+    Alcotest.test_case "channel: read_avail allocates only what it reads"
+      `Quick test_read_avail_allocation;
   ]
 
 (* ------------------------------------------------------------------ *)

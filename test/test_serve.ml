@@ -8,7 +8,6 @@ module Message = Tessera_protocol.Message
 module Tracectx = Tessera_protocol.Tracectx
 module Conn = Tessera_protocol.Conn
 module Serve = Tessera_protocol.Serve
-module Server = Tessera_protocol.Server
 module Client = Tessera_protocol.Client
 module Spec = Tessera_faults.Spec
 module Injector = Tessera_faults.Injector
@@ -56,19 +55,29 @@ let test_conn_partial_frames () =
 let test_conn_garbage_resync () =
   let a, b = Channel.pipe_pair () in
   let conn = Conn.create ~id:0 b in
+  let pump () =
+    let events = Conn.pump conn in
+    ( List.filter_map (function Conn.Msg m -> Some m | _ -> None) events,
+      List.length
+        (List.filter (function Conn.Strike _ -> true | _ -> false) events) )
+  in
   Channel.write a "this is not a frame";
   Channel.write a (Message.encode Message.Ping);
-  let events = Conn.pump conn in
-  let msgs =
-    List.filter_map (function Conn.Msg m -> Some m | _ -> None) events
-  in
-  let strikes =
-    List.length
-      (List.filter (function Conn.Strike _ -> true | _ -> false) events)
-  in
+  let msgs, strikes = pump () in
   Alcotest.(check (list msg_testable)) "frame after garbage decodes"
     [ Message.Ping ] msgs;
   Alcotest.(check bool) "garbage struck" true (strikes >= 1);
+  (* a frame with a corrupted checksum, then a valid one: the bad frame
+     is struck and skipped, the stream picks up at the next magic *)
+  let bad = Bytes.of_string (Message.encode Message.Pong) in
+  let last = Bytes.length bad - 1 in
+  Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 1));
+  Channel.write a (Bytes.to_string bad);
+  Message.send a (Message.Init { model_name = "x" });
+  let msgs, strikes = pump () in
+  Alcotest.(check (list msg_testable)) "frame after a bad checksum decodes"
+    [ Message.Init { model_name = "x" } ] msgs;
+  Alcotest.(check bool) "bad checksum struck" true (strikes >= 1);
   Alcotest.(check bool) "still active" true (Conn.state conn = Conn.Active)
 
 let test_conn_resync_exhaustion () =
@@ -354,33 +363,77 @@ let test_isolation_property () =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Server (single-channel) session strikes and client Overloaded        *)
+(* Closes on a dead peer, descriptor serving without a listener, and    *)
+(* client Overloaded                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_server_step_session_strikes () =
-  let server_ch, client_ch = Channel.pipe_pair () in
-  let predictor ~level:_ ~features:_ = Modifier.null in
-  let session = Server.session ~max_protocol_errors:2 () in
-  (* two unexpected messages are answered and tolerated *)
-  Message.send client_ch Message.Pong;
-  Alcotest.(check bool) "first strike tolerated" true
-    (Server.step ~session server_ch predictor);
-  Message.send client_ch Message.Pong;
-  Alcotest.(check bool) "second strike tolerated" true
-    (Server.step ~session server_ch predictor);
-  (* the third exhausts the budget: the step loop ends *)
-  Message.send client_ch Message.Pong;
-  Alcotest.(check bool) "third strike ends the session" false
-    (Server.step ~session server_ch predictor);
-  Alcotest.(check int) "strikes counted" 3 (Server.strikes session);
-  (* three "unexpected message" answers plus the final "budget
-     exhausted" goodbye *)
-  let replies = drain_replies client_ch in
-  Alcotest.(check int) "every strike answered with Error_msg" 4
-    (List.length
-       (List.filter
-          (function Message.Error_msg _ -> true | _ -> false)
-          replies))
+let test_serve_dead_peer_counted () =
+  (* the server end crashes on its first write: the Init_ok reply finds
+     the peer gone and the send closes the connection, which must be
+     counted like every other close *)
+  let engine = mk_engine () in
+  let server_raw, client_ch = Channel.pipe_pair () in
+  let inj =
+    Injector.create ~spec:{ Spec.default with Spec.crash_after = Some 0 }
+      ~seed:1L ()
+  in
+  ignore (Serve.accept engine (Injector.wrap_channel inj server_raw));
+  Message.send client_ch (Message.Init { model_name = "t" });
+  tick_n engine 2;
+  let c = Serve.counters engine in
+  Alcotest.(check int) "no open connection" 0 (Serve.connection_count engine);
+  Alcotest.(check int) "accepted" 1 c.Serve.accepted;
+  Alcotest.(check int) "the close is counted" 1 c.Serve.conns_closed
+
+(* One pre-accepted connection over two Unix pipes; returns the client's
+   end (reads replies, writes requests). *)
+let attach_pipes engine =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w = Unix.pipe ~cloexec:true () in
+  (match Serve.accept engine (Channel.of_fds req_r res_w) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "accept refused");
+  Channel.of_fds res_r req_w
+
+(* a stop that fires only after a generous bound, recording whether it
+   was what ended the loop *)
+let watchdog () =
+  let fired = ref false in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  ( fired,
+    fun () ->
+      if Unix.gettimeofday () > deadline then fired := true;
+      !fired )
+
+let test_serve_fds_no_listener () =
+  let engine = mk_engine ~predictor:echo_predictor () in
+  let client = attach_pipes engine in
+  Message.send client (Message.Init { model_name = "t" });
+  Message.send client (predict ~tag:5.0 Plan.Warm);
+  Message.send client Message.Shutdown;
+  let fired, stop = watchdog () in
+  Alcotest.(check bool) "drain verdict" true (Serve.serve_fds engine ~stop);
+  Alcotest.(check bool) "the empty roster ended the loop" false !fired;
+  Alcotest.(check int) "roster empty" 0 (Serve.connection_count engine);
+  Alcotest.check msg_testable "handshake" Message.Init_ok
+    (Message.decode_from client);
+  Alcotest.check msg_testable "prediction"
+    (Message.Prediction { modifier = Modifier.of_bits 5L; trace = Tracectx.none })
+    (Message.decode_from client);
+  Channel.close client
+
+let test_serve_fds_stopped () =
+  let engine = mk_engine () in
+  let client = attach_pipes engine in
+  Message.send client (predict Plan.Hot);
+  Alcotest.(check bool) "drain verdict" true
+    (Serve.serve_fds engine ~stop:(fun () -> true));
+  Alcotest.(check int) "roster empty" 0 (Serve.connection_count engine);
+  Alcotest.(check int) "the connection was closed" 1
+    (Serve.counters engine).Serve.conns_closed;
+  Alcotest.check_raises "the client sees end of stream" Channel.Closed
+    (fun () -> ignore (Message.decode_from client));
+  Channel.close client
 
 let test_client_overloaded_fallback () =
   let server_ch, client_ch = Channel.pipe_pair () in
@@ -429,8 +482,12 @@ let suite =
         test_serve_graceful_drain;
       Alcotest.test_case "serve: drain deadline is honoured" `Quick
         test_serve_drain_deadline;
-      Alcotest.test_case "server: session strikes end the step loop" `Quick
-        test_server_step_session_strikes;
+      Alcotest.test_case "serve: a dead peer's close is counted" `Quick
+        test_serve_dead_peer_counted;
+      Alcotest.test_case "serve_fds: no listener, serves until the roster empties"
+        `Quick test_serve_fds_no_listener;
+      Alcotest.test_case "serve_fds: no listener, stopped at once, drains"
+        `Quick test_serve_fds_stopped;
       Alcotest.test_case "client: Overloaded reply reaches the wire" `Quick
         test_client_overloaded_fallback;
     ]
