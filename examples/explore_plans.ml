@@ -36,20 +36,19 @@ let () =
 
   (* cost of one invocation under a given compilation *)
   let run_cycles (comp : Compiler.compilation) =
+    let code =
+      Tessera_flat.Prog.fuse (Tessera_flat.Prog.of_compiled comp.Compiler.code)
+    in
     let cycles = ref 0 in
     let fuel = ref 50_000_000 in
     let rec invoke id args =
       (* callees stay interpreted: we are studying one method *)
-      if id = target then
-        Tessera_codegen.Exec.run
-          { Tessera_codegen.Exec.classes = program.Program.classes;
-            charge = (fun n -> cycles := !cycles + n); invoke; fuel }
-          comp.Compiler.code args
-      else
-        Tessera_vm.Interp.run
-          { Tessera_vm.Interp.classes = program.Program.classes;
-            charge = (fun n -> cycles := !cycles + n); invoke; fuel }
-          (Program.meth program id) args
+      let ctx =
+        { Tessera_vm.Interp.classes = program.Program.classes;
+          charge = (fun n -> cycles := !cycles + n); invoke; fuel }
+      in
+      if id = target then Tessera_flat.Interp.run ctx code args
+      else Tessera_vm.Interp.run ctx (Program.meth program id) args
     in
     let args =
       Array.map

@@ -6,7 +6,9 @@
     provably semantics-preserving.  Per-instruction cycle costs are
     computed once at code-generation time (including optimization-flag
     discounts and register-allocation quality) and stored alongside the
-    instructions. *)
+    instructions.  The code cache stores this form; the engine runs it
+    on the flat loop after [Tessera_flat.Prog.of_compiled] translates
+    it. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode

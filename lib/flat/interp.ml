@@ -1,4 +1,5 @@
-(* Non-recursive dispatch loop over the flat form.
+(* Non-recursive dispatch loop over the flat form: the engine's one
+   loop, for interpreted methods and compiled code alike.
 
    Observable behaviour — returned value, raised trap, every ctx.charge
    amount and every fuel decrement, in order — is bit-identical to the
@@ -149,10 +150,10 @@ let run (ctx : context) (p : Prog.t) args =
           Semantics.monitor stack.(!sp - 1);
           stack.(!sp - 1) <- Void_v
       | Prog.Drop_void -> stack.(!sp - 1) <- Void_v
-      | Prog.Invoke (callee, argc) ->
+      | Prog.Invoke (callee, argc, c) ->
           sp := !sp - argc;
           let actuals = Array.sub stack !sp argc in
-          charge Cost.interp_call_overhead;
+          if c > 0 then charge c;
           push (ctx.Vm_interp.invoke callee actuals)
       | Prog.Mixed (argc, ty) ->
           sp := !sp - argc;
@@ -180,6 +181,7 @@ let run (ctx : context) (p : Prog.t) args =
       | Prog.Pop -> decr sp
       | Prog.Jmp t -> pc := t
       | Prog.Cond_br (t, f) -> pc := (if is_truthy (pop ()) then t else f)
+      | Prog.Br_false t -> if not (is_truthy (pop ())) then pc := t
       | Prog.Ret_void -> running := false
       | Prog.Ret_val ->
           result := Semantics.store_coerce p.ret (pop ());
@@ -453,10 +455,10 @@ let run_counted ~pairs (ctx : context) (p : Prog.t) args =
           Semantics.monitor stack.(!sp - 1);
           stack.(!sp - 1) <- Void_v
       | Prog.Drop_void -> stack.(!sp - 1) <- Void_v
-      | Prog.Invoke (callee, argc) ->
+      | Prog.Invoke (callee, argc, c) ->
           sp := !sp - argc;
           let actuals = Array.sub stack !sp argc in
-          charge Cost.interp_call_overhead;
+          if c > 0 then charge c;
           push (ctx.Vm_interp.invoke callee actuals)
       | Prog.Mixed (argc, ty) ->
           sp := !sp - argc;
@@ -484,6 +486,7 @@ let run_counted ~pairs (ctx : context) (p : Prog.t) args =
       | Prog.Pop -> decr sp
       | Prog.Jmp t -> pc := t
       | Prog.Cond_br (t, f) -> pc := (if is_truthy (pop ()) then t else f)
+      | Prog.Br_false t -> if not (is_truthy (pop ())) then pc := t
       | Prog.Ret_void -> running := false
       | Prog.Ret_val ->
           result := Semantics.store_coerce p.ret (pop ());

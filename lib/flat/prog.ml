@@ -1,16 +1,21 @@
-(* Flat bytecode form of a method: the tree IL of an [Il.Meth] lowered
-   to a single instruction array with resolved jump offsets, a constant
-   pool of prebuilt values, and precomputed cycle charges.
+(* Flat bytecode form of a method: the tree IL of an [Il.Meth], or the
+   compiled code of an [Isa.compiled], lowered to a single instruction
+   array with resolved jump offsets, a constant pool of prebuilt values,
+   and precomputed cycle charges.
 
-   The lowering is cycle- and fuel-exact with respect to the tree
-   walker [Vm.Interp.run]: every point where the tree walker decrements
-   fuel or calls [ctx.charge] has a corresponding instruction here that
-   does the same, in the same order.  Interior nodes emit a [Begin]
-   prologue (one fuel event plus the node's dispatch+op charge) before
-   their children, leaves carry their charge inline, and block entries
-   emit [Enter] (fuel only) — so a trace of (fuel, charge) events is
-   bit-identical between the two tiers, which is what keeps learned-
-   model labels and the figures digest comparable. *)
+   The lowering of tree IL is cycle- and fuel-exact with respect to the
+   tree walker [Vm.Interp.run]: every point where the tree walker
+   decrements fuel or calls [ctx.charge] has a corresponding instruction
+   here that does the same, in the same order.  Interior nodes emit a
+   [Begin] prologue (one fuel event plus the node's dispatch+op charge)
+   before their children, leaves carry their charge inline, and block
+   entries emit [Enter] (fuel only) — so a trace of (fuel, charge)
+   events is bit-identical between the two tiers, which is what keeps
+   learned-model labels and the figures digest comparable.
+
+   Compiled code follows the same discipline with the code generator's
+   static costs: each [Isa] instruction is one fuel event, then one
+   charge of its cost, then its action. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
@@ -20,6 +25,7 @@ module Meth = Tessera_il.Meth
 module Symbol = Tessera_il.Symbol
 module Values = Tessera_vm.Values
 module Cost = Tessera_vm.Cost
+module Isa = Tessera_codegen.Isa
 
 type instr =
   (* fuel-event carriers: each mirrors exactly one fuel decrement of the
@@ -49,7 +55,7 @@ type instr =
   | Instance_of of int
   | Monitor
   | Drop_void  (** 1-arg Throw_op: replace top with Void *)
-  | Invoke of int * int  (** callee, argc; charges interp_call_overhead *)
+  | Invoke of int * int * int  (** callee, argc, call charge *)
   | Mixed of int * Types.t  (** argc, ty *)
   | Bounds_chk
   | Arr_copy
@@ -59,6 +65,7 @@ type instr =
   (* control *)
   | Jmp of int
   | Cond_br of int * int  (** pop; branch to fst if truthy else snd *)
+  | Br_false of int  (** pop; branch if falsy, else fall through *)
   | Ret_void
   | Ret_val
   | Raise_user
@@ -88,12 +95,12 @@ type t = {
   instrs : instr array;
   pool : Values.t array;  (** prebuilt constants (Int_v / Float_v) *)
   block_of_pc : int array;  (** pc -> owning block, for trap dispatch *)
-  block_entry : int array;  (** block id -> entry pc (an [Enter]) *)
+  block_entry : int array;  (** block id -> entry pc *)
   handler_of_block : int array;  (** -1 when the block has no handler *)
   local_types : Types.t array;
   local_is_arg : bool array;
   ret : Types.t;
-  sync_charge : int;  (** synchronized-method prologue charge, else 0 *)
+  sync_charge : int;  (** prologue charge: frame set-up, monitor entry *)
   max_stack : int;  (** verified operand-stack bound *)
   fused_pairs : int;  (** superinstruction sites (0 in the base form) *)
 }
@@ -137,23 +144,24 @@ let kind = function
   | Ret_void -> 31
   | Ret_val -> 32
   | Raise_user -> 33
-  | F_enter_begin _ -> 34
-  | F_begin_begin _ -> 35
-  | F_begin_load _ -> 36
-  | F_begin_const _ -> 37
-  | F_load_load _ -> 38
-  | F_load_binop _ -> 39
-  | F_const_binop _ -> 40
-  | F_load_store _ -> 41
-  | F_binop_store _ -> 42
-  | F_store_pop _ -> 43
-  | F_inc_pop _ -> 44
-  | F_pop_begin _ -> 45
-  | F_load_const _ -> 46
-  | F_load_begin _ -> 47
-  | F_binop_binop _ -> 48
+  | Br_false _ -> 34
+  | F_enter_begin _ -> 35
+  | F_begin_begin _ -> 36
+  | F_begin_load _ -> 37
+  | F_begin_const _ -> 38
+  | F_load_load _ -> 39
+  | F_load_binop _ -> 40
+  | F_const_binop _ -> 41
+  | F_load_store _ -> 42
+  | F_binop_store _ -> 43
+  | F_store_pop _ -> 44
+  | F_inc_pop _ -> 45
+  | F_pop_begin _ -> 46
+  | F_load_const _ -> 47
+  | F_load_begin _ -> 48
+  | F_binop_binop _ -> 49
 
-let kind_count = 49
+let kind_count = 50
 
 let kind_name = function
   | 0 -> "enter"
@@ -190,26 +198,27 @@ let kind_name = function
   | 31 -> "ret_void"
   | 32 -> "ret_val"
   | 33 -> "raise_user"
-  | 34 -> "f_enter_begin"
-  | 35 -> "f_begin_begin"
-  | 36 -> "f_begin_load"
-  | 37 -> "f_begin_const"
-  | 38 -> "f_load_load"
-  | 39 -> "f_load_binop"
-  | 40 -> "f_const_binop"
-  | 41 -> "f_load_store"
-  | 42 -> "f_binop_store"
-  | 43 -> "f_store_pop"
-  | 44 -> "f_inc_pop"
-  | 45 -> "f_pop_begin"
-  | 46 -> "f_load_const"
-  | 47 -> "f_load_begin"
-  | 48 -> "f_binop_binop"
+  | 34 -> "br_false"
+  | 35 -> "f_enter_begin"
+  | 36 -> "f_begin_begin"
+  | 37 -> "f_begin_load"
+  | 38 -> "f_begin_const"
+  | 39 -> "f_load_load"
+  | 40 -> "f_load_binop"
+  | 41 -> "f_const_binop"
+  | 42 -> "f_load_store"
+  | 43 -> "f_binop_store"
+  | 44 -> "f_store_pop"
+  | 45 -> "f_inc_pop"
+  | 46 -> "f_pop_begin"
+  | 47 -> "f_load_const"
+  | 48 -> "f_load_begin"
+  | 49 -> "f_binop_binop"
   | _ -> "?"
 
 (* Superinstructions occupy two slots: the fused op plus the dead slot
    of its second half, skipped at execution and verification time. *)
-let width i = if kind i >= 34 then 2 else 1
+let width i = if kind i >= 35 then 2 else 1
 
 (* -- verifier -------------------------------------------------------
    Mirrors [Il.Validate]'s role for tree IL: structural soundness of the
@@ -228,12 +237,12 @@ let stack_io = function
     ->
       (2, 1)
   | Elem_store | Arr_copy -> (3, 1)
-  | Invoke (_, argc) | Mixed (argc, _) -> (argc, 1)
+  | Invoke (_, argc, _) | Mixed (argc, _) -> (argc, 1)
   | Pop -> (1, 0)
   | Jmp _ -> (0, 0)
-  | Cond_br _ -> (1, 0)
-  | Ret_void -> (0, 0)
-  | Ret_val | Raise_user -> (1, 0)
+  | Cond_br _ | Br_false _ -> (1, 0)
+  | Ret_void | Raise_user -> (0, 0)
+  | Ret_val -> (1, 0)
   | F_enter_begin _ | F_begin_begin _ | F_inc_pop _ -> (0, 0)
   | F_begin_load _ | F_begin_const _ | F_load_store _ -> (0, 1)
   | F_load_load _ | F_load_const _ -> (0, 2)
@@ -264,9 +273,6 @@ let verify p =
     Array.iteri
       (fun b e ->
         if e < 0 || e >= n then bad "block %d entry %d out of range" b e;
-        (match p.instrs.(e) with
-        | Enter | F_enter_begin _ -> ()
-        | _ -> bad "block %d entry is not Enter" b);
         entry_set.(e) <- true)
       p.block_entry;
     Array.iteri
@@ -297,9 +303,9 @@ let verify p =
           check_slot "local" s2
       | F_binop_store (_, _, s, _) -> check_slot "local" s
       | F_const_binop (_, k, _, _) -> check_pool k
-      | Invoke (_, argc) | Mixed (argc, _) ->
+      | Invoke (_, argc, _) | Mixed (argc, _) ->
           if argc < 0 then bad "negative arity"
-      | Jmp t -> check_target t
+      | Jmp t | Br_false t -> check_target t
       | Cond_br (t, f) ->
           check_target t;
           check_target f
@@ -326,6 +332,10 @@ let verify p =
           terminated := true;
           if !depth <> 0 then bad "nonzero stack depth (%d) at terminator" !depth
         end;
+        (match ins with
+        | Br_false _ when !depth <> 0 ->
+            bad "nonzero stack depth (%d) at branch" !depth
+        | _ -> ());
         i := !i + width ins
       done;
       if not !terminated then bad "block %d does not end in a terminator" b
@@ -333,44 +343,114 @@ let verify p =
     Ok !max_depth
   with Bad s -> err "%s" s
 
-(* -- lowering ------------------------------------------------------- *)
+(* -- lowering -------------------------------------------------------
+   [of_meth] and [of_compiled] share one emitter: instructions are
+   appended with their owning block to growable arrays, constants go
+   through one pool, and [finish] resolves jump targets from block ids
+   to entry pcs, then verifies. *)
+
+type emitter = {
+  mutable code : instr array;
+  mutable owner : int array;  (* owning block of each instruction *)
+  mutable len : int;
+  mutable cur_block : int;
+  block_entry : int array;
+  mutable pool : Values.t list;  (* reversed *)
+  pool_memo : (bool * int64, int) Hashtbl.t;
+}
+
+let emitter ~size nblocks =
+  {
+    code = Array.make size Pop;
+    owner = Array.make size 0;
+    len = 0;
+    cur_block = 0;
+    block_entry = Array.make nblocks 0;
+    pool = [];
+    pool_memo = Hashtbl.create 16;
+  }
+
+let emit e i =
+  let n = e.len in
+  if n = Array.length e.code then begin
+    let grow a fill =
+      let b = Array.make ((2 * n) + 1) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    e.code <- grow e.code Pop;
+    e.owner <- grow e.owner 0
+  end;
+  e.code.(n) <- i;
+  e.owner.(n) <- e.cur_block;
+  e.len <- n + 1
+
+let start_block e b =
+  e.cur_block <- b;
+  e.block_entry.(b) <- e.len
+
+(* Constants are keyed by kind and bits: keyed by value, structural
+   hashing and comparison would merge 0.0 with -0.0, and NaN payloads. *)
+let const_idx e ty bits =
+  let key = (Types.is_floating ty, bits) in
+  match Hashtbl.find_opt e.pool_memo key with
+  | Some k -> k
+  | None ->
+      let k = Hashtbl.length e.pool_memo in
+      let v =
+        if fst key then Values.Float_v (Int64.float_of_bits bits)
+        else Values.Int_v bits
+      in
+      e.pool <- v :: e.pool;
+      Hashtbl.add e.pool_memo key k;
+      k
+
+let finish e ~method_name ~handler_of_block ~local_types ~local_is_arg ~ret
+    ~sync_charge =
+  let instrs = Array.sub e.code 0 e.len in
+  let entry b = e.block_entry.(b) in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | Jmp b -> instrs.(i) <- Jmp (entry b)
+      | Br_false b -> instrs.(i) <- Br_false (entry b)
+      | Cond_br (t, f) -> instrs.(i) <- Cond_br (entry t, entry f)
+      | _ -> ())
+    instrs;
+  let p =
+    {
+      method_name;
+      instrs;
+      pool = Array.of_list (List.rev e.pool);
+      block_of_pc = Array.sub e.owner 0 e.len;
+      block_entry = e.block_entry;
+      handler_of_block;
+      local_types;
+      local_is_arg;
+      ret;
+      sync_charge;
+      max_stack = 0;
+      fused_pairs = 0;
+    }
+  in
+  match verify p with
+  | Ok max_stack -> { p with max_stack }
+  | Error err -> invalid_arg ("Flat.Prog: " ^ err)
 
 let node_charge (n : Node.t) = Cost.interp_dispatch + Cost.op_base n.op n.ty
 
+let monitor_enter_charge =
+  2 * Cost.op_base (Opcode.Synchronization Opcode.Monitor_enter) Types.Object_
+
 let of_meth (m : Meth.t) =
-  let buf = ref [] in
-  let bobs = ref [] in
-  let len = ref 0 in
-  let cur_block = ref 0 in
-  let emit i =
-    buf := i :: !buf;
-    bobs := !cur_block :: !bobs;
-    incr len
-  in
-  let pool = ref [] in
-  let pool_len = ref 0 in
-  let pool_memo = Hashtbl.create 16 in
-  let pool_idx v =
-    match Hashtbl.find_opt pool_memo v with
-    | Some k -> k
-    | None ->
-        let k = !pool_len in
-        pool := v :: !pool;
-        incr pool_len;
-        Hashtbl.add pool_memo v k;
-        k
-  in
+  let e = emitter ~size:64 (Array.length m.Meth.blocks) in
+  let emit = emit e in
   let sym_ty s = m.Meth.symbols.(s).Symbol.ty in
   let rec emit_node (n : Node.t) =
     let c = node_charge n in
     let a k = emit_node n.args.(k) in
     match n.op with
-    | Opcode.Loadconst ->
-        let v =
-          if Types.is_floating n.ty then Values.Float_v (Node.const_float n)
-          else Values.Int_v n.const
-        in
-        emit (Const (c, pool_idx v))
+    | Opcode.Loadconst -> emit (Const (c, const_idx e n.ty n.const))
     | Opcode.Load -> (
         match Array.length n.args with
         | 0 -> emit (Load_local (c, n.sym))
@@ -455,7 +535,7 @@ let of_meth (m : Meth.t) =
     | Opcode.Call ->
         emit (Begin c);
         Array.iter emit_node n.args;
-        emit (Invoke (n.sym, Array.length n.args))
+        emit (Invoke (n.sym, Array.length n.args, Cost.interp_call_overhead))
     | Opcode.Arrayop Opcode.Bounds_check ->
         emit (Begin c);
         a 0;
@@ -481,12 +561,9 @@ let of_meth (m : Meth.t) =
         Array.iter emit_node n.args;
         emit (Mixed (Array.length n.args, n.ty))
   in
-  let nb = Array.length m.Meth.blocks in
-  let block_entry = Array.make nb 0 in
   Array.iteri
     (fun bi (b : Block.t) ->
-      cur_block := bi;
-      block_entry.(bi) <- !len;
+      start_block e bi;
       emit Enter;
       List.iter
         (fun s ->
@@ -494,7 +571,7 @@ let of_meth (m : Meth.t) =
           emit Pop)
         b.Block.stmts;
       match b.Block.term with
-      | Block.Goto t -> emit (Jmp t) (* block id; patched below *)
+      | Block.Goto t -> emit (Jmp t)
       | Block.If { cond; if_true; if_false } ->
           emit (Charge 1);
           emit_node cond;
@@ -505,50 +582,102 @@ let of_meth (m : Meth.t) =
           emit Ret_val
       | Block.Throw v ->
           emit_node v;
+          emit Pop;
           emit Raise_user)
     m.Meth.blocks;
-  let instrs = Array.of_list (List.rev !buf) in
-  let block_of_pc = Array.of_list (List.rev !bobs) in
-  (* resolve block ids to entry pcs *)
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | Jmp b -> instrs.(i) <- Jmp block_entry.(b)
-      | Cond_br (t, f) -> instrs.(i) <- Cond_br (block_entry.(t), block_entry.(f))
-      | _ -> ())
-    instrs;
-  let handler_of_block =
-    Array.map
-      (fun (b : Block.t) ->
-        match b.Block.handler with None -> -1 | Some h -> h)
-      m.Meth.blocks
-  in
+  let syms = m.Meth.symbols in
   let p =
-    {
-      method_name = m.Meth.name;
-      instrs;
-      pool = Array.of_list (List.rev !pool);
-      block_of_pc;
-      block_entry;
-      handler_of_block;
-      local_types = Array.map (fun (s : Symbol.t) -> s.Symbol.ty) m.Meth.symbols;
-      local_is_arg =
-        Array.map (fun (s : Symbol.t) -> s.Symbol.kind = Symbol.Arg) m.Meth.symbols;
-      ret = m.Meth.ret;
-      sync_charge =
-        (if m.Meth.attrs.Meth.synchronized then
-           2
-           * Cost.op_base
-               (Opcode.Synchronization Opcode.Monitor_enter)
-               Types.Object_
-         else 0);
-      max_stack = 0;
-      fused_pairs = 0;
-    }
+    finish e ~method_name:m.Meth.name
+      ~handler_of_block:
+        (Array.map
+           (fun (b : Block.t) -> Option.value b.Block.handler ~default:(-1))
+           m.Meth.blocks)
+      ~local_types:(Array.map (fun (s : Symbol.t) -> s.Symbol.ty) syms)
+      ~local_is_arg:
+        (Array.map (fun (s : Symbol.t) -> s.Symbol.kind = Symbol.Arg) syms)
+      ~ret:m.Meth.ret
+      ~sync_charge:
+        (if m.Meth.attrs.Meth.synchronized then monitor_enter_charge else 0)
   in
-  match verify p with
-  | Ok max_stack -> { p with max_stack }
-  | Error e -> invalid_arg ("Flat.Prog.of_meth: " ^ e)
+  (* the tree walker spends one fuel unit entering each block *)
+  Array.iter
+    (fun pc ->
+      match p.instrs.(pc) with
+      | Enter -> ()
+      | _ -> invalid_arg "Flat.Prog.of_meth: block entry is not Enter")
+    p.block_entry;
+  p
+
+(* Compiled code: each [Isa] instruction is one fuel event and one
+   charge of its static cost (a leaf form, or a [Begin]), then its flat
+   action.  Where the flat action pushes a Void the [Isa] instruction
+   does not, a [Pop] follows; calls were charged by the code generator,
+   so [Invoke] adds nothing. *)
+let of_compiled (c : Isa.compiled) =
+  (* most [Isa] instructions become two flat ones *)
+  let e =
+    emitter
+      ~size:(2 * Array.length c.Isa.instrs)
+      (Array.length c.Isa.block_start)
+  in
+  let emit = emit e in
+  let act cost i =
+    emit (Begin cost);
+    emit i
+  in
+  let act_pop cost i =
+    act cost i;
+    emit Pop
+  in
+  let void ty = Types.equal ty Types.Void in
+  Array.iteri
+    (fun pc ins ->
+      let b = c.Isa.block_of_pc.(pc) in
+      if c.Isa.block_start.(b) = pc then start_block e b;
+      let cost = c.Isa.costs.(pc) in
+      match ins with
+      | Isa.Const (ty, bits) -> emit (Const (cost, const_idx e ty bits))
+      | Isa.Load_local s -> emit (Load_local (cost, s))
+      | Isa.New_obj cls -> emit (New_obj (cost, cls))
+      | Isa.Inc_local (s, d, ty) ->
+          emit (Inc_local (cost, s, d, ty));
+          emit Pop
+      | Isa.Store_local (s, ty) -> act_pop cost (Store_local (s, ty))
+      | Isa.Field_load f -> act cost (Field_load f)
+      | Isa.Field_store f -> act_pop cost (Field_store f)
+      | Isa.Elem_load -> act cost Elem_load
+      | Isa.Elem_store -> act_pop cost Elem_store
+      | Isa.Binop (op, ty) -> act cost (Binop (op, ty))
+      | Isa.Negate ty -> act cost (Negate ty)
+      | Isa.Cast_to (k, ty) -> act cost (Cast_to (k, ty))
+      | Isa.Checkcast cls -> act cost (Checkcast cls)
+      | Isa.New_arr ty -> act cost (New_arr ty)
+      | Isa.New_multi ty -> act cost (New_multi ty)
+      | Isa.Instance_of cls -> act cost (Instance_of cls)
+      | Isa.Monitor true -> act_pop cost Monitor
+      | Isa.Monitor false -> emit (Begin cost)
+      | Isa.Invoke (callee, argc, ret) ->
+          (if void ret then act_pop else act) cost (Invoke (callee, argc, 0))
+      | Isa.Mixed_op (argc, ty) ->
+          (if void ty then act_pop else act) cost (Mixed (argc, ty))
+      | Isa.Bounds_chk -> act_pop cost Bounds_chk
+      | Isa.Arr_copy -> act_pop cost Arr_copy
+      | Isa.Arr_cmp -> act cost Arr_cmp
+      | Isa.Arr_len -> act cost Arr_len
+      | Isa.Pop -> act cost Pop
+      | Isa.Jump t -> act cost (Jmp c.Isa.block_of_pc.(t))
+      | Isa.Jump_if_false t -> act cost (Br_false c.Isa.block_of_pc.(t))
+      | Isa.Ret true -> act cost Ret_val
+      | Isa.Ret false -> act cost Ret_void
+      | Isa.Throw_instr -> act cost Raise_user)
+    c.Isa.instrs;
+  finish e ~method_name:c.Isa.method_name
+    ~handler_of_block:c.Isa.handler_of_block ~local_types:c.Isa.local_types
+    ~local_is_arg:(Array.mapi (fun i _ -> i < c.Isa.nargs) c.Isa.local_types)
+    ~ret:c.Isa.ret
+    ~sync_charge:
+      (5 (* frame set-up *)
+      + if c.Isa.sync_method then monitor_enter_charge else 0)
 
 (* -- superinstruction fusion ----------------------------------------
    The pair table below is static but measured: `bench flat` counts
@@ -556,7 +685,7 @@ let of_meth (m : Meth.t) =
    workload mix via [Interp.run_counted], and these fifteen are the
    hottest pairs of that census (see DESIGN.md §12).  Fusion requires
    the second slot not to be a jump target; since every branch in a
-   flat program lands on a block-entry [Enter], checking the entry set
+   flat program lands on a block entry, checking the entry set
    suffices. *)
 
 let fuse p =

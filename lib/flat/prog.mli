@@ -5,10 +5,12 @@
     charges, such that executing it under {!Interp.run} produces a
     fuel/charge event sequence bit-identical to the tree walker
     [Vm.Interp.run] — same results, same charged cycles, same
-    out-of-fuel point.  [fuse] rewrites the hottest instruction pairs
-    (a static table measured by [bench flat]) into superinstructions
-    that keep the exact observable sequence while halving dispatch
-    overhead on those pairs. *)
+    out-of-fuel point.  [of_compiled] translates compiled code the same
+    way, one fuel event and one static-cost charge per [Isa]
+    instruction.  [fuse] rewrites the hottest instruction pairs (a
+    static table measured by [bench flat]) into superinstructions that
+    keep the exact observable sequence while halving dispatch overhead
+    on those pairs. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
@@ -38,7 +40,7 @@ type instr =
   | Instance_of of int
   | Monitor
   | Drop_void
-  | Invoke of int * int
+  | Invoke of int * int * int
   | Mixed of int * Types.t
   | Bounds_chk
   | Arr_copy
@@ -47,6 +49,7 @@ type instr =
   | Pop
   | Jmp of int
   | Cond_br of int * int
+  | Br_false of int
   | Ret_void
   | Ret_val
   | Raise_user
@@ -82,9 +85,17 @@ type t = {
 }
 
 val of_meth : Meth.t -> t
-(** Lower a method to its (unfused) flat form.  Runs {!verify} and
-    raises [Invalid_argument] if the lowering is unsound — which would
-    indicate a bug, as validated IL always lowers cleanly. *)
+(** Lower a method to its (unfused) flat form.  Runs {!verify}, checks
+    that every block starts with [Enter], and raises [Invalid_argument]
+    if the lowering is unsound — which would indicate a bug, as
+    validated IL always lowers cleanly. *)
+
+val of_compiled : Tessera_codegen.Isa.compiled -> t
+(** Translate compiled code to its (unfused) flat form: running it
+    under {!Interp.run} charges the code's static costs with one fuel
+    event per [Isa] instruction, after a prologue charge of the frame
+    set-up (plus monitor entry for synchronized methods).  Runs
+    {!verify} and raises [Invalid_argument] on malformed code. *)
 
 val fuse : t -> t
 (** Apply the superinstruction pass.  Fused pairs keep their two slots
@@ -94,8 +105,9 @@ val fuse : t -> t
 val verify : t -> (int, string) result
 (** Structural soundness: jump targets land on block entries, operand
     indices are in range, every block ends in a terminator, and the
-    operand stack never underflows and is empty at block boundaries.
-    Returns the maximum operand-stack depth on success. *)
+    operand stack never underflows and is empty at block boundaries
+    and after a [Br_false].  Returns the maximum operand-stack depth on
+    success. *)
 
 val code_size : t -> int
 

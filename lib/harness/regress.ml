@@ -101,6 +101,8 @@ let specs =
       [
         Max_budget ([ "profiler_off_overhead_pct" ], 3.0, 2.0);
         Invariant_true [ "deterministic" ];
+        Invariant_zero [ "dropped" ];
+        Min_ratio ([ "sample_coverage" ], 0.05);
       ] );
     ( "BENCH_parallel.json",
       [ Invariant_true [ "digests_identical" ] ] );

@@ -13,6 +13,7 @@ type compilation = {
   compile_cycles : int;
   optimized_nodes : int;
   original_nodes : int;
+  mutable flat : Tessera_flat.Prog.t option;
 }
 
 exception Error of { meth : string; level : Plan.level; reason : string }
@@ -49,6 +50,7 @@ let compile_exn ~modifier ~target ~program ~level (m : Meth.t) =
     compile_cycles = Manager.total_cycles result;
     optimized_nodes = Meth.tree_count result.Manager.meth;
     original_nodes = Meth.tree_count m;
+    flat = None;
   }
 
 let compile ?(modifier = Modifier.null) ?(target = Tessera_vm.Target.zircon)

@@ -15,6 +15,10 @@ type compilation = {
   compile_cycles : int;
   optimized_nodes : int;
   original_nodes : int;
+  mutable flat : Tessera_flat.Prog.t option;
+      (** the code's fused flat form, translated at its first run and
+          shared by every engine that runs this compilation, forked
+          ones included *)
 }
 
 exception Error of { meth : string; level : Plan.level; reason : string }

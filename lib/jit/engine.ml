@@ -3,7 +3,6 @@ module Meth = Tessera_il.Meth
 module Values = Tessera_vm.Values
 module Clock = Tessera_vm.Clock
 module Interp = Tessera_vm.Interp
-module Exec = Tessera_codegen.Exec
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
 module Codecache = Tessera_cache.Codecache
@@ -82,10 +81,9 @@ type t = {
   m_queue_depth : Metrics.gauge;
   m_compile_hist : Metrics.histogram;
   fuel : int ref;
-  (* lazily flattened bytecode per method, for the flat interpreter
-     tier.  Per-engine (not process-wide) so that same-seed engines
-     produce byte-identical traces: each run flattens at the same
-     virtual-cycle points. *)
+  (* lazily flattened tree IL of each interpreted method.  Per-engine
+     (not process-wide) so that same-seed engines produce byte-identical
+     traces: each run flattens at the same virtual-cycle points. *)
   flat_forms : Tessera_flat.Prog.t option array;
   (* cycles consumed by direct callees of the currently-executing method,
      for exclusive (self-time) instrumentation samples *)
@@ -210,7 +208,8 @@ type snapshot = {
 }
 
 (* method_state fields hold immutable values (compilations, levels), so
-   a record copy is a deep copy of the deterministic state *)
+   a record copy is a deep copy of the deterministic state; the one
+   mutable field of a compilation memoizes a pure translation *)
 let copy_method_state (st : method_state) = { st with impl = st.impl }
 
 let snapshot t =
@@ -266,12 +265,18 @@ let loop_class t meth_id =
       st.loop_cls <- Some c;
       c
 
+(* Every install site goes through here.  The method never runs
+   interpreted again, so its flattened tree IL is dropped. *)
+let set_compiled t meth_id st comp =
+  st.impl <- Compiled comp;
+  st.pending <- None;
+  t.flat_forms.(meth_id) <- None
+
 let install_if_ready t meth_id st =
   match st.pending with
   | Some (comp, at) when Int64.compare (Clock.now t.clock) at >= 0 ->
       let prev = st.impl in
-      st.impl <- Compiled comp;
-      st.pending <- None;
+      set_compiled t meth_id st comp;
       t.pending_count <- t.pending_count - 1;
       Metrics.set_gauge t.m_queue_depth (float_of_int t.pending_count);
       if !Trace.enabled then begin
@@ -335,6 +340,7 @@ let compilation_of_entry (e : Codecache.entry) : Compiler.compilation =
     compile_cycles = e.Codecache.compile_cycles;
     optimized_nodes = e.Codecache.optimized_nodes;
     original_nodes = e.Codecache.original_nodes;
+    flat = None;
   }
 
 let cache_key t ~meth_id ~level ~modifier =
@@ -350,8 +356,7 @@ let install_cached t ~meth_id (st : method_state) comp =
   st.failed_attempts <- 0;
   Clock.advance t.clock t.config.aot_load_cycles;
   let prev = st.impl in
-  st.impl <- Compiled comp;
-  st.pending <- None;
+  set_compiled t meth_id st comp;
   if !Trace.enabled then begin
     let now = Clock.now t.clock in
     let level = Plan.level_name comp.Compiler.level in
@@ -416,8 +421,7 @@ let install t ~meth_id ~level (st : method_state) comp =
   else begin
     Clock.advance t.clock comp.Compiler.compile_cycles;
     let prev = st.impl in
-    st.impl <- Compiled comp;
-    st.pending <- None;
+    set_compiled t meth_id st comp;
     if !Trace.enabled then
       Trace.instant ~cycles:(Clock.now t.clock) ~cat:"jit"
         ~args:
@@ -605,16 +609,30 @@ let adaptive_controller t meth_id =
 
 let instrumentation_overhead = 35 (* cycles per TR_jitPTTMethod{Enter,Exit} *)
 
-(* Memoized fused flat form of an interpreted method: the only
-   interpreted path.  Flattening charges nothing, so when it happens
-   never moves a cycle. *)
-let flat_form t meth_id meth =
-  match t.flat_forms.(meth_id) with
-  | Some p -> p
-  | None ->
-      let p = Tessera_flat.Prog.fuse (Flat_cache.flatten meth) in
-      t.flat_forms.(meth_id) <- Some p;
+(* The fused flat form of what the method runs now: its tree IL while
+   interpreted, memoized per engine; else its installed code, translated
+   at its first run and memoized on the compilation, so the branches
+   forked from one engine share a pending compilation's translation.
+   Two domains may both translate a shared compilation; either result
+   is the same program.  Flattening and translation charge nothing, so
+   when they happen never moves a cycle. *)
+let flat_form t meth_id st =
+  match st.impl with
+  | Compiled { Compiler.flat = Some p; _ } -> p
+  | Compiled comp ->
+      let p = Tessera_flat.Prog.(fuse (of_compiled comp.Compiler.code)) in
+      comp.Compiler.flat <- Some p;
       p
+  | Interpreted -> (
+      match t.flat_forms.(meth_id) with
+      | Some p -> p
+      | None ->
+          let p =
+            Tessera_flat.Prog.fuse
+              (Flat_cache.flatten (Program.meth t.program meth_id))
+          in
+          t.flat_forms.(meth_id) <- Some p;
+          p)
 
 let rec invoke t meth_id args =
   let st = t.states.(meth_id) in
@@ -644,28 +662,14 @@ let rec invoke t meth_id args =
   in
   let result =
     try
-      match st.impl with
-      | Interpreted ->
-          let ictx =
-            {
-              Interp.classes = t.program.Program.classes;
-              charge;
-              invoke = (fun id args -> invoke t id args);
-              fuel = t.fuel;
-            }
-          in
-          Flat_interp.run ictx
-            (flat_form t meth_id (Program.meth t.program meth_id))
-            args
-      | Compiled comp ->
-          Exec.run
-            {
-              Exec.classes = t.program.Program.classes;
-              charge;
-              invoke = (fun id args -> invoke t id args);
-              fuel = t.fuel;
-            }
-            comp.Compiler.code args
+      Flat_interp.run
+        {
+          Interp.classes = t.program.Program.classes;
+          charge;
+          invoke = (fun id args -> invoke t id args);
+          fuel = t.fuel;
+        }
+        (flat_form t meth_id st) args
     with e ->
       account ();
       raise e

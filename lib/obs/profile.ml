@@ -12,7 +12,7 @@ type key = { k_meth : string; k_block : int; k_op : string }
 
 let enabled = ref false
 let period_v = ref 4096
-let max_sites_v = ref 512
+let max_sites_v = ref 4096
 let credit = ref 4096
 let total = ref 0
 let dropped = ref 0
@@ -27,7 +27,7 @@ let reset () =
   credit := !period_v;
   Mutex.unlock mu
 
-let enable ?(period = 4096) ?(max_sites = 512) () =
+let enable ?(period = 4096) ?(max_sites = 4096) () =
   if period <= 0 then invalid_arg "Profile.enable: period must be positive";
   if max_sites <= 0 then invalid_arg "Profile.enable: max_sites must be positive";
   period_v := period;

@@ -1,8 +1,8 @@
 (** Deterministic sampling profiler driven by the virtual clock.
 
-    The interpreters (both the flat dispatch loop and the tree walker)
-    call {!charge} with every cycle cost they charge against the fuel
-    meter; a sample fires each time {!period} charged cycles accumulate,
+    The interpreters (the flat dispatch loop, which runs interpreted
+    methods and compiled code alike, and the tree walker) call
+    {!charge} with every cycle cost they charge against the fuel meter; a sample fires each time {!period} charged cycles accumulate,
     attributed to the (method, block, opcode) executing at the boundary.
     Because firing depends only on the charged-cycle sequence — never on
     wall time — the same seed yields a byte-identical profile, checked
@@ -29,7 +29,7 @@ val enabled : bool ref
 val enable : ?period:int -> ?max_sites:int -> unit -> unit
 (** Clears captured samples and turns sampling on.  [period] (default
     4096) is the virtual-cycle sampling stride; [max_sites] (default
-    512) bounds the attribution table.  Raises [Invalid_argument] when
+    4096) bounds the attribution table.  Raises [Invalid_argument] when
     either is non-positive. *)
 
 val disable : unit -> unit

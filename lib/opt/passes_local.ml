@@ -150,59 +150,62 @@ let simplify m =
     m
 
 let bitop_simplify m =
-  rewrite
-    (fun (n : Node.t) ->
-      let self_pair () =
-        Array.length n.Node.args = 2
-        && Node.structural_equal n.Node.args.(0) n.Node.args.(1)
-        && Node.subtree_pure n.Node.args.(0)
-      in
-      match n.Node.op with
-      | (Opcode.And | Opcode.Or)
-        when Types.is_integral n.Node.ty
-             && self_pair ()
-             && same_ty n n.Node.args.(0) ->
-          n.Node.args.(0)
-      | Opcode.Xor when Types.is_integral n.Node.ty && self_pair () ->
-          Node.iconst n.Node.ty 0L
-      | Opcode.Sub when Types.is_integral n.Node.ty && self_pair () ->
-          (* x - x = 0; exact in modular arithmetic *)
-          Node.iconst n.Node.ty 0L
-      | Opcode.Compare rel
-        when Types.is_integral n.Node.args.(0).Node.ty && self_pair () ->
-          (* comparisons of a value with itself fold (integers only: NaN
-             breaks reflexivity for floating point) *)
-          let r =
-            match rel with
-            | Opcode.Eq | Opcode.Le | Opcode.Ge -> 1L
-            | Opcode.Ne | Opcode.Lt | Opcode.Gt -> 0L
-          in
-          Node.iconst n.Node.ty r
-      | (Opcode.And | Opcode.Or | Opcode.Xor)
-        when Types.is_integral n.Node.ty -> (
-          (* (x op c1) op c2 = x op (c1 op c2): bitwise ops commute with
-             the storage-width truncation of sign-extended operands *)
-          let inner = n.Node.args.(0) in
-          match (int_const n.Node.args.(1), inner.Node.op) with
-          | Some c2, op
-            when op = n.Node.op
-                 && Types.equal inner.Node.ty n.Node.ty
-                 && Array.length inner.Node.args = 2 -> (
-              match int_const inner.Node.args.(1) with
-              | Some c1 ->
-                  let f =
-                    match n.Node.op with
-                    | Opcode.And -> Int64.logand
-                    | Opcode.Or -> Int64.logor
-                    | _ -> Int64.logxor
-                  in
-                  Node.binop n.Node.op n.Node.ty inner.Node.args.(0)
-                    (Node.iconst n.Node.ty
-                       (Values.truncate n.Node.ty (f c1 c2)))
-              | None -> n)
-          | _ -> n)
-      | _ -> n)
-    m
+  let rec simplify (n : Node.t) =
+    let self_pair () =
+      Array.length n.Node.args = 2
+      && Node.structural_equal n.Node.args.(0) n.Node.args.(1)
+      && Node.subtree_pure n.Node.args.(0)
+    in
+    match n.Node.op with
+    | (Opcode.And | Opcode.Or)
+      when Types.is_integral n.Node.ty
+           && self_pair ()
+           && same_ty n n.Node.args.(0) ->
+        n.Node.args.(0)
+    | Opcode.Xor when Types.is_integral n.Node.ty && self_pair () ->
+        Node.iconst n.Node.ty 0L
+    | Opcode.Sub when Types.is_integral n.Node.ty && self_pair () ->
+        (* x - x = 0; exact in modular arithmetic *)
+        Node.iconst n.Node.ty 0L
+    | Opcode.Compare rel
+      when Types.is_integral n.Node.args.(0).Node.ty && self_pair () ->
+        (* comparisons of a value with itself fold (integers only: NaN
+           breaks reflexivity for floating point) *)
+        let r =
+          match rel with
+          | Opcode.Eq | Opcode.Le | Opcode.Ge -> 1L
+          | Opcode.Ne | Opcode.Lt | Opcode.Gt -> 0L
+        in
+        Node.iconst n.Node.ty r
+    | (Opcode.And | Opcode.Or | Opcode.Xor)
+      when Types.is_integral n.Node.ty -> (
+        (* (x op c1) op c2 = x op (c1 op c2): bitwise ops commute with
+           the storage-width truncation of sign-extended operands *)
+        let inner = n.Node.args.(0) in
+        match (int_const n.Node.args.(1), inner.Node.op) with
+        | Some c2, op
+          when op = n.Node.op
+               && Types.equal inner.Node.ty n.Node.ty
+               && Array.length inner.Node.args = 2 -> (
+            match int_const inner.Node.args.(1) with
+            | Some c1 ->
+                let f =
+                  match n.Node.op with
+                  | Opcode.And -> Int64.logand
+                  | Opcode.Or -> Int64.logor
+                  | _ -> Int64.logxor
+                in
+                (* the reassociated node may fold again: [(or c c)]
+                   when [x] is itself the constant *)
+                simplify
+                  (Node.binop n.Node.op n.Node.ty inner.Node.args.(0)
+                     (Node.iconst n.Node.ty
+                        (Values.truncate n.Node.ty (f c1 c2))))
+            | None -> n)
+        | _ -> n)
+    | _ -> n
+  in
+  rewrite simplify m
 
 let log2_exact v =
   if Int64.compare v 1L > 0 && Int64.logand v (Int64.sub v 1L) = 0L then begin

@@ -1,7 +1,8 @@
 (** Value-level operational semantics, shared verbatim by the tree
-    interpreter and the native-code executor so the two engines cannot
-    diverge: the differential property [interp(m) = exec(codegen(m))]
-    reduces to both engines sequencing these primitives identically. *)
+    interpreter and the flat dispatch loop (which runs compiled code
+    too) so the two cannot diverge: the differential property
+    [interp(m) = flat(codegen(m))] reduces to both loops sequencing
+    these primitives identically. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode

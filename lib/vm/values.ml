@@ -18,7 +18,6 @@ type trap =
   | Null_deref
   | Class_cast
   | User_exception
-  | Stack_overflow
 
 exception Trap of trap
 
@@ -28,7 +27,6 @@ let trap_name = function
   | Null_deref -> "NullPointerException"
   | Class_cast -> "ClassCastException"
   | User_exception -> "UserException"
-  | Stack_overflow -> "StackOverflowError"
 
 let default ty =
   match ty with

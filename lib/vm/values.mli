@@ -23,7 +23,6 @@ type trap =
   | Null_deref
   | Class_cast
   | User_exception
-  | Stack_overflow  (** simulated call-depth limit *)
 
 exception Trap of trap
 

@@ -6,8 +6,9 @@ module Program = Tessera_il.Program
 module Meth = Tessera_il.Meth
 module Values = Tessera_vm.Values
 module Interp = Tessera_vm.Interp
-module Exec = Tessera_codegen.Exec
 module Lower = Tessera_codegen.Lower
+module Flat_prog = Tessera_flat.Prog
+module Flat_interp = Tessera_flat.Interp
 module Manager = Tessera_opt.Manager
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
@@ -29,6 +30,9 @@ let outcome_equal a b =
 
 let outcome_testable = Alcotest.testable pp_outcome outcome_equal
 
+(* Compiled code as the engine runs it: translated to fused flat form. *)
+let flat_of_compiled code = Flat_prog.fuse (Flat_prog.of_compiled code)
+
 (* Run a program's entry method with every method in a fixed
    implementation.  [transform] optionally rewrites each method first
    (optimizer under test); [compile] lowers to native code and executes
@@ -41,32 +45,24 @@ let run_program ?(fuel = 200_000_000) ?(compile = false)
   in
   let codes =
     if compile then
-      Some (Array.map (fun m -> Lower.compile m) methods)
+      Some (Array.map (fun m -> flat_of_compiled (Lower.compile m)) methods)
     else None
   in
   let cycles = ref 0 in
   let charge n = cycles := !cycles + n in
   let fuel_ref = ref fuel in
   let rec invoke id args =
+    let ctx =
+      {
+        Interp.classes = program.Program.classes;
+        charge;
+        invoke;
+        fuel = fuel_ref;
+      }
+    in
     match codes with
-    | None ->
-        Interp.run
-          {
-            Interp.classes = program.Program.classes;
-            charge;
-            invoke;
-            fuel = fuel_ref;
-          }
-          methods.(id) args
-    | Some arr ->
-        Exec.run
-          {
-            Exec.classes = program.Program.classes;
-            charge;
-            invoke;
-            fuel = fuel_ref;
-          }
-          arr.(id) args
+    | None -> Interp.run ctx methods.(id) args
+    | Some arr -> Flat_interp.run ctx arr.(id) args
   in
   let outcome =
     match invoke program.Program.entry args with

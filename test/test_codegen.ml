@@ -6,22 +6,25 @@ module Meth = Tessera_il.Meth
 module Symbol = Tessera_il.Symbol
 module Isa = Tessera_codegen.Isa
 module Lower = Tessera_codegen.Lower
-module Exec = Tessera_codegen.Exec
 module Values = Tessera_vm.Values
 module Cost = Tessera_vm.Cost
+module Interp = Tessera_vm.Interp
+module Flat_interp = Tessera_flat.Interp
 
 let ic v = Node.iconst Types.Int (Int64.of_int v)
 
+(* compiled code runs on the flat loop, as in the engine *)
 let exec ?(classes = [||]) compiled args =
   let cycles = ref 0 in
-  Exec.run
+  Flat_interp.run
     {
-      Exec.classes;
+      Interp.classes;
       charge = (fun n -> cycles := !cycles + n);
       invoke = (fun _ _ -> Alcotest.fail "unexpected call");
       fuel = ref 1_000_000;
     }
-    compiled args
+    (Helpers.flat_of_compiled compiled)
+    args
   |> fun v -> (v, !cycles)
 
 let simple ret_expr =
@@ -159,6 +162,71 @@ let test_fallthrough_gotos_cost_nothing () =
   in
   Alcotest.(check (list int)) "fallthrough jump is free" [ 0 ] fallthrough_jump_costs
 
+(* ---- known answers of compiled code ------------------------------
+
+   One digest over every suite benchmark at every level (null modifier,
+   entry argument 0, every method compiled): the outcome, the charged
+   cycles and the fuel used of each run.  The constant was computed on
+   the separate executor that ran compiled code before it moved to the
+   flat loop, so it pins that executor's answers. *)
+
+module Compiler = Tessera_jit.Compiler
+module Plan = Tessera_opt.Plan
+module Program = Tessera_il.Program
+module Suites = Tessera_workloads.Suites
+
+let known_answer_fuel = 200_000_000
+
+let run_all_compiled ~level (program : Program.t) args =
+  let codes =
+    Array.map
+      (fun m ->
+        Helpers.flat_of_compiled
+          (Compiler.compile ~program ~level m).Compiler.code)
+      program.Program.methods
+  in
+  let cycles = ref 0 in
+  let fuel = ref known_answer_fuel in
+  let rec invoke id args =
+    Flat_interp.run
+      {
+        Interp.classes = program.Program.classes;
+        charge = (fun n -> cycles := !cycles + n);
+        invoke;
+        fuel;
+      }
+      codes.(id) args
+  in
+  let outcome =
+    match invoke program.Program.entry args with
+    | v -> Printf.sprintf "ok:%Ld" (Values.checksum v)
+    | exception Values.Trap k -> "trap:" ^ Values.trap_name k
+    | exception Interp.Out_of_fuel -> "fuel"
+  in
+  (outcome, !cycles, known_answer_fuel - !fuel)
+
+let known_answer_digest () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (b : Suites.bench) ->
+      let b = Suites.scale_bench b 0.05 in
+      let program = Tessera_workloads.Generate.program b.Suites.profile in
+      Array.iter
+        (fun level ->
+          let outcome, cycles, fuel_used =
+            run_all_compiled ~level program [| Values.Int_v 0L |]
+          in
+          Printf.bprintf buf "%s %s %s %d %d\n"
+            b.Suites.profile.Tessera_workloads.Profile.name
+            (Plan.level_name level) outcome cycles fuel_used)
+        Plan.levels)
+    Suites.all;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_known_answers () =
+  Alcotest.(check string) "compiled-code answers" "20e61a3586c602d2de28d2014c5e73f6"
+    (known_answer_digest ())
+
 let suite =
   [
     Alcotest.test_case "lowering shape" `Quick test_lowering_shape;
@@ -172,4 +240,5 @@ let suite =
     Alcotest.test_case "argument coercion" `Quick test_argument_coercion;
     Alcotest.test_case "fallthrough gotos are free" `Quick
       test_fallthrough_gotos_cost_nothing;
+    Alcotest.test_case "compiled-code known answers" `Quick test_known_answers;
   ]

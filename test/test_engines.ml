@@ -177,14 +177,15 @@ let test_targets_preserve_semantics () =
           let methods = Array.mapi transform p.Tessera_il.Program.methods in
           let fuel = ref 200_000_000 in
           let rec invoke id args =
-            Tessera_codegen.Exec.run
+            Tessera_flat.Interp.run
               {
-                Tessera_codegen.Exec.classes = p.Tessera_il.Program.classes;
+                Tessera_vm.Interp.classes = p.Tessera_il.Program.classes;
                 charge = ignore;
                 invoke;
                 fuel;
               }
-              (Tessera_codegen.Lower.compile ~target methods.(id))
+              (flat_of_compiled
+                 (Tessera_codegen.Lower.compile ~target methods.(id)))
               args
           in
           let native =

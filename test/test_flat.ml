@@ -122,6 +122,34 @@ let test_fuel_boundary_flat () =
       Alcotest.check ext_testable "fuel=1 const" Fuel (run ~fuel:1 ret_const_src))
     [ `Flat; `Fused ]
 
+(* ---- constant pool: keyed by bits --------------------------------- *)
+
+(* 0.0 and -0.0 are equal under structural comparison; a pool keyed by
+   value handed the division the first zero, and 1/-0 became +inf. *)
+let signed_zero_src =
+  {|
+program "z" entry 0
+method "Z.m()D" () returns double {
+  block 0 {
+    (return (add double (loadconst double 0x0p+0) (div double (loadconst double 0x1p+0) (loadconst double -0x0p+0))))
+  }
+}
+|}
+
+let test_signed_zero_constants () =
+  let program = parse signed_zero_src in
+  let tree, _ = run_tier ~tier:`Tree program [||] in
+  Alcotest.check ext_testable "tree: 0 + 1/-0 = -inf"
+    (Done (Ok (Values.Float_v Float.neg_infinity)))
+    tree;
+  List.iter
+    (fun tier ->
+      Alcotest.check ext_testable "flat = tree" tree
+        (fst (run_tier ~tier program [||])))
+    [ `Flat; `Fused ];
+  let compiled, _ = Helpers.run_program ~compile:true program [||] in
+  Alcotest.check ext_testable "compiled = tree" tree (Done compiled)
+
 (* ---- satellite: fingerprint memoization --------------------------- *)
 
 let test_fingerprint_memo () =
@@ -312,6 +340,8 @@ let suite =
     Alcotest.test_case "profile attribution: tree = flat = fused" `Quick
       test_profile_attribution;
     Alcotest.test_case "engine parity flat vs tree" `Quick test_engine_parity;
+    Alcotest.test_case "signed-zero constants: tree = flat = compiled" `Quick
+      test_signed_zero_constants;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

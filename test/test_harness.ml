@@ -403,6 +403,28 @@ let test_regress_run () =
           Format.pp_print_flush fmt ();
           Alcotest.(check bool) "report renders" true (Buffer.length buf > 100)))
 
+(* the profiler must keep seeing (nearly) every charged cycle *)
+let test_regress_profile_gates () =
+  with_temp_dir (fun base ->
+      with_temp_dir (fun cand ->
+          let profile ~dropped ~coverage =
+            Printf.sprintf
+              {|{"profiler_off_overhead_pct": 0.5, "deterministic": true, "dropped": %d, "sample_coverage": %f}|}
+              dropped coverage
+          in
+          let failed () =
+            Harness.Regress.failed
+              (Harness.Regress.run ~baseline_dir:base ~candidate_dir:cand ())
+          in
+          write_json base "BENCH_profile.json" (profile ~dropped:0 ~coverage:0.98);
+          write_json cand "BENCH_profile.json" (profile ~dropped:0 ~coverage:0.97);
+          Alcotest.(check bool) "coverage within tolerance passes" false
+            (failed ());
+          write_json cand "BENCH_profile.json" (profile ~dropped:0 ~coverage:0.21);
+          Alcotest.(check bool) "lost coverage fails" true (failed ());
+          write_json cand "BENCH_profile.json" (profile ~dropped:7 ~coverage:0.98);
+          Alcotest.(check bool) "dropped samples fail" true (failed ())))
+
 let test_regress_mode_mismatch () =
   with_temp_dir (fun base ->
       with_temp_dir (fun cand ->
@@ -437,4 +459,6 @@ let suite =
         test_regress_run;
       Alcotest.test_case "regress serving-mode mismatch skips ratios" `Quick
         test_regress_mode_mismatch;
+      Alcotest.test_case "regress profiler coverage and drop gates" `Quick
+        test_regress_profile_gates;
     ]

@@ -37,18 +37,30 @@ let idempotent_passes =
    definition can expose another), so they converge over repeated plan
    applications rather than in a single pass — deliberately not here *)
 
+let idempotent_on seed =
+  let m = random_method seed in
+  List.for_all
+    (fun (name, pass) ->
+      let once = pass m in
+      let twice = pass once in
+      if Meth.equal once twice then true
+      else QCheck.Test.fail_reportf "pass %s is not idempotent" name)
+    idempotent_passes
+
 let test_pass_idempotence () =
   QCheck.Test.make ~count:40 ~name:"cleanup passes are idempotent"
     QCheck.(int_bound 10_000)
+    idempotent_on
+
+(* seeds on which reassociating [(x op c1) op c2] once produced
+   [(or c c)], which a single bottom-up rewrite never revisited *)
+let test_pass_idempotence_known_seeds () =
+  List.iter
     (fun seed ->
-      let m = random_method seed in
-      List.for_all
-        (fun (name, pass) ->
-          let once = pass m in
-          let twice = pass once in
-          if Meth.equal once twice then true
-          else QCheck.Test.fail_reportf "pass %s is not idempotent" name)
-        idempotent_passes)
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d" seed)
+        true (idempotent_on seed))
+    [ 2292; 9397 ]
 
 (* Every pass preserves validator-cleanliness on random methods. *)
 let test_passes_preserve_validity () =
@@ -123,11 +135,11 @@ let test_single_method_differential () =
       in
       let native_outcome =
         let fuel = ref 50_000_000 in
-        let code = Tessera_codegen.Lower.compile m in
+        let code = flat_of_compiled (Tessera_codegen.Lower.compile m) in
         match
-          Tessera_codegen.Exec.run
+          Tessera_flat.Interp.run
             {
-              Tessera_codegen.Exec.classes = [||];
+              Tessera_vm.Interp.classes = [||];
               charge = ignore;
               invoke = (fun _ _ -> Tessera_vm.Values.Int_v 1L);
               fuel;
@@ -252,4 +264,8 @@ let suite =
       test_engine_determinism ();
       test_manager_partitions_plan ();
       test_client_total_under_faults ();
+    ]
+  @ [
+      Alcotest.test_case "cleanup passes are idempotent on known seeds" `Quick
+        test_pass_idempotence_known_seeds;
     ]
