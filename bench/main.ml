@@ -1749,13 +1749,18 @@ let run_micro ~jobs cfg =
   let features = Tessera_features.Features.extract meth in
   let archive = (List.hd outcomes).Harness.Collection.merged in
   let archive_bytes = Tessera_collect.Archive.to_string archive in
+  (* the client over an in-process server, as tessera_run's fault mode
+     wires it: one Serve tick answers each request *)
   let server_ch, client_ch = Tessera_protocol.Channel.pipe_pair () in
-  let serve_tick =
-    Tessera_protocol.Serve.lockstep
-      (Tessera_protocol.Serve.create
-         ~make_predictor:(fun _ -> Harness.Modelset.server_batch_predictor ms)
-         ())
-      server_ch
+  let client =
+    Tessera_protocol.Client.connect ~model_name:"micro"
+      ~lockstep:
+        (Tessera_protocol.Serve.lockstep
+           (Tessera_protocol.Serve.create
+              ~make_predictor:(fun _ -> Harness.Modelset.server_batch_predictor ms)
+              ())
+           server_ch)
+      client_ch
   in
   let wire_features = Array.make Tessera_features.Features.dim 0.5 in
   let rng = Tessera_util.Prng.create 1L in
@@ -1781,15 +1786,9 @@ let run_micro ~jobs cfg =
              ignore (Tessera_collect.Archive.of_string archive_bytes)));
       Test.make ~name:"protocol round-trip (in-memory)"
         (Staged.stage (fun () ->
-             Tessera_protocol.Message.send client_ch
-               (Tessera_protocol.Message.Predict
-                  {
-                    level = Plan.Hot;
-                    features = wire_features;
-                    trace = Tessera_protocol.Tracectx.none;
-                  });
-             serve_tick ();
-             ignore (Tessera_protocol.Message.decode_from client_ch)));
+             ignore
+               (Tessera_protocol.Client.predict client ~level:Plan.Hot
+                  ~features:wire_features)));
       Test.make ~name:"progressive modifier generation"
         (Staged.stage (fun () ->
              ignore (Modifier.progressive rng ~i:1000 ~l:2000)));

@@ -30,9 +30,6 @@ type config = {
   search : search;
   uses_per_modifier : int;
   seed : int64;
-  target_cycles_between_compiles : int;
-  min_threshold : int;
-  max_threshold : int;
   max_entry_invocations : int;
   target : Tessera_vm.Target.t;
   fuel_per_invocation : int;
@@ -44,17 +41,19 @@ let default_config =
     search = Queue (Queue_ctrl.Progressive { l = 2000 });
     uses_per_modifier = 50;
     seed = 0xC011EC7L;
-    (* The paper targets 10 ms of accumulated running time between
-       compilations with thresholds in [50, 50000]; invocation volumes in
-       this simulation are ~100x smaller, so the target scales down to
-       0.25 ms to reach an equivalent modifier-exploration rate. *)
-    target_cycles_between_compiles = Tessera_vm.Cost.cycles_per_ms / 4;
-    min_threshold = 10;
-    max_threshold = 2_000;
     max_entry_invocations = 400;
     target = Tessera_vm.Target.zircon;
     fuel_per_invocation = Engine.default_config.Engine.fuel_per_invocation;
   }
+
+(* The paper targets 10 ms of accumulated running time between
+   compilations with thresholds in [50, 50000]; invocation volumes in
+   this simulation are ~100x smaller, so the target scales down to
+   0.25 ms, with thresholds in [10, 2000], to reach an equivalent
+   modifier-exploration rate. *)
+let target_cycles_between_compiles = Tessera_vm.Cost.cycles_per_ms / 4
+let min_threshold = 10
+let max_threshold = 2_000
 
 type stats = {
   entry_invocations : int;
@@ -164,9 +163,8 @@ let run_sweep ~config ~program ~benchmark ~entry_args () =
               let avg =
                 max 1 (Int64.to_int (Int64.div total 8L))
               in
-              let t = config.target_cycles_between_compiles / avg in
-              mc.threshold <-
-                Some (max config.min_threshold (min config.max_threshold t))
+              let t = target_cycles_between_compiles / avg in
+              mc.threshold <- Some (max min_threshold (min max_threshold t))
             end
           end
         end

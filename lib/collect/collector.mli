@@ -8,9 +8,11 @@
     queue and the JIT compiles with it.  Instrumented enter/exit samples
     (with TSC-drift discard) accumulate into the record of the method's
     current compiled version.  After a computed per-method invocation
-    threshold — targeting roughly 10 virtual milliseconds of accumulated
-    running time between compilations, clamped to [50, 50000] — the
-    collector requests a recompilation at the method's current level,
+    threshold — targeting 0.25 virtual milliseconds of accumulated
+    running time between compilations, clamped to [10, 2000] (the
+    paper's 10 ms and [50, 50000], scaled to this simulation's ~100x
+    smaller invocation volumes) — the collector requests a
+    recompilation at the method's current level,
     moving exploration to the next modifier.  A method whose queue is
     exhausted is never recompiled again; when every queue is exhausted the
     collection terminates gracefully. *)
@@ -66,9 +68,6 @@ type config = {
   search : search;
   uses_per_modifier : int;
   seed : int64;
-  target_cycles_between_compiles : int;  (** paper: 10 ms; scaled here *)
-  min_threshold : int;
-  max_threshold : int;
   max_entry_invocations : int;  (** run budget *)
   target : Tessera_vm.Target.t;  (** back end the data is collected on *)
   fuel_per_invocation : int;

@@ -140,11 +140,6 @@ let on_write t base s =
     end
   end
 
-let on_read t base ~deadline n =
-  check_crash t base;
-  t.stats.reads <- t.stats.reads + 1;
-  Channel.read_exact ?deadline base n
-
 let on_read_avail t base n =
   check_crash t base;
   t.stats.reads <- t.stats.reads + 1;
@@ -153,7 +148,6 @@ let on_read_avail t base n =
 let wrap_channel t ch =
   Channel.wrap
     ~on_write:(fun base s -> on_write t base s)
-    ~on_read:(fun base ~deadline n -> on_read t base ~deadline n)
     ~on_read_avail:(fun base n -> on_read_avail t base n)
     ch
 

@@ -14,7 +14,7 @@ exception Injected of string
 
 type stats = {
   mutable writes : int;
-  mutable reads : int;
+  mutable reads : int;  (** [Channel.read_avail] calls *)
   mutable dropped : int;
   mutable corrupted : int;
   mutable duplicated : int;

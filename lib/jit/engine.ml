@@ -28,16 +28,13 @@ type config = {
   async_compile : bool;
   instrument : bool;
   contention : float;
-  compile_threads : int;  (** compilation-queue service rate multiplier *)
   trigger_scale : float;  (** multiplier on adaptive level-up triggers *)
   target : Tessera_vm.Target.t;  (** back-end the JIT generates code for *)
   fuel_per_invocation : int;
   clock_seed : int64;
   adaptive : bool;
-  max_compile_attempts : int;
   compile_cycle_budget : int option;
   code_cache : Codecache.t option;  (** persistent compiled-code cache *)
-  aot_load_cycles : int;  (** cycles charged per cache hit (AOT load) *)
 }
 
 let default_config =
@@ -45,17 +42,26 @@ let default_config =
     async_compile = true;
     instrument = false;
     contention = 0.02;
-    compile_threads = 2;
     trigger_scale = 1.0;
     target = Tessera_vm.Target.zircon;
     fuel_per_invocation = 200_000_000;
     clock_seed = 0xC10CL;
     adaptive = true;
-    max_compile_attempts = 2;
     compile_cycle_budget = None;
     code_cache = None;
-    aot_load_cycles = 2_000;
   }
+
+(* parallel compilation threads: the queue drains this many times
+   faster, while compilation-time metrics still count total cycles *)
+let compile_threads = 2
+
+(* failed compilation attempts tolerated per method before it is
+   quarantined to its current implementation *)
+let max_compile_attempts = 2
+
+(* cycles charged per cache hit: the simulated cost of relocating AOT
+   code into the code heap, small next to any compilation *)
+let aot_load_cycles = 2_000
 
 type t = {
   program : Program.t;
@@ -348,13 +354,13 @@ let cache_key t ~meth_id ~level ~modifier =
     (Program.meth t.program meth_id)
 
 (* An AOT load: cached code installs immediately (no compilation thread,
-   no contention) for a small configurable cycle charge.  It is not a
+   no contention) for a small fixed cycle charge.  It is not a
    compilation — compile_count, per-level counts, and [on_compiled] are
    untouched, which is what lets a warm run report zero compilations. *)
 let install_cached t ~meth_id (st : method_state) comp =
   Metrics.inc t.m_cache_hits;
   st.failed_attempts <- 0;
-  Clock.advance t.clock t.config.aot_load_cycles;
+  Clock.advance t.clock aot_load_cycles;
   let prev = st.impl in
   set_compiled t meth_id st comp;
   if !Trace.enabled then begin
@@ -397,9 +403,7 @@ let install t ~meth_id ~level (st : method_state) comp =
       if Int64.compare t.compile_thread_free now > 0 then t.compile_thread_free
       else now
     in
-    let duration =
-      comp.Compiler.compile_cycles / max 1 t.config.compile_threads
-    in
+    let duration = comp.Compiler.compile_cycles / compile_threads in
     let finish = Int64.add start (Int64.of_int duration) in
     t.compile_thread_free <- finish;
     st.pending <- Some (comp, finish);
@@ -489,7 +493,7 @@ and do_compile_miss t ~meth_id ~level ~modifier =
           "compile";
       Metrics.inc t.m_compile_failures;
       st.failed_attempts <- st.failed_attempts + 1;
-      if st.failed_attempts >= t.config.max_compile_attempts then
+      if st.failed_attempts >= max_compile_attempts then
         quarantine t meth_id st
   | comp -> (
       (* the compiler ran either way: its cycles are spent and part of
@@ -543,7 +547,7 @@ and do_compile_miss t ~meth_id ~level ~modifier =
                  at: re-promotion can't beat the budget, so back off and
                  eventually stop trying *)
               st.failed_attempts <- st.failed_attempts + 1;
-              if st.failed_attempts >= t.config.max_compile_attempts then
+              if st.failed_attempts >= max_compile_attempts then
                 quarantine t meth_id st
           | None ->
               (* even the cold plan blows the budget: stay interpreted *)

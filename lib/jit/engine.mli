@@ -38,10 +38,6 @@ type config = {
   async_compile : bool;
   instrument : bool;  (** per-invocation TSC enter/exit instrumentation *)
   contention : float;  (** fraction of compile cycles charged to the app *)
-  compile_threads : int;
-      (** parallel compilation threads: the queue drains proportionally
-          faster, while compilation-time metrics still count total
-          cycles *)
   trigger_scale : float;
       (** multiplier on the adaptive controller's level-up triggers; data
           collection raises it so methods dwell at each level long enough
@@ -52,9 +48,6 @@ type config = {
   fuel_per_invocation : int;
   clock_seed : int64;
   adaptive : bool;  (** run the built-in adaptive controller *)
-  max_compile_attempts : int;
-      (** failed compilation attempts tolerated per method before it is
-          quarantined to its current implementation *)
   compile_cycle_budget : int option;
       (** when set, a compilation whose simulated cycles exceed the
           budget is not installed; the engine degrades the method to the
@@ -62,13 +55,12 @@ type config = {
   code_cache : Tessera_cache.Codecache.t option;
       (** persistent compiled-code cache: every compilation request
           first looks up (method IL fingerprint, target, level,
-          modifier); a hit installs immediately for [aot_load_cycles]
-          and counts as a {e cache hit}, not a compilation; every
-          successful compilation is written back.  Corrupt or stale
-          entries are dropped by the cache layer and simply recompile *)
-  aot_load_cycles : int;
-      (** cycle charge per cache hit — the simulated cost of relocating
-          AOT code into the code heap (small next to any compilation) *)
+          modifier); a hit installs immediately for 2,000 cycles (the
+          simulated cost of relocating AOT code into the code heap,
+          small next to any compilation) and counts as a {e cache hit},
+          not a compilation; every successful compilation is written
+          back.  Corrupt or stale entries are dropped by the cache layer
+          and simply recompile *)
 }
 
 val default_config : config
@@ -156,7 +148,7 @@ val request_compile :
     [choose_modifier] that raises falls back to the default (null
     modifier) plan.  A compilation that raises leaves the method on its
     current implementation, counts a failure, and quarantines the method
-    after [max_compile_attempts] consecutive failures; one that exceeds
+    after two consecutive failures; one that exceeds
     [compile_cycle_budget] is degraded level by level toward the
     interpreter.  Never raises. *)
 

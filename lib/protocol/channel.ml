@@ -1,5 +1,4 @@
 exception Closed
-exception Timeout
 
 (* one direction of an in-memory pipe: a queue of chunks plus an offset
    cursor into the front chunk, so reads cost O(bytes read) instead of
@@ -17,7 +16,6 @@ type t =
   | Wrapped of {
       base : t;
       on_write : t -> string -> unit;
-      on_read : t -> deadline:float option -> int -> string;
       on_read_avail : t -> int -> string;
       on_close : t -> unit;
     }
@@ -64,39 +62,6 @@ let mem_take m buf n =
     need := !need - take
   done
 
-let read_exact ?deadline t n =
-  match t with
-  | Mem m ->
-      if m.incoming.pending < n then
-        (* data in an in-memory pair only arrives between calls, so a
-           short buffer will never fill while we wait: closed means end
-           of stream, otherwise the request has effectively timed out *)
-        if m.incoming.closed then raise Closed else raise Timeout
-      else begin
-        let buf = Buffer.create n in
-        mem_take m.incoming buf n;
-        Buffer.contents buf
-      end
-  | Fd f ->
-      if not f.open_ then raise Closed;
-      let buf = Bytes.create n in
-      let got = ref 0 in
-      while !got < n do
-        (match deadline with
-        | None -> ()
-        | Some d ->
-            let remaining = d -. Unix.gettimeofday () in
-            if remaining <= 0.0 then raise Timeout
-            else
-              let readable, _, _ = Unix.select [ f.fin ] [] [] remaining in
-              if readable = [] then raise Timeout);
-        let r = Unix.read f.fin buf !got (n - !got) in
-        if r = 0 then raise Closed;
-        got := !got + r
-      done;
-      Bytes.to_string buf
-  | Wrapped w -> w.on_read w.base ~deadline n
-
 (* Descriptor reads land in one buffer per domain and only the bytes read
    are copied out.  A fresh [n]-byte buffer per call would put the pump's
    64 KiB cap straight into the major heap on every read; one buffer per
@@ -104,7 +69,8 @@ let read_exact ?deadline t n =
 let read_buf = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
 (* Up to [n] bytes of whatever is already available, without blocking:
-   the read primitive of a multiplexing poll loop.  "" means nothing is
+   the one read primitive, for the server's poll loop and the client's
+   reply buffer alike.  "" means nothing is
    buffered right now; [Closed] is raised only once the stream is both
    exhausted and at end of stream, so buffered bytes written before a
    close are still delivered. *)
@@ -181,15 +147,11 @@ let close = function
       end
   | Wrapped w -> w.on_close w.base
 
-let wrap ?on_write ?on_read ?on_read_avail ?on_close base =
+let wrap ?on_write ?on_read_avail ?on_close base =
   Wrapped
     {
       base;
       on_write = (match on_write with Some f -> f | None -> write);
-      on_read =
-        (match on_read with
-        | Some f -> f
-        | None -> fun b ~deadline n -> read_exact ?deadline b n);
       on_read_avail =
         (match on_read_avail with Some f -> f | None -> read_avail);
       on_close = (match on_close with Some f -> f | None -> close);

@@ -5,25 +5,17 @@
     touching the compiler.  This module abstracts the transport: an
     in-memory pipe pair for tests and in-process use, and Unix file
     descriptors (including FIFOs created with [mkfifo]) for the real
-    two-process setup.  Channels can also be {!wrap}ped with read/write
-    interceptors; the fault-injection subsystem uses this to corrupt,
-    drop, and delay frames deterministically. *)
+    two-process setup.  There is one read primitive, {!read_avail}, which
+    never blocks; a reader that must wait selects on {!read_fd}.
+    Channels can also be {!wrap}ped with write/read interceptors; the
+    fault-injection subsystem uses this to corrupt, drop, and delay
+    frames deterministically. *)
 
 type t
 
 exception Closed
-exception Timeout
-(** A read did not complete before its deadline.  In-memory channels
-    raise this whenever a read requests more bytes than are buffered
-    (data only ever arrives between calls, so waiting cannot help). *)
 
 val write : t -> string -> unit
-
-val read_exact : ?deadline:float -> t -> int -> string
-(** Blocks until the requested byte count is available; raises {!Closed}
-    at end of stream.  [deadline] is an absolute [Unix.gettimeofday]
-    time; when given, a descriptor-backed read that cannot complete in
-    time raises {!Timeout} instead of blocking forever. *)
 
 val read_avail : t -> int -> string
 (** [read_avail t n] returns up to [n] bytes of already-available input
@@ -31,13 +23,16 @@ val read_avail : t -> int -> string
     A descriptor read returns at most 64 KiB per call.
     Raises {!Closed} only at end of stream with nothing left buffered,
     so bytes written before a close are still delivered.  This is the
-    read primitive of the multiplexing server: it never commits the
-    caller to a byte count, so partially-arrived frames stay in the
-    caller's reassembly buffer instead of blocking a shared loop. *)
+    only read: it never commits the caller to a byte count, so a
+    partially-arrived frame stays in the caller's reassembly buffer
+    (the server's connections and the client's reply buffer alike)
+    instead of blocking a shared loop or a deadline. *)
 
 val read_fd : t -> Unix.file_descr option
-(** The underlying read descriptor, for [select] registration; [None]
-    for in-memory channels (poll those with {!read_avail}).  Wrapped
+(** The underlying read descriptor, for [select]: the server registers
+    it in its poll loop, the client waits on it for a reply until the
+    request's deadline.  [None] for in-memory channels, whose bytes only
+    arrive between calls (poll those with {!read_avail}).  Wrapped
     channels report their base's descriptor. *)
 
 val drain : t -> int
@@ -53,7 +48,6 @@ val of_fds : Unix.file_descr -> Unix.file_descr -> t
 
 val wrap :
   ?on_write:(t -> string -> unit) ->
-  ?on_read:(t -> deadline:float option -> int -> string) ->
   ?on_read_avail:(t -> int -> string) ->
   ?on_close:(t -> unit) ->
   t ->
@@ -61,7 +55,8 @@ val wrap :
 (** [wrap base] is a channel that forwards to [base] through the given
     interceptors (each defaults to the plain operation).  Interceptors
     receive [base] and may drop, alter, duplicate, or fail the
-    operation. *)
+    operation.  [on_read_avail] sees every read; {!drain} and
+    {!read_fd} go straight to [base]. *)
 
 val pipe_pair : unit -> t * t
 (** In-memory bidirectional pair: what one end writes the other reads. *)

@@ -93,6 +93,7 @@ let fresh_counters () =
 
 type t = {
   ch : Channel.t;
+  mutable inbuf : string;  (* reply bytes read but not yet decoded *)
   lockstep : unit -> unit;
   config : config;
   rng : Prng.t;
@@ -137,27 +138,63 @@ let record_failure t f =
          (failure_name f))
   end
 
+(* Waits up to [timeout] seconds for input on [ch]: [false] when nothing
+   came or [ch] has no descriptor.  A signal ends the wait early with
+   [true], so the caller reads again and re-checks its deadline. *)
+let await ch timeout =
+  match Channel.read_fd ch with
+  | None -> false
+  | Some fd -> (
+      match Unix.select [ fd ] [] [] timeout with
+      | r, _, _ -> r <> []
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> true)
+
+(* The next reply, decoded by [Message.scan] out of [inbuf], which
+   [Channel.read_avail] refills.  A descriptor is waited on until
+   [deadline]; an in-memory pair only receives bytes between calls, so
+   running dry there is a timeout at once.  Bytes past the reply (a
+   duplicated frame, say) stay buffered and answer the next exchange.
+   Raises [Channel.Closed] at end of stream. *)
+let rec read_reply t ~deadline =
+  match Message.scan t.inbuf ~pos:0 with
+  | Message.Scan_msg (m, next) ->
+      t.inbuf <- String.sub t.inbuf next (String.length t.inbuf - next);
+      Ok m
+  | Message.Scan_bad _ -> Error Malformed
+  | Message.Scan_need_more -> (
+      match Channel.read_avail t.ch 65536 with
+      | "" ->
+          let remaining = deadline -. Unix.gettimeofday () in
+          if remaining > 0.0 && await t.ch remaining then read_reply t ~deadline
+          else Error Timeout
+      | s ->
+          t.inbuf <- t.inbuf ^ s;
+          read_reply t ~deadline)
+
 (* one request/response exchange; never raises *)
 let round_trip t msg =
   let deadline =
     Unix.gettimeofday () +. (float_of_int t.config.deadline_ms /. 1000.0)
   in
-  match
-    Message.send t.ch msg;
-    t.lockstep ();
-    Message.decode_from ~deadline t.ch
-  with
-  | reply -> Ok reply
-  | exception Channel.Timeout ->
+  let reply =
+    match
+      Message.send t.ch msg;
+      t.lockstep ();
+      read_reply t ~deadline
+    with
+    | r -> r
+    | exception Channel.Closed -> Error Closed
+    | exception _ -> Error Unexpected_reply
+  in
+  (match reply with
+  | Ok _ -> ()
+  | Error f ->
+      t.inbuf <- "";
       (* a late or half-delivered response must not poison the next
          exchange: flush whatever is buffered *)
-      (try ignore (Channel.drain t.ch) with _ -> ());
-      Error Timeout
-  | exception Channel.Closed -> Error Closed
-  | exception Message.Malformed _ ->
-      (try ignore (Channel.drain t.ch) with _ -> ());
-      Error Malformed
-  | exception _ -> Error Unexpected_reply
+      if f = Timeout || f = Malformed then
+        try ignore (Channel.drain t.ch) with _ -> ());
+  reply
 
 let backoff_delay t attempt =
   let capped =
@@ -326,6 +363,7 @@ let connect ?(model_name = "default") ?(lockstep = fun () -> ())
   let t =
     {
       ch;
+      inbuf = "";
       lockstep;
       config;
       rng = Prng.create config.jitter_seed;

@@ -7,10 +7,20 @@
     paper's default-plan fallback and periodically half-opens via [Ping]
     to detect recovery.  Each failure class is counted separately (and
     logged once), so operators can tell a slow model from a crashed one
-    from a garbage-emitting one. *)
+    from a garbage-emitting one.
+
+    Replies are read with {!Channel.read_avail} into the client's own
+    buffer and decoded with {!Message.scan}, the decoder the server
+    uses.  While a reply is incomplete the client waits on the channel's
+    descriptor until the deadline.  Bytes past a reply (a duplicated
+    frame) stay buffered and answer the next exchange.  Any failure
+    clears the buffer; a timeout or a malformed reply also drains the
+    channel, so the retry starts on a clean stream. *)
 
 type failure =
-  | Timeout  (** no response within the deadline *)
+  | Timeout
+      (** no complete response within the deadline — at once on an
+          in-memory channel, whose bytes only arrive between calls *)
   | Malformed  (** a response arrived but failed frame validation *)
   | Closed  (** the channel is closed / the peer is gone *)
   | Server_error  (** the server answered [Error_msg] *)

@@ -53,7 +53,7 @@ let start_draining t = if t.state = Active then t.state <- Draining
 let send t m =
   if t.state <> Closed then
     try Message.send t.ch m
-    with Channel.Closed | Channel.Timeout -> close t
+    with Channel.Closed -> close t
 
 (* read whatever the transport has buffered, up to [limit] bytes; [true]
    if the peer reached end of stream *)

@@ -75,19 +75,6 @@ let encode m =
   Buffer.add_string buf (crc_bytes (Crc32.string body));
   Buffer.contents buf
 
-(* varints are read byte-by-byte from the channel to find the frame end;
-   [raw] accumulates the exact wire bytes for checksum verification *)
-let read_varint_from ?deadline ~raw ch =
-  let rec go shift acc =
-    if shift > 62 then raise (Malformed "frame length varint too long");
-    let s = Channel.read_exact ?deadline ch 1 in
-    Buffer.add_string raw s;
-    let b = Char.code s.[0] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
 let max_payload = 1 lsl 20
 
 let of_tagged_payload tag body =
@@ -116,20 +103,6 @@ let of_tagged_payload tag body =
   with
   | Codec.Truncated w -> raise (Malformed ("truncated payload: " ^ w))
   | Invalid_argument w -> raise (Malformed w)
-
-let decode_after_magic ?deadline ch =
-  let raw = Buffer.create 32 in
-  let tag_s = Channel.read_exact ?deadline ch 1 in
-  Buffer.add_string raw tag_s;
-  let tag = Char.code tag_s.[0] in
-  let len = read_varint_from ?deadline ~raw ch in
-  if len > max_payload then raise (Malformed "oversized frame");
-  let body = Channel.read_exact ?deadline ch len in
-  Buffer.add_string raw body;
-  let crc = Channel.read_exact ?deadline ch 4 in
-  if not (String.equal crc (crc_bytes (Crc32.string (Buffer.contents raw))))
-  then raise (Malformed "frame checksum mismatch");
-  of_tagged_payload tag body
 
 (* Incremental decoding over an in-memory byte buffer: what a
    non-blocking connection pump uses.  [scan s ~pos] expects the frame
@@ -175,12 +148,6 @@ let scan s ~pos =
               (match of_tagged_payload tag body with
               | m -> Scan_msg (m, body_pos + plen + 4)
               | exception Malformed w -> Scan_bad w)
-
-let decode_from ?deadline ch =
-  let m = Channel.read_exact ?deadline ch 1 in
-  if m.[0] <> magic then
-    raise (Malformed (Printf.sprintf "bad frame magic 0x%02x" (Char.code m.[0])));
-  decode_after_magic ?deadline ch
 
 let send ch m = Channel.write ch (encode m)
 

@@ -5,6 +5,9 @@
     The checksum covers tag, length, and payload, so a corrupted frame is
     rejected instead of silently yielding a wrong prediction, and the
     magic byte lets a receiver resynchronize after garbage on the wire.
+    Both ends decode with {!scan} over bytes they buffered themselves:
+    the server's connections resynchronize on the next magic, the
+    client fails the exchange and drains its channel.
     The compiler sends raw feature vectors; the model side renormalizes
     them with its scaling file and answers with a full 58-bit modifier
     pattern — the label→modifier lookup and the normalization both live
@@ -42,29 +45,24 @@ type t =
           client should fall back (and let its circuit breaker trip)
           rather than retry into the overload *)
 
-exception Malformed of string
-
 val magic : char
 (** First byte of every frame. *)
 
 val encode : t -> string
 
-val decode_from : ?deadline:float -> Channel.t -> t
-(** Reads exactly one frame; raises {!Malformed} on a bad magic byte,
-    checksum mismatch, unknown tag, or bad payload, [Channel.Closed] at
-    end of stream, and [Channel.Timeout] past the optional deadline. *)
-
 val send : Channel.t -> t -> unit
 
-(** {1 Incremental decoding} — for non-blocking connection pumps that
-    accumulate wire bytes in their own buffer *)
+(** {1 Decoding} — incremental, over a reader's own buffer of wire
+    bytes; the only way a frame is decoded *)
 
 type scan =
   | Scan_msg of t * int  (** decoded message and the position past its frame *)
   | Scan_need_more  (** the buffer ends inside the frame; read more bytes *)
   | Scan_bad of string
-      (** the bytes at [pos] are not a valid frame; advance one byte and
-          rescan for the next magic (costing resync budget) *)
+      (** the bytes at [pos] are not a valid frame, for the given
+          reason.  A connection pump advances one byte and rescans for
+          the next magic (costing resync budget); the client fails the
+          exchange *)
 
 val scan : string -> pos:int -> scan
 (** Decode at most one frame starting at [pos] (which must hold the

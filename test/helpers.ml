@@ -112,3 +112,30 @@ let lockstep_server
       ()
   in
   Serve.lockstep engine ch
+
+exception Bad_frame of string
+
+(* One frame off [ch], decoded by [Message.scan].  Reads one byte at a
+   time, so frames queued behind it stay queued for the next call.  A
+   descriptor-backed channel is waited on; an in-memory one must already
+   hold the whole frame.  Raises [Channel.Closed] at end of stream and
+   {!Bad_frame} when the bytes are not one valid frame. *)
+let recv ch =
+  let module Channel = Tessera_protocol.Channel in
+  let module Message = Tessera_protocol.Message in
+  let rec go buf =
+    match Message.scan buf ~pos:0 with
+    | Message.Scan_msg (m, _) -> m
+    | Message.Scan_bad why -> raise (Bad_frame why)
+    | Message.Scan_need_more -> (
+        match Channel.read_avail ch 1 with
+        | "" -> (
+            match Channel.read_fd ch with
+            | Some fd ->
+                (try ignore (Unix.select [ fd ] [] [] (-1.0))
+                 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+                go buf
+            | None -> raise (Bad_frame "incomplete frame"))
+        | s -> go (buf ^ s))
+  in
+  go ""

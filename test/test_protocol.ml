@@ -12,7 +12,7 @@ let msg_testable = Alcotest.testable Message.pp Message.equal
 let roundtrip m =
   let a, b = Channel.pipe_pair () in
   Message.send a m;
-  Message.decode_from b
+  Helpers.recv b
 
 let test_message_roundtrips () =
   List.iter
@@ -47,18 +47,47 @@ let test_message_random_roundtrips () =
       in
       Message.equal m (roundtrip m))
 
+module Codec = Tessera_util.Codec
+
+(* A hand-built frame (magic, tag, length varint, payload, CRC-32 LE)
+   with an honest checksum, so a test can reach the checks that run
+   after the CRC: the tag, the payload and the trace tail. *)
+let frame ~tag payload =
+  let body = Buffer.create 64 in
+  Codec.write_u8 body tag;
+  Codec.write_varint body (String.length payload);
+  Buffer.add_string body payload;
+  let body = Buffer.contents body in
+  let crc = Tessera_util.Crc32.string body in
+  let crc_le =
+    String.init 4 (fun i ->
+        Char.chr
+          (Int32.to_int
+             (Int32.logand (Int32.shift_right_logical crc (8 * i)) 0xFFl)))
+  in
+  "\xa7" ^ body ^ crc_le
+
 let test_malformed_detected () =
-  let a, b = Channel.pipe_pair () in
-  (* unknown tag *)
-  Channel.write a "\x2a\x00";
-  (match Message.decode_from b with
-  | _ -> Alcotest.fail "unknown tag accepted"
-  | exception Message.Malformed _ -> ());
-  (* truncated payload: predict frame claiming features it lacks *)
-  Channel.write a "\x03\x03\x00\x02\x01";
-  match Message.decode_from b with
-  | _ -> Alcotest.fail "truncated accepted"
-  | exception Message.Malformed _ -> ()
+  let check_bad what want s =
+    match Message.scan s ~pos:0 with
+    | Message.Scan_bad why -> Alcotest.(check string) what want why
+    | Message.Scan_msg (m, _) ->
+        Alcotest.failf "%s: decoded as %s" what (Format.asprintf "%a" Message.pp m)
+    | Message.Scan_need_more -> Alcotest.failf "%s: waited for more bytes" what
+  in
+  check_bad "unknown tag" "unknown tag 42" (frame ~tag:42 "");
+  (* a predict frame that claims 3 features and carries none *)
+  let claims_three = Buffer.create 4 in
+  Codec.write_varint claims_three (Plan.level_index Plan.Hot);
+  Codec.write_varint claims_three 3;
+  check_bad "truncated payload" "truncated payload: feature"
+    (frame ~tag:3 (Buffer.contents claims_three));
+  (* the length alone rejects the frame: no waiting for 1 MiB of payload *)
+  let oversized = Buffer.create 8 in
+  Buffer.add_char oversized Message.magic;
+  Codec.write_u8 oversized 3;
+  Codec.write_varint oversized ((1 lsl 20) + 1);
+  check_bad "oversized frame" "oversized frame" (Buffer.contents oversized)
 
 let test_server_client_session () =
   let server_ch, client_ch = Channel.pipe_pair () in
@@ -84,7 +113,7 @@ let test_server_client_session () =
   Message.send client_ch
     (Message.Predict { level = Plan.Hot; features = [||]; trace = Tracectx.none });
   lockstep ();
-  (match Message.decode_from client_ch with
+  (match Helpers.recv client_ch with
   | Message.Error_msg _ -> ()
   | other -> Alcotest.fail (Format.asprintf "expected error, got %a" Message.pp other));
   (* shutdown ends the session: the connection closes *)
@@ -128,11 +157,96 @@ let test_fifo_two_process () =
           let _, status = Unix.waitpid [] pid in
           Alcotest.(check bool) "server exited" true (status = Unix.WEXITED 0))
 
+(* The client against a descriptor peer that answers slowly: the reply
+   frame arrives as two writes 20 ms apart, well inside the deadline, so
+   the client must wait for the second half rather than time out. *)
+let test_client_split_reply () =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close req_w;
+      Unix.close res_r;
+      let ch = Channel.of_fds req_r res_w in
+      (* the child must never return into the test runner *)
+      let status =
+        try
+          match Helpers.recv ch with
+          | Message.Init _ -> (
+              Message.send ch Message.Init_ok;
+              match Helpers.recv ch with
+              | Message.Predict { features; _ } ->
+                  let reply =
+                    Message.encode
+                      (Message.Prediction
+                         {
+                           modifier = Modifier.of_disabled [ Array.length features ];
+                           trace = Tracectx.none;
+                         })
+                  in
+                  let half = String.length reply / 2 in
+                  Channel.write ch (String.sub reply 0 half);
+                  Unix.sleepf 0.02;
+                  Channel.write ch
+                    (String.sub reply half (String.length reply - half));
+                  (try ignore (Helpers.recv ch) with _ -> ());
+                  0
+              | _ -> 2)
+          | _ -> 1
+        with _ -> 3
+      in
+      Unix._exit status
+  | pid ->
+      Unix.close req_r;
+      Unix.close res_w;
+      let ch = Channel.of_fds res_r req_w in
+      let client =
+        Client.connect ~model_name:"slow"
+          ~config:{ Client.default_config with Client.log = ignore }
+          ch
+      in
+      (match Client.predict_result client ~level:Plan.Hot ~features:(Array.make 3 0.5) with
+      | Client.Predicted m ->
+          Alcotest.(check (list int)) "prediction" [ 3 ]
+            (Modifier.disabled_indices m)
+      | Client.Fallback f -> Alcotest.fail ("fell back: " ^ Client.failure_name f)
+      | Client.Breaker_skip -> Alcotest.fail "breaker skipped the request");
+      let k = Client.counters client in
+      Alcotest.(check int) "no retries" 0 k.Client.retries;
+      Alcotest.(check int) "no timeouts" 0 k.Client.timeouts;
+      Client.shutdown client;
+      let _, status = Unix.waitpid [] pid in
+      Alcotest.(check bool) "peer exited 0" true (status = Unix.WEXITED 0)
+
+(* The client against descriptors nobody answers: each of the three
+   handshake attempts waits out its deadline, then the client comes up
+   with the breaker open instead of hanging.  Handshake failures are
+   retried but not filed under a failure class, so the attempts show as
+   two retries and the time spent. *)
+let test_client_silent_peer () =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w = Unix.pipe ~cloexec:true () in
+  let deadline_ms = 50 in
+  let config =
+    { Client.default_config with Client.deadline_ms; log = ignore }
+  in
+  let t0 = Unix.gettimeofday () in
+  let client = Client.connect ~model_name:"silent" ~config (Channel.of_fds res_r req_w) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "breaker open" true
+    (Client.breaker_state client = Client.Breaker_open);
+  Alcotest.(check int) "three attempts" 2 (Client.counters client).Client.retries;
+  Alcotest.(check bool) "waited out every deadline" true
+    (elapsed >= 3.0 *. float_of_int deadline_ms /. 1000.0);
+  Alcotest.(check bool) "well under 5 s" true (elapsed < 5.0);
+  Client.shutdown client;
+  List.iter Unix.close [ req_r; res_w ]
+
 let test_channel_close () =
   let a, b = Channel.pipe_pair () in
   Channel.close a;
   Alcotest.check_raises "read after close" Channel.Closed (fun () ->
-      ignore (Channel.read_exact b 1))
+      ignore (Channel.read_avail b 1))
 
 (* a descriptor read copies out only the bytes it read: a 64 KiB cap must
    not cost a 64 KiB buffer per call *)
@@ -160,6 +274,10 @@ let suite =
     Alcotest.test_case "malformed frames detected" `Quick test_malformed_detected;
     Alcotest.test_case "server/client session" `Quick test_server_client_session;
     Alcotest.test_case "two-process FIFO" `Quick test_fifo_two_process;
+    Alcotest.test_case "client: reply split across two writes" `Quick
+      test_client_split_reply;
+    Alcotest.test_case "client: silent descriptor peer times out" `Quick
+      test_client_silent_peer;
     Alcotest.test_case "channel close" `Quick test_channel_close;
     Alcotest.test_case "channel: read_avail allocates only what it reads"
       `Quick test_read_avail_allocation;
@@ -168,8 +286,6 @@ let suite =
 (* ------------------------------------------------------------------ *)
 (* Trace context                                                       *)
 (* ------------------------------------------------------------------ *)
-
-module Codec = Tessera_util.Codec
 
 let test_tracectx_roundtrip () =
   let t = Tracectx.fresh () in
@@ -202,9 +318,9 @@ let test_traced_message_roundtrips () =
     ]
 
 (* A CRC-valid frame whose trailing trace bytes are garbage must decode
-   as an untraced request — never a strike.  The frame is hand-built
-   here (magic, tag, length varint, payload, CRC-32 LE) so the trace
-   bytes can be corrupted while the checksum stays honest. *)
+   as an untraced request — never a strike.  The frame is built by
+   [frame] so the trace bytes can be corrupted while the checksum stays
+   honest. *)
 let predict_frame_with_tail tail =
   let payload = Buffer.create 32 in
   Codec.write_varint payload (Plan.level_index Plan.Warm);
@@ -212,20 +328,7 @@ let predict_frame_with_tail tail =
   Codec.write_f64 payload 1.5;
   Codec.write_f64 payload 2.5;
   Buffer.add_string payload tail;
-  let p = Buffer.contents payload in
-  let body = Buffer.create 64 in
-  Codec.write_u8 body 3;
-  Codec.write_varint body (String.length p);
-  Buffer.add_string body p;
-  let body = Buffer.contents body in
-  let crc = Tessera_util.Crc32.string body in
-  let crc_le =
-    String.init 4 (fun i ->
-        Char.chr
-          (Int32.to_int
-             (Int32.logand (Int32.shift_right_logical crc (8 * i)) 0xFFl)))
-  in
-  "\xa7" ^ body ^ crc_le
+  frame ~tag:3 (Buffer.contents payload)
 
 let test_garbage_trace_degrades () =
   List.iter

@@ -416,10 +416,10 @@ let test_serve_fds_no_listener () =
   Alcotest.(check bool) "the empty roster ended the loop" false !fired;
   Alcotest.(check int) "roster empty" 0 (Serve.connection_count engine);
   Alcotest.check msg_testable "handshake" Message.Init_ok
-    (Message.decode_from client);
+    (Helpers.recv client);
   Alcotest.check msg_testable "prediction"
     (Message.Prediction { modifier = Modifier.of_bits 5L; trace = Tracectx.none })
-    (Message.decode_from client);
+    (Helpers.recv client);
   Channel.close client
 
 let test_serve_fds_stopped () =
@@ -432,14 +432,14 @@ let test_serve_fds_stopped () =
   Alcotest.(check int) "the connection was closed" 1
     (Serve.counters engine).Serve.conns_closed;
   Alcotest.check_raises "the client sees end of stream" Channel.Closed
-    (fun () -> ignore (Message.decode_from client));
+    (fun () -> ignore (Helpers.recv client));
   Channel.close client
 
 let test_client_overloaded_fallback () =
   let server_ch, client_ch = Channel.pipe_pair () in
   (* a server that answers the handshake but sheds every prediction *)
   let lockstep () =
-    match Message.decode_from server_ch with
+    match Helpers.recv server_ch with
     | Message.Init _ -> Message.send server_ch Message.Init_ok
     | Message.Predict _ -> Message.send server_ch Message.Overloaded
     | _ -> ()
