@@ -1739,7 +1739,7 @@ let run_serve_attach ~path ~clients ~requests =
 (* ------------------------------------------------------------------ *)
 
 let run_micro ~jobs cfg =
-  section "Micro-benchmarks (Bechamel, OLS ns/op)";
+  section "Micro-benchmarks (Bechamel OLS ns/op, minor words/op)";
   let open Bechamel in
   let outcomes = get_outcomes ~jobs cfg in
   let ms = Harness.Training.train_on_all ~name:"micro" outcomes in
@@ -1764,51 +1764,73 @@ let run_micro ~jobs cfg =
   in
   let wire_features = Array.make Tessera_features.Features.dim 0.5 in
   let rng = Tessera_util.Prng.create 1L in
+  let crc_input = String.init 600_000 (fun i -> Char.chr (i * 131 land 0xff)) in
+  let wire_predict =
+    Tessera_protocol.Message.Predict
+      {
+        level = Plan.Hot;
+        features = wire_features;
+        trace = { Tessera_protocol.Tracectx.trace_id = 1; span_id = 2 };
+      }
+  in
+  let wire_frame = Tessera_protocol.Message.encode wire_predict in
   let tests =
     [
-      Test.make ~name:"model prediction (compiler query path)"
-        (Staged.stage (fun () ->
-             ignore (Harness.Modelset.predict ms ~level:Plan.Hot features)));
-      Test.make
-        ~name:
-          (Printf.sprintf "feature extraction (%d dims)"
-             Tessera_features.Features.dim)
-        (Staged.stage (fun () ->
-             ignore (Tessera_features.Features.extract meth)));
-      Test.make ~name:"JIT compilation, cold plan"
-        (Staged.stage (fun () ->
-             ignore (Tessera_jit.Compiler.compile ~program ~level:Plan.Cold meth)));
-      Test.make ~name:"archive encode"
-        (Staged.stage (fun () ->
-             ignore (Tessera_collect.Archive.to_string archive)));
-      Test.make ~name:"archive decode"
-        (Staged.stage (fun () ->
-             ignore (Tessera_collect.Archive.of_string archive_bytes)));
-      Test.make ~name:"protocol round-trip (in-memory)"
-        (Staged.stage (fun () ->
-             ignore
-               (Tessera_protocol.Client.predict client ~level:Plan.Hot
-                  ~features:wire_features)));
-      Test.make ~name:"progressive modifier generation"
-        (Staged.stage (fun () ->
-             ignore (Modifier.progressive rng ~i:1000 ~l:2000)));
+      ( "model prediction (compiler query path)",
+        fun () -> ignore (Harness.Modelset.predict ms ~level:Plan.Hot features) );
+      ( Printf.sprintf "feature extraction (%d dims)" Tessera_features.Features.dim,
+        fun () -> ignore (Tessera_features.Features.extract meth) );
+      ( "JIT compilation, cold plan",
+        fun () ->
+          ignore (Tessera_jit.Compiler.compile ~program ~level:Plan.Cold meth) );
+      ("archive encode", fun () -> ignore (Tessera_collect.Archive.to_string archive));
+      ( "archive decode",
+        fun () -> ignore (Tessera_collect.Archive.of_string archive_bytes) );
+      ("Crc32.string (600 KB)", fun () -> ignore (Tessera_util.Crc32.string crc_input));
+      ( Printf.sprintf "Message.encode (traced Predict, %d B)"
+          (String.length wire_frame),
+        fun () -> ignore (Tessera_protocol.Message.encode wire_predict) );
+      ( Printf.sprintf "Message.scan (traced Predict, %d B)"
+          (String.length wire_frame),
+        fun () -> ignore (Tessera_protocol.Message.scan wire_frame ~pos:0) );
+      ( "protocol round-trip (in-memory)",
+        fun () ->
+          ignore
+            (Tessera_protocol.Client.predict client ~level:Plan.Hot
+               ~features:wire_features) );
+      ( "progressive modifier generation",
+        fun () -> ignore (Modifier.progressive rng ~i:1000 ~l:2000) );
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
   let bcfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
+  in
+  (* minor words straight from [Gc.minor_words], which counts the
+     current minor heap too: Bechamel's allocation instance reads the
+     per-collection statistics and misses what no collection has seen *)
+  let minor_words f =
+    let runs = 100 in
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do f () done;
+    (Gc.minor_words () -. w0) /. float_of_int runs
+  in
+  Format.fprintf fmt "%-44s %14s %16s@." "" "ns/op" "minor words/op";
   List.iter
-    (fun test ->
-      let raw = Benchmark.all bcfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
+    (fun (name, f) ->
+      let raw = Benchmark.all bcfg [ instance ] (Test.make ~name (Staged.stage f)) in
+      let ns =
+        Hashtbl.fold
+          (fun _ v _ ->
+            match Analyze.OLS.estimates v with Some [ x ] -> Some x | _ -> None)
+          (Analyze.all ols instance raw)
+          None
       in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name v ->
-          match Analyze.OLS.estimates v with
-          | Some [ ns ] -> Format.fprintf fmt "%-44s %14.1f ns/op@." name ns
-          | _ -> Format.fprintf fmt "%-44s (no estimate)@." name)
-        results)
+      match ns with
+      | Some ns -> Format.fprintf fmt "%-44s %14.1f %16.1f@." name ns (minor_words f)
+      | None -> Format.fprintf fmt "%-44s (no estimate)@." name)
     tests;
   Format.fprintf fmt "@."
 

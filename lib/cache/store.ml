@@ -30,17 +30,21 @@ let magic = "TSCC"
 let version = 1
 let frame_magic = 0xE5
 
+(* The frame is built once; its payload checksum is computed where the
+   payload lies and written over the placeholder that ends the frame. *)
 let frame_of key value =
-  let payload = Buffer.create (String.length value + 8) in
-  Codec.write_i64 payload key;
-  Buffer.add_string payload value;
-  let p = Buffer.contents payload in
-  let buf = Buffer.create (String.length p + 16) in
+  let plen = String.length value + 8 in
+  let buf = Buffer.create (plen + 18) in
   Codec.write_u8 buf frame_magic;
-  Codec.write_varint buf (String.length p);
-  Buffer.add_string buf p;
-  Codec.write_i64 buf (Int64.of_int32 (Crc32.string p));
-  Buffer.contents buf
+  Codec.write_varint buf plen;
+  let p = Buffer.length buf in
+  Codec.write_i64 buf key;
+  Buffer.add_string buf value;
+  Codec.write_i64 buf 0L;
+  let b = Buffer.to_bytes buf in
+  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:p ~len:plen in
+  Bytes.set_int64_le b (p + plen) (Int64.of_int32 crc);
+  Bytes.unsafe_to_string b
 
 let next_tick t =
   t.tick <- t.tick + 1;
@@ -89,11 +93,13 @@ let enforce_capacity t =
 
 (* Hand-rolled scan over the raw file image: unlike {!Codec.reader} it
    must survive arbitrary garbage at any offset and resume at the next
-   frame boundary when the frame length is still trustworthy. *)
+   frame boundary when the frame length is still trustworthy.  Each
+   payload is checksummed where it lies; only a verified value is copied
+   out of the image. *)
 let load t s =
   let len = String.length s in
   if len = 0 then ()
-  else if len < 5 || not (String.equal (String.sub s 0 4) magic) then begin
+  else if len < 5 || not (String.starts_with ~prefix:magic s) then begin
     t.cnt.corrupt_entries <- t.cnt.corrupt_entries + 1;
     t.dirty <- true
   end
@@ -117,16 +123,6 @@ let load t s =
       in
       go pos 0 0
     in
-    let read_i64 pos =
-      let acc = ref 0L in
-      for i = 7 downto 0 do
-        acc :=
-          Int64.logor
-            (Int64.shift_left !acc 8)
-            (Int64.of_int (Char.code s.[pos + i]))
-      done;
-      !acc
-    in
     let pos = ref 5 in
     (try
        while !pos < len do
@@ -136,25 +132,27 @@ let load t s =
            raise Exit
          end;
          let plen, p = read_varint (!pos + 1) in
-         if p + plen + 8 > len then begin
-           (* torn tail (e.g. crash mid-append) *)
+         let next = p + plen + 8 in
+         if plen < 0 || next <= !pos || next > len then begin
+           (* a torn tail (e.g. crash mid-append), or a length no frame
+              has: negative, or so large the boundary wraps around.  The
+              scan only ever moves forward *)
            corrupt ();
            raise Exit
          end;
-         let payload = String.sub s p plen in
-         let stored = read_i64 (p + plen) in
          if
            plen >= 8
-           && Int64.equal stored (Int64.of_int32 (Crc32.string payload))
-         then begin
-           let key = read_i64 p in
-           let value = String.sub payload 8 (plen - 8) in
-           insert t key value (p + plen + 8 - !pos)
-         end
+           && Int64.equal
+                (String.get_int64_le s (p + plen))
+                (Int64.of_int32 (Crc32.sub s ~pos:p ~len:plen))
+         then
+           insert t (String.get_int64_le s p)
+             (String.sub s (p + 8) (plen - 8))
+             (next - !pos)
          else corrupt ();
          (* the frame length was covered by the scan either way: resume
             at the next frame boundary *)
-         pos := p + plen + 8
+         pos := next
        done
      with Exit -> ())
   end

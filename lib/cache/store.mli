@@ -8,10 +8,10 @@
 
     where the payload is an 8-byte little-endian key followed by the
     value bytes.  Every anomaly on load — bad magic, bad version, torn
-    frame, CRC mismatch — drops the affected entries (never the whole
-    process), bumps {!counters}, and lets the reader carry on with
-    whatever verified intact: a cache can only ever make a run faster,
-    never wronger.
+    frame (a negative or wrapping length included), CRC mismatch — drops
+    the affected entries (never the whole process), bumps {!counters},
+    and lets the reader carry on with whatever verified intact: a cache
+    can only ever make a run faster, never wronger.
 
     New entries are appended (and flushed) immediately so they survive a
     crash mid-run; duplicate keys are superseded by the later frame.

@@ -21,24 +21,24 @@ let to_string t =
   Dictionary.encode t.dictionary buf;
   Codec.write_varint buf (List.length t.records);
   List.iter (fun r -> Record.encode r buf) t.records;
-  let body = Buffer.contents buf in
-  let crc = Crc32.string body in
-  let out = Buffer.create (String.length body + 4) in
-  Buffer.add_string out body;
-  Codec.write_i64 out (Int64.of_int32 crc);
-  Buffer.contents out
+  (* the body is copied out once; its checksum is computed in place and
+     written over the placeholder that ends the archive *)
+  let n = Buffer.length buf in
+  Codec.write_i64 buf 0L;
+  let b = Buffer.to_bytes buf in
+  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:0 ~len:n in
+  Bytes.set_int64_le b n (Int64.of_int32 crc);
+  Bytes.unsafe_to_string b
 
 let of_string s =
-  if String.length s < 12 then raise (Corrupt "archive too short");
-  let body = String.sub s 0 (String.length s - 8) in
-  let tail = Codec.reader_of_string (String.sub s (String.length s - 8) 8) in
-  let stored = Codec.read_i64 ~what:"crc" tail in
-  let actual = Int64.of_int32 (Crc32.string body) in
+  let n_body = String.length s - 8 in
+  if n_body < 4 then raise (Corrupt "archive too short");
+  let stored = String.get_int64_le s n_body in
+  let actual = Int64.of_int32 (Crc32.sub s ~pos:0 ~len:n_body) in
   if not (Int64.equal stored actual) then
     raise (Corrupt (Printf.sprintf "crc mismatch: stored %Lx actual %Lx" stored actual));
-  if String.length body < 4 || not (String.equal (String.sub body 0 4) magic) then
-    raise (Corrupt "bad magic");
-  let rd = Codec.reader_of_string body in
+  if not (String.starts_with ~prefix:magic s) then raise (Corrupt "bad magic");
+  let rd = Codec.reader_of_string s in
   for _ = 1 to 4 do
     ignore (Codec.read_u8 rd) (* skip magic *)
   done;
@@ -49,6 +49,9 @@ let of_string s =
     let dictionary = Dictionary.decode rd in
     let n = Codec.read_varint ~what:"record count" rd in
     let records = List.init n (fun _ -> Record.decode rd) in
+    (* the reader spans the checksum too: a body that ran short must not
+       borrow its bytes *)
+    if Codec.reader_pos rd > n_body then raise (Codec.Truncated "records");
     { benchmark; dictionary; records }
   with Codec.Truncated what -> raise (Corrupt ("truncated: " ^ what))
 

@@ -5,7 +5,7 @@
     magic "TSRA" | version u8 | benchmark-name string
     dictionary (varint count, strings)
     record count varint | records
-    crc32 (le u32 over everything before it)
+    crc32 over everything before it, sign-extended to a LE i64
     v}
 
     Data gathered in collection mode lives in memory and is only

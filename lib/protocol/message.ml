@@ -35,45 +35,60 @@ let tag = function
   | Stats_text _ -> 10
   | Overloaded -> 11
 
-let payload m =
-  let buf = Buffer.create 64 in
-  (match m with
+let rec varint_size v = if v < 0x80 then 1 else 1 + varint_size (v lsr 7)
+let string_size s = varint_size (String.length s) + String.length s
+
+let trace_size (c : Tracectx.t) =
+  if Tracectx.is_none c then 0
+  else varint_size c.trace_id + varint_size c.span_id
+
+let payload_size = function
+  | Init { model_name } -> string_size model_name
+  | Init_ok | Ping | Pong | Shutdown | Stats_req | Overloaded -> 0
+  | Stats_text s | Error_msg s -> string_size s
+  | Predict { level; features; trace } ->
+      let n = Array.length features in
+      varint_size (Plan.level_index level) + varint_size n + (8 * n)
+      + trace_size trace
+  | Prediction { trace; _ } -> 8 + trace_size trace
+
+let write_payload buf = function
   | Init { model_name } -> Codec.write_string buf model_name
   | Init_ok | Ping | Pong | Shutdown | Stats_req | Overloaded -> ()
   | Stats_text s -> Codec.write_string buf s
   | Predict { level; features; trace } ->
       Codec.write_varint buf (Plan.level_index level);
       Codec.write_varint buf (Array.length features);
-      Array.iter (fun f -> Codec.write_f64 buf f) features;
+      for i = 0 to Array.length features - 1 do
+        Codec.write_f64 buf features.(i)
+      done;
       (* trailing, optional: pre-tracing decoders never looked past the
          feature vector, so traced frames stay backward compatible *)
       if not (Tracectx.is_none trace) then Tracectx.write buf trace
   | Prediction { modifier; trace } ->
       Codec.write_i64 buf (Modifier.to_bits modifier);
       if not (Tracectx.is_none trace) then Tracectx.write buf trace
-  | Error_msg e -> Codec.write_string buf e);
-  Buffer.contents buf
+  | Error_msg e -> Codec.write_string buf e
 
 let magic = '\xa7'
 
-let crc_bytes crc =
-  String.init 4 (fun i ->
-      Char.chr
-        (Int32.to_int
-           (Int32.logand (Int32.shift_right_logical crc (8 * i)) 0xFFl)))
-
+(* The frame is built once, into a buffer of its exact size, and
+   checksummed where it lies: the CRC over tag, length and payload
+   replaces the four placeholder bytes that end the frame. *)
 let encode m =
-  let p = payload m in
-  let hdr = Buffer.create (String.length p + 6) in
-  Codec.write_u8 hdr (tag m);
-  Codec.write_varint hdr (String.length p);
-  Buffer.add_string hdr p;
-  let body = Buffer.contents hdr in
-  let buf = Buffer.create (String.length body + 5) in
+  let plen = payload_size m in
+  let size = 2 + varint_size plen + plen + 4 in
+  let buf = Buffer.create size in
   Buffer.add_char buf magic;
-  Buffer.add_string buf body;
-  Buffer.add_string buf (crc_bytes (Crc32.string body));
-  Buffer.contents buf
+  Codec.write_u8 buf (tag m);
+  Codec.write_varint buf plen;
+  write_payload buf m;
+  Buffer.add_int32_le buf 0l;
+  assert (Buffer.length buf = size);
+  let b = Buffer.to_bytes buf in
+  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:1 ~len:(size - 5) in
+  Bytes.set_int32_le b (size - 4) crc;
+  Bytes.unsafe_to_string b
 
 let max_payload = 1 lsl 20
 
@@ -135,19 +150,20 @@ let scan s ~pos =
       match varint (pos + 2) 0 0 with
       | Error e -> e
       | Ok (plen, body_pos) ->
-          if plen > max_payload then Scan_bad "oversized frame"
+          (* a 9-byte varint can decode negative: no frame has that *)
+          if plen < 0 || plen > max_payload then Scan_bad "oversized frame"
           else if body_pos + plen + 4 > len then Scan_need_more
-          else
+          else if
             (* checksum covers tag + length varint + payload *)
-            let checked = String.sub s (pos + 1) (body_pos + plen - pos - 1) in
-            let crc = String.sub s (body_pos + plen) 4 in
-            if not (String.equal crc (crc_bytes (Crc32.string checked))) then
-              Scan_bad "frame checksum mismatch"
-            else
-              let body = String.sub s body_pos plen in
-              (match of_tagged_payload tag body with
-              | m -> Scan_msg (m, body_pos + plen + 4)
-              | exception Malformed w -> Scan_bad w)
+            not
+              (Int32.equal
+                 (String.get_int32_le s (body_pos + plen))
+                 (Crc32.sub s ~pos:(pos + 1) ~len:(body_pos + plen - pos - 1)))
+          then Scan_bad "frame checksum mismatch"
+          else
+            match of_tagged_payload tag (String.sub s body_pos plen) with
+            | m -> Scan_msg (m, body_pos + plen + 4)
+            | exception Malformed w -> Scan_bad w
 
 let send ch m = Channel.write ch (encode m)
 

@@ -5,6 +5,9 @@
     The checksum covers tag, length, and payload, so a corrupted frame is
     rejected instead of silently yielding a wrong prediction, and the
     magic byte lets a receiver resynchronize after garbage on the wire.
+    Both ends compute the checksum where the frame's bytes lie, and a
+    negative length or one above 1 MiB is rejected before any payload is
+    awaited.
     Both ends decode with {!scan} over bytes they buffered themselves:
     the server's connections resynchronize on the next magic, the
     client fails the exchange and drains its channel.

@@ -40,22 +40,13 @@ let read_varint ?(what = "varint") r =
   in
   go 0 0
 
-let write_i64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done
+let write_i64 buf v = Buffer.add_int64_le buf v
 
 let read_i64 ?(what = "i64") r =
   need r 8 what;
-  let acc = ref 0L in
-  for i = 7 downto 0 do
-    acc :=
-      Int64.logor (Int64.shift_left !acc 8)
-        (Int64.of_int (Char.code r.data.[r.pos + i]))
-  done;
+  let v = String.get_int64_le r.data r.pos in
   r.pos <- r.pos + 8;
-  !acc
+  v
 
 let write_f64 buf v = write_i64 buf (Int64.bits_of_float v)
 let read_f64 ?(what = "f64") r = Int64.float_of_bits (read_i64 ~what r)

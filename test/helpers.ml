@@ -115,6 +115,11 @@ let lockstep_server
 
 exception Bad_frame of string
 
+(* A frame with tag 3 whose 9-byte length varint sets bit 62 in its last
+   byte: the length decodes to [min_int]. *)
+let negative_length_frame =
+  "\xa7\x03\x80\x80\x80\x80\x80\x80\x80\x80\x40\x00\x00\x00\x00"
+
 (* One frame off [ch], decoded by [Message.scan].  Reads one byte at a
    time, so frames queued behind it stay queued for the next call.  A
    descriptor-backed channel is waited on; an in-memory one must already

@@ -340,6 +340,58 @@ let test_store_version_stale () =
     (Store.counters s2).Store.corrupt_entries;
   Store.close s2
 
+exception Hung
+
+(* Runs [f] under a wall-clock alarm, so a scan that stops making
+   progress fails the test instead of hanging the suite. *)
+let within_seconds secs f =
+  let timer v = { Unix.it_interval = 0.0; it_value = v } in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hung)) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL (timer 0.0));
+      Sys.set_signal Sys.sigalrm previous)
+    (fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL (timer secs));
+      f ())
+
+let test_store_negative_length () =
+  with_store_dir @@ fun dir ->
+  let path = Filename.concat dir "s.tscc" in
+  let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
+  Store.add s 1L "alpha";
+  Store.close s;
+  let valid = read_file path in
+  Alcotest.(check int) "one 28-byte frame file" 28 (String.length valid);
+  List.iter
+    (fun (what, image, survivors) ->
+      write_file path image;
+      match
+        within_seconds 5.0 (fun () ->
+            Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:true)
+      with
+      | exception Hung -> Alcotest.failf "%s: open never returned" what
+      | s2 ->
+          Alcotest.(check int) (what ^ ": one corrupt entry") 1
+            (Store.counters s2).Store.corrupt_entries;
+          Alcotest.(check int) (what ^ ": survivors") survivors
+            (Store.entry_count s2);
+          if survivors > 0 then
+            Alcotest.(check (option string)) (what ^ ": prefix kept")
+              (Some "alpha") (Store.find s2 1L);
+          Store.close s2)
+    [
+      (* a varint of -18: its frame's next boundary would be its own
+         start *)
+      ( "length -18",
+        valid ^ "\xe5\xee\xff\xff\xff\xff\xff\xff\xff\x7f"
+        ^ String.make 16 '\000',
+        1 );
+      ( "length min_int",
+        String.sub valid 0 5 ^ "\xe5\x80\x80\x80\x80\x80\x80\x80\x80\x40",
+        0 );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine warm start                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -523,6 +575,8 @@ let suite =
         `Quick test_store_torn_tail;
       Alcotest.test_case "store: future format version reads as stale" `Quick
         test_store_version_stale;
+      Alcotest.test_case "store: negative frame length is a torn tail" `Quick
+        test_store_negative_length;
       Alcotest.test_case "codecache: pre-schema entry reads as stale" `Quick
         test_pre_schema_entry_stale;
       Alcotest.test_case "engine: warm start replays without compiling" `Quick

@@ -7,6 +7,7 @@ let () =
       ("protocol", Test_protocol.suite);
       ("serve", Test_serve.suite);
       ("util", Test_util.suite);
+      ("bytes", Test_bytes.suite);
       ("il", Test_il.suite);
       ("vm", Test_vm.suite);
       ("codegen", Test_codegen.suite);

@@ -87,7 +87,8 @@ let test_malformed_detected () =
   Buffer.add_char oversized Message.magic;
   Codec.write_u8 oversized 3;
   Codec.write_varint oversized ((1 lsl 20) + 1);
-  check_bad "oversized frame" "oversized frame" (Buffer.contents oversized)
+  check_bad "oversized frame" "oversized frame" (Buffer.contents oversized);
+  check_bad "negative length" "oversized frame" Helpers.negative_length_frame
 
 let test_server_client_session () =
   let server_ch, client_ch = Channel.pipe_pair () in
@@ -242,6 +243,28 @@ let test_client_silent_peer () =
   Client.shutdown client;
   List.iter Unix.close [ req_r; res_w ]
 
+(* A reply whose length varint decodes negative is a malformed reply,
+   retried and then a fallback: never an exception out of the client. *)
+let test_client_hostile_reply () =
+  let server_ch, client_ch = Channel.pipe_pair () in
+  let lockstep () =
+    match Helpers.recv server_ch with
+    | Message.Init _ -> Message.send server_ch Message.Init_ok
+    | Message.Predict _ -> Channel.write server_ch Helpers.negative_length_frame
+    | _ -> ()
+  in
+  let config = { Client.default_config with Client.log = ignore } in
+  let client = Client.connect ~model_name:"t" ~config ~lockstep client_ch in
+  (match Client.predict_result client ~level:Plan.Hot ~features:[| 1.0 |] with
+  | Client.Fallback Client.Malformed -> ()
+  | Client.Predicted _ -> Alcotest.fail "predicted from a hostile reply"
+  | Client.Fallback f -> Alcotest.fail ("wrong failure: " ^ Client.failure_name f)
+  | Client.Breaker_skip -> Alcotest.fail "breaker skipped the request");
+  let c = Client.counters client in
+  Alcotest.(check int) "every attempt malformed" (1 + c.Client.retries)
+    c.Client.malformed;
+  Alcotest.(check int) "nothing unexpected" 0 c.Client.unexpected
+
 let test_channel_close () =
   let a, b = Channel.pipe_pair () in
   Channel.close a;
@@ -278,6 +301,8 @@ let suite =
       test_client_split_reply;
     Alcotest.test_case "client: silent descriptor peer times out" `Quick
       test_client_silent_peer;
+    Alcotest.test_case "client: negative-length reply is malformed" `Quick
+      test_client_hostile_reply;
     Alcotest.test_case "channel close" `Quick test_channel_close;
     Alcotest.test_case "channel: read_avail allocates only what it reads"
       `Quick test_read_avail_allocation;

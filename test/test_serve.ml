@@ -203,6 +203,23 @@ let test_serve_error_budget () =
   Alcotest.(check bool) "every strike was answered" true
     (List.length errors >= 4)
 
+(* One peer's frame whose length varint decodes to [min_int] costs that
+   peer a strike; the engine keeps serving everyone else in the same
+   ticks. *)
+let test_serve_hostile_length () =
+  let engine = mk_engine () in
+  let hostile, hostile_ch = attach engine in
+  let _honest, honest_ch = attach engine in
+  Channel.write hostile_ch Helpers.negative_length_frame;
+  Message.send honest_ch (Message.Init { model_name = "t" });
+  Message.send honest_ch (predict Plan.Hot);
+  tick_n engine 3;
+  Alcotest.(check bool) "hostile peer struck" true (Conn.strikes hostile >= 1);
+  Alcotest.(check (list msg_testable)) "honest peer answered"
+    [ Message.Init_ok;
+      Message.Prediction { modifier = Modifier.null; trace = Tracectx.none } ]
+    (drain_replies honest_ch)
+
 let test_serve_worker_restart () =
   let generation = ref 0 in
   let make_predictor _wid =
@@ -474,6 +491,8 @@ let suite =
         `Quick test_serve_global_hwm_sheds;
       Alcotest.test_case "serve: protocol error budget closes the peer"
         `Quick test_serve_error_budget;
+      Alcotest.test_case "serve: a negative frame length strikes one peer only"
+        `Quick test_serve_hostile_length;
       Alcotest.test_case "serve: crashed worker restarts, batch retried"
         `Quick test_serve_worker_restart;
       Alcotest.test_case "serve: per-connection shutdown flushes then closes"

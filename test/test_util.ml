@@ -144,6 +144,49 @@ let test_crc32_vectors () =
   Alcotest.(check bool) "sensitive to change" true
     (Crc32.string "abc" <> Crc32.string "abd")
 
+(* The polynomial applied one bit at a time: no table, no slicing. *)
+let crc32_bitwise s ~pos ~len =
+  let crc = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFF_FFFF)
+
+let test_crc32_reference () =
+  let rng = Prng.create 32L in
+  let random_string n = String.init n (fun _ -> Char.chr (Prng.int rng 256)) in
+  let s = random_string 80 in
+  (* every tail length of the eight-byte loop, at offsets of every
+     alignment *)
+  List.iter
+    (fun pos ->
+      for len = 0 to 64 do
+        Alcotest.(check int32)
+          (Printf.sprintf "sub pos=%d len=%d" pos len)
+          (crc32_bitwise s ~pos ~len) (Crc32.sub s ~pos ~len)
+      done)
+    [ 0; 1; 3; 7; 8; 13 ];
+  for _ = 1 to 200 do
+    let s = random_string (Prng.int rng 300) in
+    let n = String.length s in
+    let pos = Prng.int rng (n + 1) in
+    let len = Prng.int rng (n - pos + 1) in
+    Alcotest.(check int32) "random slice" (crc32_bitwise s ~pos ~len)
+      (Crc32.sub s ~pos ~len);
+    Alcotest.(check int32) "string is the whole slice" (Crc32.string s)
+      (Crc32.sub s ~pos:0 ~len:n)
+  done;
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "out of range pos=%d len=%d" pos len)
+        (Invalid_argument "Crc32.sub") (fun () ->
+          ignore (Crc32.sub "0123456789" ~pos ~len)))
+    [ (-1, 2); (0, -1); (0, 11); (5, 6); (11, 0); (max_int, 1); (1, max_int) ]
+
 (* ------------------------------------------------------------------ *)
 (* Domain pool                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -209,6 +252,8 @@ let suite =
     Alcotest.test_case "codec primitives" `Quick test_codec_primitives;
     Alcotest.test_case "codec truncation" `Quick test_codec_truncation;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
+    Alcotest.test_case "crc32 matches a bitwise reference" `Quick
+      test_crc32_reference;
     Alcotest.test_case "pool: results match sequential at every -j" `Quick
       test_pool_matches_sequential;
     Alcotest.test_case "pool: empty, singleton, invalid" `Quick test_pool_edges;
