@@ -1780,6 +1780,8 @@ let run_micro ~jobs cfg =
         fun () -> ignore (Harness.Modelset.predict ms ~level:Plan.Hot features) );
       ( Printf.sprintf "feature extraction (%d dims)" Tessera_features.Features.dim,
         fun () -> ignore (Tessera_features.Features.extract meth) );
+      ( "loop class (adaptive controller)",
+        fun () -> ignore (Tessera_jit.Triggers.loop_class_of meth) );
       ( "JIT compilation, cold plan",
         fun () ->
           ignore (Tessera_jit.Compiler.compile ~program ~level:Plan.Cold meth) );

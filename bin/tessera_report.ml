@@ -120,12 +120,9 @@ let timeline target iterations model_dir serve trace_out =
           in
           cleanup := (fun () -> ignore (Serve.finish_drain srv));
           let choose engine ~meth_id ~level =
-            let program = Engine.program engine in
-            let m = Tessera_il.Program.meth program meth_id in
             let features =
               Array.map float_of_int
-                (Tessera_features.Features.to_array
-                   (Tessera_features.Features.extract ~program m))
+                (Engine.features engine meth_id :> int array)
             in
             Some (Client.predict client ~level ~features)
           in

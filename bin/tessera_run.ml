@@ -16,8 +16,6 @@ module Serve = Tessera_protocol.Serve
 module Client = Tessera_protocol.Client
 module Spec = Tessera_faults.Spec
 module Injector = Tessera_faults.Injector
-module Features = Tessera_features.Features
-module Program = Tessera_il.Program
 module Modifier = Tessera_modifiers.Modifier
 module Codecache = Tessera_cache.Codecache
 module Trace = Tessera_obs.Trace
@@ -90,11 +88,9 @@ let run_target ~fmt ~model_dir ~iterations ~tir ~fault_spec ~fault_seed
           faulty_pipeline ~spec ~seed ~predictor
         in
         let choose engine ~meth_id ~level =
-          let program = Engine.program engine in
-          let m = Program.meth program meth_id in
           let features =
             Array.map float_of_int
-              (Features.to_array (Features.extract ~program m))
+              (Engine.features engine meth_id :> int array)
           in
           Some (Client.predict client ~level ~features)
         in

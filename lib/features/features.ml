@@ -34,6 +34,12 @@ let header_bound (m : Meth.t) header =
       | _ -> None)
   | _ -> None
 
+type loop_attributes = {
+  may_have_loops : bool;
+  many_iteration_loops : bool;
+  may_have_many_iteration_loops : bool;
+}
+
 let loop_attributes m =
   let la = Tessera_opt.Loops.analyze m in
   let may_have_loops = Meth.has_backward_branch m in
@@ -54,7 +60,11 @@ let loop_attributes m =
             may_many := true
       | None -> may_many := true (* unknown bound: assume it may iterate *))
     la.Tessera_opt.Loops.loops;
-  (may_have_loops, !many, !may_many && may_have_loops)
+  {
+    may_have_loops;
+    many_iteration_loops = !many;
+    may_have_many_iteration_loops = !may_many && may_have_loops;
+  }
 
 let sat limit v = if v > limit then limit else v
 
@@ -62,7 +72,7 @@ let extract ?program (m : Meth.t) : t =
   let f = Array.make dim 0 in
   let b v = if v then 1 else 0 in
   let a = m.Meth.attrs in
-  let may_loops, many_loops, may_many = loop_attributes m in
+  let loops = loop_attributes m in
   f.(0) <- Meth.exception_handler_count m;
   f.(1) <- Meth.arg_count m;
   f.(2) <- Meth.temp_count m;
@@ -73,9 +83,9 @@ let extract ?program (m : Meth.t) : t =
   f.(7) <- b a.Meth.public;
   f.(8) <- b a.Meth.static;
   f.(9) <- b a.Meth.synchronized;
-  f.(10) <- b many_loops;
-  f.(11) <- b may_loops;
-  f.(12) <- b may_many;
+  f.(10) <- b loops.many_iteration_loops;
+  f.(11) <- b loops.may_have_loops;
+  f.(12) <- b loops.may_have_many_iteration_loops;
   f.(14) <- b a.Meth.uses_unsafe;
   f.(15) <- b a.Meth.uses_bigdecimal;
   f.(16) <- b a.Meth.virtual_overridden;

@@ -72,3 +72,16 @@ val pp : Format.formatter -> t -> unit
 val many_iteration_nest_threshold : int
 (** Nesting depth at or above which loops are classified many-iteration
     (2: a nested loop multiplies trip counts). *)
+
+type loop_attributes = {
+  may_have_loops : bool;  (** component 11, [mayHaveLoops] *)
+  many_iteration_loops : bool;  (** component 10, [manyIterationLoops] *)
+  may_have_many_iteration_loops : bool;
+      (** component 12, [mayHaveManyIterationLoops] *)
+}
+
+val loop_attributes : Tessera_il.Meth.t -> loop_attributes
+(** The three loop scalars of {!extract}, without the distributions or
+    the dataflow components: loop detection plus the backward-branch
+    test, a small fraction of a full extraction.  The JIT's trigger
+    ladder reads only these. *)

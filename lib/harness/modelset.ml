@@ -5,8 +5,6 @@ module Trainset = Tessera_dataproc.Trainset
 module Normalize = Tessera_dataproc.Normalize
 module Labels = Tessera_dataproc.Labels
 module Engine = Tessera_jit.Engine
-module Program = Tessera_il.Program
-module Meth = Tessera_il.Meth
 
 type solver = Ovr | Crammer_singer
 
@@ -70,9 +68,7 @@ let predict t ~level features =
         features
 
 let choose_modifier t engine ~meth_id ~level =
-  let program = Engine.program engine in
-  let m = Program.meth program meth_id in
-  Some (predict t ~level (Features.extract ~program m))
+  Some (predict t ~level (Engine.features engine meth_id))
 
 (* wire features are raw; apply this level model's scaling file *)
 let predict_raw lm features =

@@ -26,8 +26,10 @@ let () =
              (Plan.level_name level) reason)
     | _ -> None)
 
-let compile_exn ~modifier ~target ~program ~level (m : Meth.t) =
-  let features = Features.extract ~program m in
+let compile_exn ?features ~modifier ~target ~program ~level (m : Meth.t) =
+  let features =
+    match features with Some f -> f | None -> Features.extract ~program m
+  in
   let quality_floor =
     match level with
     | Plan.Cold | Plan.Warm -> Tessera_vm.Cost.Q_base
@@ -53,9 +55,9 @@ let compile_exn ~modifier ~target ~program ~level (m : Meth.t) =
     flat = None;
   }
 
-let compile ?(modifier = Modifier.null) ?(target = Tessera_vm.Target.zircon)
-    ~program ~level (m : Meth.t) =
-  try compile_exn ~modifier ~target ~program ~level m
+let compile ?features ?(modifier = Modifier.null)
+    ?(target = Tessera_vm.Target.zircon) ~program ~level (m : Meth.t) =
+  try compile_exn ?features ~modifier ~target ~program ~level m
   with
   | Error _ as e -> raise e
   | e ->

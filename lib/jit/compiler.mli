@@ -27,12 +27,17 @@ exception Error of { meth : string; level : Plan.level; reason : string }
     catches this (and anything else) and falls back. *)
 
 val compile :
+  ?features:Tessera_features.Features.t ->
   ?modifier:Modifier.t ->
   ?target:Tessera_vm.Target.t ->
   program:Program.t ->
   level:Plan.level ->
   Meth.t ->
   compilation
-(** [modifier] defaults to the null modifier (the original Testarossa
-    plan for the level); [target] to {!Tessera_vm.Target.zircon}.
-    Internal failures are re-raised as {!Error}. *)
+(** [features] is the method's vector from
+    [Tessera_features.Features.extract ~program], which the engine
+    extracts once per method and passes in; when absent, [compile]
+    extracts it.  [modifier] defaults to the null modifier (the original
+    Testarossa plan for the level); [target] to
+    {!Tessera_vm.Target.zircon}.  Internal failures are re-raised as
+    {!Error}. *)

@@ -5,6 +5,7 @@ module Clock = Tessera_vm.Clock
 module Interp = Tessera_vm.Interp
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
+module Features = Tessera_features.Features
 module Codecache = Tessera_cache.Codecache
 module Flat_cache = Tessera_flat.Cache
 module Flat_interp = Tessera_flat.Interp
@@ -22,6 +23,7 @@ type method_state = {
   mutable failed_attempts : int;
   mutable no_more : bool;
   mutable loop_cls : Triggers.loop_class option;
+  mutable features : Features.t option;
 }
 
 type config = {
@@ -135,6 +137,7 @@ let create ?(config = default_config) ?(callbacks = no_callbacks) program =
             failed_attempts = 0;
             no_more = false;
             loop_cls = None;
+            features = None;
           });
     config;
     callbacks;
@@ -197,12 +200,13 @@ let claim_trace_source t = Trace.set_cycle_source (fun () -> Clock.now t.clock)
 
 (* Everything the simulation's future depends on: the virtual clock
    (cycles, core, migration schedule, RNG), every method's state
-   (implementation, pending install, trigger counters), the compilation
-   thread, the fuel/self-time accumulators, and the flat-form memo
-   (flattening points are per-engine so same-seed engines stay
-   byte-identical).  Metrics and trace state are observables, not
-   inputs, and are deliberately NOT part of a snapshot: restoring never
-   rolls a monotonic counter backwards. *)
+   (implementation, pending install, trigger counters, loop-class and
+   feature memos), the compilation thread, the fuel/self-time
+   accumulators, and the flat-form memo (flattening points are
+   per-engine so same-seed engines stay byte-identical).  Metrics and
+   trace state are observables, not inputs, and are deliberately NOT
+   part of a snapshot: restoring never rolls a monotonic counter
+   backwards. *)
 type snapshot = {
   snap_clock : Clock.t;
   snap_states : method_state array;
@@ -213,9 +217,10 @@ type snapshot = {
   snap_flat_forms : Tessera_flat.Prog.t option array;
 }
 
-(* method_state fields hold immutable values (compilations, levels), so
-   a record copy is a deep copy of the deterministic state; the one
-   mutable field of a compilation memoizes a pure translation *)
+(* method_state fields hold immutable values (compilations, levels,
+   feature vectors), so a record copy is a deep copy of the
+   deterministic state; the one mutable field of a compilation memoizes
+   a pure translation *)
 let copy_method_state (st : method_state) = { st with impl = st.impl }
 
 let snapshot t =
@@ -270,6 +275,20 @@ let loop_class t meth_id =
       let c = Triggers.loop_class_of (Program.meth t.program meth_id) in
       st.loop_cls <- Some c;
       c
+
+(* A method's IL never changes inside an engine, so its feature vector
+   is extracted at most once, by whichever asks first: the model query
+   or the compiler. *)
+let features t meth_id =
+  let st = t.states.(meth_id) in
+  match st.features with
+  | Some f -> f
+  | None ->
+      let f =
+        Features.extract ~program:t.program (Program.meth t.program meth_id)
+      in
+      st.features <- Some f;
+      f
 
 (* Every install site goes through here.  The method never runs
    interpreted again, so its flattened tree IL is dropped. *)
@@ -482,8 +501,8 @@ and do_compile_miss t ~meth_id ~level ~modifier =
     (match t.callbacks.pre_compile with
     | Some f -> f t ~meth_id ~level
     | None -> ());
-    Compiler.compile ~modifier ~target:t.config.target ~program:t.program
-      ~level
+    Compiler.compile ~features:(features t meth_id) ~modifier
+      ~target:t.config.target ~program:t.program ~level
       (Program.meth t.program meth_id)
   with
   | exception _ ->

@@ -31,7 +31,10 @@ type method_state = {
   mutable no_more : bool;
       (** controller gave up on recompiling this (including quarantine
           after repeated compilation failures) *)
-  mutable loop_cls : Triggers.loop_class option;  (** cached *)
+  mutable loop_cls : Triggers.loop_class option;
+      (** cached; from {!Triggers.loop_class_of}, never a full extraction *)
+  mutable features : Tessera_features.Features.t option;
+      (** cached by {!features} *)
 }
 
 type config = {
@@ -95,17 +98,25 @@ val program : t -> Program.t
 val state : t -> int -> method_state
 val clock_now : t -> int64
 
+val features : t -> int -> Tessera_features.Features.t
+(** [features t meth_id] is [Features.extract ~program] of the method,
+    extracted at its first request and then memoized for the engine's
+    lifetime: the model query ([choose_modifier]) and every compilation
+    of the method read this one vector.  Snapshots carry the memo, so
+    forked branches inherit it.  The memo is per engine, never per
+    process: each start-up pays for the extractions it needs. *)
+
 (** {1 Compilation forking}
 
     The engine is a deterministic simulation: its entire future is a
     function of the virtual clock (cycles, core, migration RNG), the
     per-method states (installed code, pending installs, trigger
-    counters), the compilation-thread horizon, and the per-engine
-    flat-form memo.  {!snapshot} deep-copies exactly that state, and
-    {!restore} rewinds an engine to it — so a data collector can, at a
-    compile decision point, fork one branch per candidate modifier and
-    measure every candidate from a single warm run ("compilation
-    forking", see DESIGN.md §15).
+    counters, the loop-class and feature memos), the compilation-thread
+    horizon, and the per-engine flat-form memo.  {!snapshot} deep-copies
+    exactly that state, and {!restore} rewinds an engine to it — so a
+    data collector can, at a compile decision point, fork one branch per
+    candidate modifier and measure every candidate from a single warm
+    run ("compilation forking", see DESIGN.md §15).
 
     Metrics and trace output are observables, not simulation inputs:
     they are {e not} captured or rolled back (a restored engine keeps

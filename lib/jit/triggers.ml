@@ -3,16 +3,21 @@ module Features = Tessera_features.Features
 
 type loop_class = No_loops | Has_loops | Many_iterations
 
-let loop_class_of m =
-  let f = Features.extract m in
-  if Features.get f 10 <> 0 || Features.get f 12 <> 0 then Many_iterations
-  else if Features.get f 11 <> 0 then Has_loops
+let of_attributes (a : Features.loop_attributes) =
+  if a.Features.many_iteration_loops || a.Features.may_have_many_iteration_loops
+  then Many_iterations
+  else if a.Features.may_have_loops then Has_loops
   else No_loops
 
+let loop_class_of m = of_attributes (Features.loop_attributes m)
+
 let loop_class_of_features f =
-  if Features.get f 10 <> 0 || Features.get f 12 <> 0 then Many_iterations
-  else if Features.get f 11 <> 0 then Has_loops
-  else No_loops
+  of_attributes
+    {
+      Features.many_iteration_loops = Features.get f 10 <> 0;
+      may_have_loops = Features.get f 11 <> 0;
+      may_have_many_iteration_loops = Features.get f 12 <> 0;
+    }
 
 let base_trigger = function
   | Plan.Cold -> 8

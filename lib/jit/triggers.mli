@@ -10,6 +10,9 @@
 type loop_class = No_loops | Has_loops | Many_iterations
 
 val loop_class_of : Tessera_il.Meth.t -> loop_class
+(** From {!Tessera_features.Features.loop_attributes} alone: the same
+    class as [loop_class_of_features (Features.extract m)], without the
+    dataflow analyses a full extraction runs. *)
 
 val loop_class_of_features : Tessera_features.Features.t -> loop_class
 (** Same classification from an already-extracted feature vector. *)

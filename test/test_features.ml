@@ -137,6 +137,74 @@ let test_loop_classes () =
         (t Triggers.Has_loops < t Triggers.No_loops))
     (Array.to_list Tessera_opt.Plan.levels)
 
+(* ---- loop classes without dataflow, and feature known answers ----- *)
+
+module Program = Tessera_il.Program
+module Suites = Tessera_workloads.Suites
+module Profile = Tessera_workloads.Profile
+
+let suite_programs () =
+  List.map
+    (fun (b : Suites.bench) ->
+      ( b.Suites.profile.Profile.name,
+        Tessera_workloads.Generate.program b.Suites.profile ))
+    Suites.all
+
+(* small generated programs spread over the loop knobs (loop and nest
+   biases, trip scale), beyond the suite's own settings *)
+let generated_programs () =
+  List.init 120 (fun i ->
+      Tessera_workloads.Generate.program
+        {
+          Profile.default with
+          Profile.name = Printf.sprintf "loops%d" i;
+          seed = Int64.of_int (7_000 + i);
+          methods = 6;
+          loop_bias = float_of_int (i mod 4) /. 3.0;
+          nest_bias = float_of_int (i mod 3) /. 3.0;
+          trip_scale = [| 0.05; 0.3; 1.0; 4.0 |].(i / 4 mod 4);
+        })
+
+(* The trigger ladder reads only the three loop scalars, so it skips the
+   dataflow analyses of a full extraction; both must classify alike. *)
+let test_loop_class_oracle () =
+  let module Triggers = Tessera_jit.Triggers in
+  let seen = Hashtbl.create 3 in
+  let check_program name (p : Program.t) =
+    Array.iter
+      (fun (m : Meth.t) ->
+        let direct = Triggers.loop_class_of m in
+        Hashtbl.replace seen direct ();
+        if direct <> Triggers.loop_class_of_features (Features.extract m) then
+          Alcotest.failf "%s: %s classified apart from its extracted features"
+            name m.Meth.name)
+      p.Program.methods
+  in
+  List.iter (fun (name, p) -> check_program name p) (suite_programs ());
+  List.iteri
+    (fun i p -> check_program (Printf.sprintf "generated %d" i) p)
+    (generated_programs ());
+  Alcotest.(check int) "all three loop classes occur" 3 (Hashtbl.length seen)
+
+(* One md5 over [extract ~program] of every method of the 20 suite
+   programs, recorded before the engine memoized extraction: no
+   feature value may move. *)
+let test_known_answers () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (name, (program : Program.t)) ->
+      Array.iteri
+        (fun id m ->
+          Printf.bprintf buf "%s %d" name id;
+          Array.iter (Printf.bprintf buf " %d")
+            (Features.to_array (Features.extract ~program m));
+          Buffer.add_char buf '\n')
+        program.Program.methods)
+    (suite_programs ());
+  Alcotest.(check string) "md5 over every suite method's features"
+    "c704c8d9c355c41cd3ddbf81c6c9e07b"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "dimensions" `Quick test_dimensions;
@@ -146,4 +214,7 @@ let suite =
     Alcotest.test_case "of_array validation" `Quick test_of_array_validation;
     Alcotest.test_case "lexicographic compare" `Quick test_compare_lexicographic;
     Alcotest.test_case "loop classes and triggers" `Quick test_loop_classes;
+    Alcotest.test_case "loop class: attributes agree with extraction" `Quick
+      test_loop_class_oracle;
+    Alcotest.test_case "suite features: known answers" `Quick test_known_answers;
   ]

@@ -143,6 +143,77 @@ let test_modelset_save_load () =
                (Harness.Modelset.predict ms' ~level f)))
         ms.Harness.Modelset.levels)
 
+(* The engine extracts each method's features at most once: the model
+   query and every compilation read its memo, snapshots carry it, and a
+   new engine starts without one. *)
+let test_feature_memo () =
+  let module Engine = Tessera_jit.Engine in
+  let module Compiler = Tessera_jit.Compiler in
+  let module Features = Tessera_features.Features in
+  let ms = Harness.Training.train_on_all ~name:"tiny" (Lazy.force outcomes) in
+  let bench = Suites.scale_bench (Option.get (Suites.find "jack")) 0.4 in
+  let program = Tessera_workloads.Generate.program bench.Suites.profile in
+  let memo e id = (Engine.state e id).Engine.features in
+  let queries = ref 0 and compiled = ref [] and bypassed = ref [] in
+  (* the engine turns a raising predictor into a fallback, so a failed
+     check is recorded here and asserted after the run *)
+  let choose e ~meth_id ~level =
+    incr queries;
+    let before = memo e meth_id in
+    let m = Harness.Modelset.choose_modifier ms e ~meth_id ~level in
+    (match (before, memo e meth_id) with
+    | _, None -> bypassed := meth_id :: !bypassed
+    | Some f, Some g when f != g -> bypassed := meth_id :: !bypassed
+    | _ -> ());
+    m
+  in
+  let callbacks =
+    {
+      Engine.no_callbacks with
+      Engine.choose_modifier = Some choose;
+      on_compiled =
+        Some (fun _ ~meth_id c -> compiled := (meth_id, c) :: !compiled);
+    }
+  in
+  let e = Engine.create ~callbacks program in
+  for k = 0 to bench.Suites.iteration_invocations - 1 do
+    ignore (Engine.invoke_entry e [| Tessera_vm.Values.Int_v (Int64.of_int k) |])
+  done;
+  Alcotest.(check bool) "the model was queried" true (!queries > 0);
+  Alcotest.(check (list int)) "model queries that bypassed the memo" [] !bypassed;
+  Alcotest.(check bool) "methods were compiled" true (!compiled <> []);
+  List.iter
+    (fun (id, (c : Compiler.compilation)) ->
+      if c.Compiler.features != Engine.features e id then
+        Alcotest.failf "method %d: its compilation extracted its features again" id)
+    !compiled;
+  let fresh = Engine.create program in
+  let vectors =
+    Array.mapi
+      (fun id m ->
+        let f = Engine.features e id in
+        Alcotest.(check bool)
+          (Printf.sprintf "method %d: extract ~program" id)
+          true
+          (Features.equal f (Features.extract ~program m));
+        if Engine.features e id != f then
+          Alcotest.failf "method %d: a second call extracted again" id;
+        if memo fresh id <> None then
+          Alcotest.failf "method %d: a new engine starts with a memo" id;
+        f)
+      program.Tessera_il.Program.methods
+  in
+  let forked = Engine.fork e in
+  let restored = Engine.create program in
+  Engine.restore restored (Engine.snapshot e);
+  Array.iteri
+    (fun id f ->
+      if Engine.features forked id != f then
+        Alcotest.failf "method %d: the fork extracted again" id;
+      if Engine.features restored id != f then
+        Alcotest.failf "method %d: snapshot/restore lost the memo" id)
+    vectors
+
 let test_loo_structure () =
   let outcomes = Lazy.force outcomes in
   let loo = Harness.Training.train_loo outcomes in
@@ -212,6 +283,8 @@ let suite =
     Alcotest.test_case "model-set train_seconds is wall time" `Slow
       test_modelset_train_seconds_wall;
     Alcotest.test_case "model-set save/load" `Slow test_modelset_save_load;
+    Alcotest.test_case "one feature extraction per method per engine" `Slow
+      test_feature_memo;
     Alcotest.test_case "leave-one-out structure" `Slow test_loo_structure;
     Alcotest.test_case "evaluation cells" `Slow test_evaluation_cells;
     Alcotest.test_case "report printers" `Slow test_report_printers;
