@@ -1782,9 +1782,20 @@ let run_micro ~jobs cfg =
         fun () -> ignore (Tessera_features.Features.extract meth) );
       ( "loop class (adaptive controller)",
         fun () -> ignore (Tessera_jit.Triggers.loop_class_of meth) );
+      ( "optimizer, hot plan (one method)",
+        fun () ->
+          ignore
+            (Tessera_opt.Manager.optimize ~program ~plan:(Plan.plan Plan.Hot)
+               meth) );
+      ( "Catalog.traits_of",
+        fun () -> ignore (Tessera_opt.Catalog.traits_of meth) );
+      (* the engine extracts a method's features once and hands them to
+         every compilation, so the row times compilation alone *)
       ( "JIT compilation, cold plan",
         fun () ->
-          ignore (Tessera_jit.Compiler.compile ~program ~level:Plan.Cold meth) );
+          ignore
+            (Tessera_jit.Compiler.compile ~features ~program ~level:Plan.Cold
+               meth) );
       ("archive encode", fun () -> ignore (Tessera_collect.Archive.to_string archive));
       ( "archive decode",
         fun () -> ignore (Tessera_collect.Archive.of_string archive_bytes) );

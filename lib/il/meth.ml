@@ -41,7 +41,26 @@ type t = {
 let make ?(attrs = default_attrs) ~name ~params ~ret ~symbols blocks =
   { name; attrs; params; ret; symbols; blocks; fp_memo = None }
 
-let with_blocks m blocks = { m with blocks; fp_memo = None }
+let same_blocks a b =
+  a == b || (Array.length a = Array.length b && Array.for_all2 ( == ) a b)
+
+let with_blocks m blocks =
+  if same_blocks m.blocks blocks then m else { m with blocks; fp_memo = None }
+
+(* [blocks] is copied only once [f] changes a block *)
+let map_blocks f m =
+  let blocks = m.blocks in
+  let out = ref blocks in
+  for i = 0 to Array.length blocks - 1 do
+    let b = Array.unsafe_get blocks i in
+    let b' = f b in
+    if b' != b then begin
+      if !out == blocks then out := Array.copy blocks;
+      Array.unsafe_set !out i b'
+    end
+  done;
+  if !out == blocks then m else { m with blocks = !out; fp_memo = None }
+
 let with_symbols m symbols = { m with symbols; fp_memo = None }
 
 let arg_count m =
@@ -63,7 +82,9 @@ let iter_trees f m =
   Array.iter
     (fun (b : Block.t) ->
       List.iter f b.stmts;
-      List.iter f (Block.terminator_nodes b.term))
+      match b.term with
+      | Block.Goto _ | Block.Return None -> ()
+      | Block.If { cond = n; _ } | Block.Return (Some n) | Block.Throw n -> f n)
     m.blocks
 
 let fold_nodes f acc m =
@@ -71,16 +92,7 @@ let fold_nodes f acc m =
   iter_trees (fun root -> acc := Node.fold f !acc root) m;
   !acc
 
-let map_trees f m =
-  let blocks =
-    Array.map
-      (fun (b : Block.t) ->
-        let stmts = List.map f b.stmts in
-        let term = Block.map_terminator_nodes f b.term in
-        { b with Block.stmts; term })
-      m.blocks
-  in
-  { m with blocks; fp_memo = None }
+let map_trees f m = map_blocks (Block.map_nodes f) m
 
 let exception_handler_count m =
   let handlers = Hashtbl.create 4 in
@@ -94,7 +106,11 @@ let exception_handler_count m =
 
 let has_backward_branch m =
   Array.exists
-    (fun (b : Block.t) -> List.exists (fun s -> s <= b.id) (Block.successors b))
+    (fun (b : Block.t) ->
+      match b.term with
+      | Block.Goto t -> t <= b.id
+      | Block.If { if_true; if_false; _ } -> if_true <= b.id || if_false <= b.id
+      | Block.Return _ | Block.Throw _ -> false)
     m.blocks
 
 module H = Tessera_util.Hash64

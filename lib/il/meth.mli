@@ -29,8 +29,9 @@ type t = {
   blocks : Block.t array;  (** [blocks.(0)] is the entry block *)
   mutable fp_memo : int64 option;
       (** internal {!fingerprint} memo; construct methods through
-          {!make}/{!with_blocks}/{!with_symbols}/{!map_trees} (which
-          reset it) rather than record copies *)
+          {!make}/{!with_blocks}/{!map_blocks}/{!with_symbols}/{!map_trees}
+          (which reset it whenever they build a new method) rather than
+          record copies *)
 }
 
 val make :
@@ -43,6 +44,12 @@ val make :
   t
 
 val with_blocks : t -> Block.t array -> t
+(** [m] itself when every block is physically [m]'s own. *)
+
+val map_blocks : (Block.t -> Block.t) -> t -> t
+(** Rebuild through [f], first block to last; [m] itself when [f]
+    returns every block unchanged. *)
+
 val with_symbols : t -> Symbol.t array -> t
 
 val arg_count : t -> int
@@ -61,7 +68,8 @@ val fold_nodes : ('a -> Node.t -> 'a) -> 'a -> t -> 'a
 (** Folds over {e every} node of every tree in the method. *)
 
 val map_trees : (Node.t -> Node.t) -> t -> t
-(** Rewrites every tree root (statements and terminator trees). *)
+(** Rewrites every tree root (statements and terminator trees); [m]
+    itself when [f] changes none. *)
 
 val exception_handler_count : t -> int
 (** Number of distinct handler blocks. *)

@@ -50,11 +50,13 @@ val mk :
     within one method; a global counter trivially guarantees that. *)
 
 val with_args : t -> t array -> t
-(** Copy with new children and a fresh uid. *)
+(** Copy with new children and a fresh uid; the node itself when [args]
+    holds its own children ([==], element by element). *)
 
 val with_flags : t -> flags -> t
 (** Copy with flags OR-ed in, {e keeping} the uid (the node is "the same
-    value", just annotated). *)
+    value", just annotated); the node itself when every flag is already
+    set. *)
 
 val with_type : t -> Types.t -> t
 
@@ -86,13 +88,24 @@ val map_bottom_up : (t -> t) -> t -> t
 (** Rebuilds the tree bottom-up, applying [f] to every node after its
     children were rewritten.  Nodes whose children are physically
     unchanged and for which [f] is the identity are preserved
-    (uids stable), so repeated passes do not churn uids. *)
+    (uids stable), so repeated passes do not churn uids and a rewrite
+    that changes nothing returns its input ([==]).  A child array is
+    copied only from the first child that changed. *)
 
 val structural_equal : t -> t -> bool
 (** Equality ignoring uids and flags — the notion used by common
     subexpression elimination. *)
 
 val structural_hash : t -> int
+(** Consistent with {!structural_equal}.  Allocates nothing; the values
+    are those of [Hashtbl.hash] over each node's (opcode name, type
+    index, symbol, constant), folded over the children:
+    [structural_hash n] is [Array.fold_left (fun h k -> (h * 31) +
+    structural_hash k) (local_hash n) n.args]. *)
+
+val local_hash : t -> int
+(** The node's own term of {!structural_hash}, children left out; lets a
+    bottom-up walk hash every subtree once. *)
 
 val is_pure : t -> bool
 (** [true] when re-evaluating this single node (not the subtree) cannot

@@ -50,8 +50,8 @@ let compile_exn ?features ~modifier ~target ~program ~level (m : Meth.t) =
     modifier;
     features;
     compile_cycles = Manager.total_cycles result;
-    optimized_nodes = Meth.tree_count result.Manager.meth;
-    original_nodes = Meth.tree_count m;
+    optimized_nodes = result.Manager.final_nodes;
+    original_nodes = result.Manager.initial_nodes;
     flat = None;
   }
 

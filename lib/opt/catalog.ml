@@ -1,6 +1,7 @@
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
 module Node = Tessera_il.Node
+module Block = Tessera_il.Block
 module Meth = Tessera_il.Meth
 module Program = Tessera_il.Program
 
@@ -28,69 +29,96 @@ type traits = {
   uses_unsafe : bool;
 }
 
+(* [traits_of] is one walk over the method that allocates nothing but
+   its result: every trait is a bit of one accumulator, and the node
+   count sits above the bits. *)
+let t_allocs = 1
+let t_sync = 2
+let t_arrays = 4
+let t_calls = 8
+let t_casts = 16
+let t_decimals = 32
+let t_longdouble = 64
+let t_fp = 128
+let t_objects = 256
+let t_mixed = 512
+let t_heap_loads = 1024
+let t_throws = 2048
+let t_loops = 4096
+let t_handlers = 8192
+let one_node = 16384
+
+let node_traits (n : Node.t) =
+  let of_type =
+    match n.Node.ty with
+    | Types.Float_ | Types.Double -> t_fp
+    | Types.Long_double -> t_fp lor t_longdouble
+    | Types.Packed_decimal | Types.Zoned_decimal -> t_decimals
+    | Types.Object_ -> t_objects
+    | Types.Address -> t_arrays
+    | _ -> 0
+  in
+  let of_op =
+    match n.Node.op with
+    | Opcode.New | Opcode.Newarray | Opcode.Newmultiarray -> t_allocs
+    | Opcode.Synchronization _ -> t_sync
+    | Opcode.Arrayop _ -> t_arrays
+    | Opcode.Call -> t_calls
+    | Opcode.Cast _ -> t_casts
+    | Opcode.Mixedop -> t_mixed
+    | Opcode.Instanceof -> t_objects
+    | Opcode.Throw_op -> t_throws
+    | Opcode.Load when Array.length n.Node.args > 0 -> t_heap_loads
+    | _ -> 0
+  in
+  of_type lor of_op
+
+let rec tree_traits acc (n : Node.t) =
+  let args = n.Node.args in
+  let acc = ref ((acc lor node_traits n) + one_node) in
+  for i = 0 to Array.length args - 1 do
+    acc := tree_traits !acc (Array.unsafe_get args i)
+  done;
+  !acc
+
+let back_edge (b : Block.t) t = if t <= b.Block.id then t_loops else 0
+
+let block_traits acc (b : Block.t) =
+  let acc = List.fold_left tree_traits acc b.Block.stmts in
+  let acc =
+    match b.Block.handler with Some _ -> acc lor t_handlers | None -> acc
+  in
+  match b.Block.term with
+  | Block.Goto t -> acc lor back_edge b t
+  | Block.If { cond; if_true; if_false } ->
+      tree_traits acc cond lor back_edge b if_true lor back_edge b if_false
+  | Block.Return None -> acc
+  | Block.Return (Some n) -> tree_traits acc n
+  | Block.Throw n -> tree_traits acc n lor t_throws
+
 let traits_of (m : Meth.t) =
-  let nodes = ref 0 in
-  let has_allocs = ref false
-  and has_sync = ref (m.Meth.attrs.Meth.synchronized)
-  and has_arrays = ref false
-  and has_calls = ref false
-  and has_casts = ref false
-  and has_decimals = ref false
-  and has_longdouble = ref false
-  and has_fp = ref false
-  and has_objects = ref false
-  and has_mixed = ref false
-  and has_heap_loads = ref false
-  and has_throws = ref false in
-  Meth.fold_nodes
-    (fun () (n : Node.t) ->
-      incr nodes;
-      (match n.Node.ty with
-      | Types.Float_ | Types.Double -> has_fp := true
-      | Types.Long_double ->
-          has_fp := true;
-          has_longdouble := true
-      | Types.Packed_decimal | Types.Zoned_decimal -> has_decimals := true
-      | Types.Object_ -> has_objects := true
-      | Types.Address -> has_arrays := true
-      | _ -> ());
-      match n.Node.op with
-      | Opcode.New | Opcode.Newarray | Opcode.Newmultiarray ->
-          has_allocs := true
-      | Opcode.Synchronization _ -> has_sync := true
-      | Opcode.Arrayop _ -> has_arrays := true
-      | Opcode.Call -> has_calls := true
-      | Opcode.Cast _ -> has_casts := true
-      | Opcode.Mixedop -> has_mixed := true
-      | Opcode.Instanceof -> has_objects := true
-      | Opcode.Throw_op -> has_throws := true
-      | Opcode.Load when Array.length n.Node.args > 0 -> has_heap_loads := true
-      | _ -> ())
-    () m;
-  Array.iter
-    (fun (b : Tessera_il.Block.t) ->
-      match b.Tessera_il.Block.term with
-      | Tessera_il.Block.Throw _ -> has_throws := true
-      | _ -> ())
-    m.Meth.blocks;
+  let attrs = m.Meth.attrs in
+  let acc = if attrs.Meth.synchronized then t_sync else 0 in
+  let acc = Array.fold_left block_traits acc m.Meth.blocks in
+  let has t = acc land t <> 0 in
   {
-    nodes = !nodes;
-    has_loops = Meth.has_backward_branch m;
-    has_allocs = !has_allocs;
-    has_sync = !has_sync;
-    has_arrays = !has_arrays;
-    has_handlers = Meth.exception_handler_count m > 0;
-    has_calls = !has_calls;
-    has_casts = !has_casts;
-    has_decimals = !has_decimals;
-    has_longdouble = !has_longdouble;
-    has_fp = !has_fp;
-    has_objects = !has_objects;
-    has_mixed = !has_mixed;
-    has_heap_loads = !has_heap_loads;
-    has_throws = !has_throws;
-    uses_bigdecimal = m.Meth.attrs.Meth.uses_bigdecimal;
-    uses_unsafe = m.Meth.attrs.Meth.uses_unsafe;
+    nodes = acc / one_node;
+    has_loops = has t_loops;
+    has_allocs = has t_allocs;
+    has_sync = has t_sync;
+    has_arrays = has t_arrays;
+    has_handlers = has t_handlers;
+    has_calls = has t_calls;
+    has_casts = has t_casts;
+    has_decimals = has t_decimals;
+    has_longdouble = has t_longdouble;
+    has_fp = has t_fp;
+    has_objects = has t_objects;
+    has_mixed = has t_mixed;
+    has_heap_loads = has t_heap_loads;
+    has_throws = has t_throws;
+    uses_bigdecimal = attrs.Meth.uses_bigdecimal;
+    uses_unsafe = attrs.Meth.uses_unsafe;
   }
 
 type entry = {

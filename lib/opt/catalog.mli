@@ -43,6 +43,8 @@ type traits = {
 }
 
 val traits_of : Meth.t -> traits
+(** One walk over the method's blocks and trees; allocates only the
+    result. *)
 
 type entry = {
   index : int;

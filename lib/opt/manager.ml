@@ -11,6 +11,8 @@ type result = {
   applied : int list;
   skipped_inapplicable : int list;
   disabled : int list;
+  initial_nodes : int;
+  final_nodes : int;
 }
 
 let total_cycles r = r.opt_cycles + r.front_cycles + r.back_cycles
@@ -41,18 +43,29 @@ let optimize ?(enabled = fun _ -> true) ?(validate = false) ?audit
   in
   let ctx = { Catalog.program } in
   let meth = ref m in
+  (* traits of [!meth], taken again only when a pass hands back a new
+     method: an unchanged method comes back as itself *)
+  let traits = ref (Catalog.traits_of m) in
+  let traits_meth = ref m in
+  let current_traits () =
+    if !traits_meth != !meth then begin
+      traits := Catalog.traits_of !meth;
+      traits_meth := !meth
+    end;
+    !traits
+  in
   let cycles = ref 0 in
   let hints = ref 0 in
   let applied = ref [] in
   let skipped = ref [] in
   let disabled = ref [] in
-  let initial_nodes = Meth.tree_count m in
+  let initial_nodes = !traits.Catalog.nodes in
   List.iter
     (fun idx ->
       let e = Catalog.all.(idx) in
       if not (enabled idx) then disabled := idx :: !disabled
       else begin
-        let traits = Catalog.traits_of !meth in
+        let traits = current_traits () in
         if not (e.Catalog.applicable traits) then begin
           cycles := !cycles + Catalog.check_cycles;
           skipped := idx :: !skipped
@@ -88,7 +101,7 @@ let optimize ?(enabled = fun _ -> true) ?(validate = false) ?audit
         end
       end)
     plan;
-  let final_nodes = Meth.tree_count !meth in
+  let final_nodes = (current_traits ()).Catalog.nodes in
   {
     meth = !meth;
     quality = max_quality quality_floor (quality_of_hints !hints);
@@ -98,4 +111,6 @@ let optimize ?(enabled = fun _ -> true) ?(validate = false) ?audit
     applied = List.rev !applied;
     skipped_inapplicable = List.rev !skipped;
     disabled = List.rev !disabled;
+    initial_nodes;
+    final_nodes;
   }

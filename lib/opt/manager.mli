@@ -13,6 +13,8 @@ type result = {
   applied : int list;  (** catalogue indices actually executed, in order *)
   skipped_inapplicable : int list;
   disabled : int list;  (** applications suppressed by the modifier *)
+  initial_nodes : int;  (** IL nodes of the input method *)
+  final_nodes : int;  (** IL nodes of [meth] *)
 }
 
 val total_cycles : result -> int
@@ -44,7 +46,12 @@ val optimize :
   plan:int list ->
   Meth.t ->
   result
-(** [enabled i] says whether catalogue transformation [i] is enabled (the
+(** A pass that changes nothing hands back its input itself ([==]), and
+    the method's {!Catalog.traits} are taken again only when a pass
+    returned a new method.  [audit] still sees every executed pass, with
+    [after == before] when it changed nothing.
+
+    [enabled i] says whether catalogue transformation [i] is enabled (the
     modifier bit of Section 5); defaults to all-enabled.  [validate]
     checks IR well-formedness after every pass and raises on violation —
     used by tests to pinpoint a faulty transformation.  [audit] observes

@@ -12,20 +12,23 @@ module Values = Tessera_vm.Values
 (* Trees computing only over locals and constants: re-evaluating them at a
    different point in the same block yields the same value, and they can
    never trap. *)
-let register_only root =
-  let ok (n : Node.t) =
-    match n.Node.op with
-    | Opcode.Load -> Array.length n.Node.args = 0
-    | Opcode.Loadconst | Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Neg
-    | Opcode.Shift _ | Opcode.Or | Opcode.And | Opcode.Xor | Opcode.Compare _
-    | Opcode.Branch_op ->
-        true
-    | Opcode.Cast k -> k <> Opcode.C_check
-    | Opcode.Div | Opcode.Rem -> Types.is_floating n.Node.ty
-    | _ -> false
-  in
-  let rec go n = ok n && Array.for_all go n.Node.args in
-  go root
+let register_only_op (n : Node.t) =
+  match n.Node.op with
+  | Opcode.Load -> Array.length n.Node.args = 0
+  | Opcode.Loadconst | Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Neg
+  | Opcode.Shift _ | Opcode.Or | Opcode.And | Opcode.Xor | Opcode.Compare _
+  | Opcode.Branch_op ->
+      true
+  | Opcode.Cast k -> k <> Opcode.C_check
+  | Opcode.Div | Opcode.Rem -> Types.is_floating n.Node.ty
+  | _ -> false
+
+let rec register_only (n : Node.t) =
+  register_only_op n && args_register_only n.Node.args 0
+
+and args_register_only args i =
+  i >= Array.length args
+  || (register_only (Array.unsafe_get args i) && args_register_only args (i + 1))
 
 let stmt_has_heap_effects (s : Node.t) =
   Node.exists
@@ -55,9 +58,13 @@ let rec replace_equal ~target ~replacement (n : Node.t) =
 (* ------------------------------------------------------------------ *)
 
 type cse_config = {
-  candidate : Node.t -> bool;  (** is this subtree reusable *)
+  candidate : Node.t -> bool;
+      (** is a subtree with this root reusable; its children must all be
+          register-only *)
   min_size : int;
-  kills : Node.t (* stmt *) -> Node.t (* candidate *) -> bool;
+  heap_kills : bool;
+      (** a statement that may write memory kills every entry, besides
+          the entries reading a local it stores *)
   max_picks : int;
   (* reject first-occurrence statements whose internal evaluation order
      makes early evaluation of the candidate unsound *)
@@ -66,16 +73,81 @@ type cse_config = {
 
 type occurrence = {
   tree : Node.t;
+  size : int;
+  hash : int;
+  loaded : int list;  (** locals the tree reads, for kills *)
   mutable occs : int list;  (** statement indices, descending *)
   mutable dead : bool;
 }
 
-let run_cse_on_block cfg (m : Meth.t) (b : Block.t) =
+(* One statement's subtrees in pre-order: slot [p] holds a node, and the
+   slots [p, p + size.(p)) its subtree.  Each subtree's size and
+   register-only bit are computed once, bottom-up; a structural hash is
+   computed on demand, once per subtree, for candidates only. *)
+type scan = {
+  nodes : Node.t array;
+  size : int array;
+  kids_ro : bool array;  (** every child register-only *)
+  ro : bool array;  (** the whole subtree register-only *)
+  hash : int array;
+  hashed : int array;  (** the [stamp] under which [hash] was computed *)
+  mutable stamp : int;  (** one per scanned statement *)
+}
+
+let scan_create capacity (some : Node.t) =
+  {
+    nodes = Array.make capacity some;
+    size = Array.make capacity 0;
+    kids_ro = Array.make capacity false;
+    ro = Array.make capacity false;
+    hash = Array.make capacity 0;
+    hashed = Array.make capacity (-1);
+    stamp = 0;
+  }
+
+let rec scan_tree sc (n : Node.t) p =
+  sc.nodes.(p) <- n;
+  let args = n.Node.args in
+  let next = ref (p + 1) in
+  let kids = ref true in
+  for i = 0 to Array.length args - 1 do
+    let c = !next in
+    next := scan_tree sc (Array.unsafe_get args i) c;
+    if not sc.ro.(c) then kids := false
+  done;
+  sc.size.(p) <- !next - p;
+  sc.kids_ro.(p) <- !kids;
+  sc.ro.(p) <- !kids && register_only_op n;
+  !next
+
+let rec hash_of sc p =
+  if sc.hashed.(p) = sc.stamp then sc.hash.(p)
+  else begin
+    let n = sc.nodes.(p) in
+    let h = ref (Node.local_hash n) in
+    let c = ref (p + 1) in
+    for _ = 1 to Array.length n.Node.args do
+      h := (!h * 31) + hash_of sc !c;
+      c := !c + sc.size.(!c)
+    done;
+    sc.hash.(p) <- !h;
+    sc.hashed.(p) <- sc.stamp;
+    !h
+  end
+
+let rec stores_any_of stored loaded =
+  match stored with
+  | [] -> false
+  | s :: rest -> List.mem s loaded || stores_any_of rest loaded
+
+let run_cse_on_block cfg sc entries (m : Meth.t) (b : Block.t) =
   let stmts = Array.of_list b.Block.stmts in
   let nstmts = Array.length stmts in
-  let entries : (int, occurrence list ref) Hashtbl.t = Hashtbl.create 32 in
-  let find tree =
-    let h = Node.structural_hash tree in
+  Hashtbl.reset entries;
+  (* every entry, for the kill scan *)
+  let all = ref [] in
+  let find p =
+    let tree = sc.nodes.(p) and h = hash_of sc p in
     let bucket =
       match Hashtbl.find_opt entries h with
       | Some b -> b
@@ -89,38 +161,57 @@ let run_cse_on_block cfg (m : Meth.t) (b : Block.t) =
     with
     | Some e -> e
     | None ->
-        let e = { tree; occs = []; dead = false } in
+        let e =
+          {
+            tree;
+            size = sc.size.(p);
+            hash = h;
+            loaded = Treeutil.loaded_syms_of_tree tree;
+            occs = [];
+            dead = false;
+          }
+        in
         bucket := e :: !bucket;
+        all := e :: !all;
         e
-  in
-  let all_entries () =
-    Hashtbl.fold (fun _ b acc -> !b @ acc) entries []
   in
   Array.iteri
     (fun i s ->
-      (* collect candidate occurrences of this statement *)
-      Node.fold
-        (fun () (n : Node.t) ->
-          if cfg.candidate n && Node.size n >= cfg.min_size then begin
-            let e = find n in
-            if not e.dead then e.occs <- i :: e.occs
-          end)
-        () s;
+      (* collect candidate occurrences of this statement, in pre-order *)
+      sc.stamp <- sc.stamp + 1;
+      let total = scan_tree sc s 0 in
+      for p = 0 to total - 1 do
+        if
+          sc.kids_ro.(p)
+          && sc.size.(p) >= cfg.min_size
+          && cfg.candidate sc.nodes.(p)
+        then begin
+          let e = find p in
+          if not e.dead then e.occs <- i :: e.occs
+        end
+      done;
       (* then apply kills induced by the statement *)
-      List.iter
-        (fun e -> if (not e.dead) && cfg.kills s e.tree then e.dead <- true)
-        (all_entries ()))
+      match !all with
+      | [] -> ()
+      | _ ->
+          let stored = Treeutil.stored_syms_of_tree s in
+          let writes = cfg.heap_kills && Treeutil.tree_writes_memory s in
+          if writes || stored <> [] then
+            List.iter
+              (fun e ->
+                if (not e.dead) && (writes || stores_any_of stored e.loaded)
+                then e.dead <- true)
+              !all)
     stmts;
   (* pick profitable, non-overlapping entries *)
   let viable =
-    all_entries ()
-    |> List.filter (fun e -> List.length (List.sort_uniq compare e.occs) >= 1
-                             && List.length e.occs >= 2)
+    Hashtbl.fold (fun _ b acc -> !b @ acc) entries []
+    |> List.filter (fun e -> match e.occs with _ :: _ :: _ -> true | _ -> false)
     |> List.filter (fun e ->
            let first = List.fold_left min max_int e.occs in
            not (cfg.hoist_barrier stmts.(first)))
     |> List.sort (fun a b ->
-           let ben e = (List.length e.occs - 1) * Node.size e.tree in
+           let ben e = (List.length e.occs - 1) * e.size in
            compare (ben b) (ben a))
   in
   let overlaps a b =
@@ -135,7 +226,7 @@ let run_cse_on_block cfg (m : Meth.t) (b : Block.t) =
         else e :: acc)
       [] viable
   in
-  if picked = [] then (m, b, false)
+  if picked = [] then None
   else begin
     (* materialize each picked tree into a fresh temporary *)
     let m = ref m in
@@ -147,7 +238,7 @@ let run_cse_on_block cfg (m : Meth.t) (b : Block.t) =
         let last = List.fold_left max 0 e.occs in
         let m', tmp =
           Treeutil.fresh_temp !m
-            (Printf.sprintf "cse%d" (Hashtbl.hash (Node.structural_hash e.tree)))
+            (Printf.sprintf "cse%d" (Hashtbl.hash e.hash))
             e.tree.Node.ty
         in
         m := m';
@@ -168,22 +259,34 @@ let run_cse_on_block cfg (m : Meth.t) (b : Block.t) =
         in
         out := s :: !out)
       stmts;
-    let b = Block.with_stmts b (List.rev !out) in
-    (!m, b, true)
+    Some (!m, Block.with_stmts b (List.rev !out))
   end
 
 let run_cse cfg (m : Meth.t) =
-  let m = ref m in
-  let blocks = Array.copy !m.Meth.blocks in
-  Array.iteri
-    (fun i b ->
-      let m', b', changed = run_cse_on_block cfg !m b in
-      if changed then begin
-        m := m';
-        blocks.(i) <- b'
-      end)
-    blocks;
-  Meth.with_blocks !m blocks
+  let first_stmt (b : Block.t) =
+    match b.Block.stmts with s :: _ -> Some s | [] -> None
+  in
+  match Array.find_map first_stmt m.Meth.blocks with
+  | None -> m
+  | Some s ->
+      (* scan slots for the method's largest statement *)
+      let largest acc (b : Block.t) =
+        List.fold_left (fun acc s -> max acc (Node.size s)) acc b.Block.stmts
+      in
+      let capacity = Array.fold_left largest 0 m.Meth.blocks in
+      let sc = scan_create capacity s in
+      let entries = Hashtbl.create 32 in
+      let m = ref m in
+      let blocks = Array.copy !m.Meth.blocks in
+      Array.iteri
+        (fun i b ->
+          match run_cse_on_block cfg sc entries !m b with
+          | Some (m', b') ->
+              m := m';
+              blocks.(i) <- b'
+          | None -> ())
+        blocks;
+      Meth.with_blocks !m blocks
 
 let alu_root (n : Node.t) =
   match n.Node.op with
@@ -196,13 +299,9 @@ let alu_root (n : Node.t) =
 
 let cse_config =
   {
-    candidate = (fun n -> alu_root n && register_only n);
+    candidate = alu_root;
     min_size = 3;
-    kills =
-      (fun stmt tree ->
-        let stored = Treeutil.stored_syms_of_tree stmt in
-        let loaded = Treeutil.loaded_syms_of_tree tree in
-        List.exists (fun s -> List.mem s loaded) stored);
+    heap_kills = false;
     max_picks = 4;
     hoist_barrier = (fun _ -> false);
   }
@@ -211,21 +310,58 @@ let local_cse m = run_cse cse_config m
 
 (* Commutative normalization: order pure integer operands canonically so
    [a+b] and [b+a] share structure, then reuse the CSE machinery. *)
+let commutable (n : Node.t) =
+  match n.Node.op with
+  | Opcode.Add | Opcode.Mul | Opcode.Or | Opcode.And | Opcode.Xor
+  | Opcode.Compare Opcode.Eq | Opcode.Compare Opcode.Ne ->
+      not (Types.is_floating n.Node.ty)
+  | _ -> false
+
+(* One bottom-up walk: each rewritten subtree leaves in [ro] whether it
+   is register-only and, when it is, its structural hash in [hash], so
+   no subtree is hashed twice.  Operands are swapped when the first
+   one's hash is the greater. *)
 let commute m =
-  Treeutil.map_method_nodes
-    (Node.map_bottom_up (fun (n : Node.t) ->
-         match n.Node.op with
-         | (Opcode.Add | Opcode.Mul | Opcode.Or | Opcode.And | Opcode.Xor
-           | Opcode.Compare Opcode.Eq | Opcode.Compare Opcode.Ne)
-           when (not (Types.is_floating n.Node.ty))
-                && Array.length n.Node.args = 2
-                && register_only n.Node.args.(0)
-                && register_only n.Node.args.(1)
-                && Node.structural_hash n.Node.args.(0)
-                   > Node.structural_hash n.Node.args.(1) ->
-             Node.with_args n [| n.Node.args.(1); n.Node.args.(0) |]
-         | _ -> n))
-    m
+  let ro = ref false and hash = ref 0 in
+  let rec go (n : Node.t) =
+    let args = n.Node.args in
+    let own_ro = register_only_op n in
+    if Array.length args = 2 then begin
+      let a0 = args.(0) and a1 = args.(1) in
+      let a0' = go a0 in
+      let r0 = !ro and h0 = !hash in
+      let a1' = go a1 in
+      let r1 = !ro and h1 = !hash in
+      let swap = r0 && r1 && commutable n && h0 > h1 in
+      ro := own_ro && r0 && r1;
+      if !ro then begin
+        let ha, hb = if swap then (h1, h0) else (h0, h1) in
+        hash := (((Node.local_hash n * 31) + ha) * 31) + hb
+      end;
+      if swap then Node.with_args n [| a1'; a0' |]
+      else if a0' == a0 && a1' == a1 then n
+      else Node.with_args n [| a0'; a1' |]
+    end
+    else begin
+      let out = ref args in
+      let all_ro = ref own_ro in
+      let h = ref (if own_ro then Node.local_hash n else 0) in
+      for i = 0 to Array.length args - 1 do
+        let k = args.(i) in
+        let k' = go k in
+        if !all_ro then
+          if !ro then h := (!h * 31) + !hash else all_ro := false;
+        if k' != k then begin
+          if !out == args then out := Array.copy args;
+          !out.(i) <- k'
+        end
+      done;
+      ro := !all_ro;
+      hash := !h;
+      Node.with_args n !out
+    end
+  in
+  Treeutil.map_method_nodes go m
 
 let local_vn m = local_cse (commute m)
 
@@ -233,17 +369,9 @@ let field_cse_config =
   {
     candidate =
       (fun (n : Node.t) ->
-        n.Node.op = Opcode.Load
-        && Array.length n.Node.args > 0
-        && Array.for_all register_only n.Node.args);
+        n.Node.op = Opcode.Load && Array.length n.Node.args > 0);
     min_size = 2;
-    kills =
-      (fun stmt tree ->
-        Treeutil.tree_writes_memory stmt
-        ||
-        let stored = Treeutil.stored_syms_of_tree stmt in
-        let loaded = Treeutil.loaded_syms_of_tree tree in
-        List.exists (fun s -> List.mem s loaded) stored);
+    heap_kills = true;
     max_picks = 4;
     hoist_barrier = stmt_has_heap_effects;
   }
@@ -255,58 +383,70 @@ let field_load_cse m = run_cse field_cse_config m
 (* ------------------------------------------------------------------ *)
 
 (* Forward in-block propagation: [map] holds, per destination symbol, the
-   node that may replace a load of it. *)
+   node that may replace a load of it, with the locals that node reads.
+   While it is empty no statement can change and none is walked. *)
 let propagate ~derive (m : Meth.t) =
-  let prop_block (b : Block.t) =
-    let map : (int, Node.t) Hashtbl.t = Hashtbl.create 8 in
-    let kill_sym s =
-      Hashtbl.remove map s;
-      (* mappings whose replacement reads s die too *)
-      let stale =
-        Hashtbl.fold
-          (fun dst repl acc ->
-            if List.mem s (Treeutil.loaded_syms_of_tree repl) then dst :: acc
-            else acc)
-          map []
-      in
-      List.iter (Hashtbl.remove map) stale
-    in
-    let apply tree =
-      Node.map_bottom_up
-        (fun (n : Node.t) ->
-          if n.Node.op = Opcode.Load && Array.length n.Node.args = 0 then
-            match Hashtbl.find_opt map n.Node.sym with
-            | Some repl when Types.equal repl.Node.ty n.Node.ty -> repl
-            | _ -> n
-          else n)
-        tree
-    in
-    let stmts =
-      List.map
-        (fun (s : Node.t) ->
-          let s =
-            match s.Node.op with
-            | Opcode.Store when Array.length s.Node.args = 1 ->
-                Node.with_args s [| apply s.Node.args.(0) |]
-            | Opcode.Inc -> s
-            | _ -> apply s
-          in
-          (match s.Node.op with
-          | Opcode.Store when Array.length s.Node.args = 1 ->
-              kill_sym s.Node.sym;
-              let dst_ty = m.Meth.symbols.(s.Node.sym).Tessera_il.Symbol.ty in
-              Option.iter
-                (fun repl -> Hashtbl.replace map s.Node.sym repl)
-                (derive ~dst_ty s.Node.sym s.Node.args.(0))
-          | Opcode.Inc -> kill_sym s.Node.sym
-          | _ -> ());
-          s)
-        b.Block.stmts
-    in
-    let term = Block.map_terminator_nodes apply b.Block.term in
-    { b with Block.stmts; term }
+  let map = ref [] in
+  let kill_sym s =
+    match !map with
+    | [] -> ()
+    | entries ->
+        (* mappings whose replacement reads s die too *)
+        let dies (dst, _, reads) = dst = s || List.mem s reads in
+        if List.exists dies entries then
+          map := List.filter (fun e -> not (dies e)) entries
   in
-  Meth.with_blocks m (Array.map prop_block m.Meth.blocks)
+  let rec replace (n : Node.t) = function
+    | [] -> n
+    | (dst, (repl : Node.t), _) :: rest ->
+        if dst <> n.Node.sym then replace n rest
+        else if not (Types.equal repl.Node.ty n.Node.ty) then n
+        else if
+          (* after a self-copy [s = s], [s] maps to a load of itself:
+             keep the node rather than an equal copy *)
+          repl.Node.op = Opcode.Load
+          && Array.length repl.Node.args = 0
+          && repl.Node.sym = n.Node.sym
+          && repl.Node.flags = n.Node.flags
+          && Int64.equal repl.Node.const n.Node.const
+        then n
+        else repl
+  in
+  let rewrite =
+    Node.map_bottom_up (fun (n : Node.t) ->
+        if n.Node.op = Opcode.Load && Array.length n.Node.args = 0 then
+          replace n !map
+        else n)
+  in
+  let apply tree = match !map with [] -> tree | _ -> rewrite tree in
+  let stmt (s : Node.t) =
+    let s =
+      match s.Node.op with
+      | Opcode.Store when Array.length s.Node.args = 1 ->
+          let v = s.Node.args.(0) in
+          let v' = apply v in
+          if v' == v then s else Node.with_args s [| v' |]
+      | Opcode.Inc -> s
+      | _ -> apply s
+    in
+    (match s.Node.op with
+    | Opcode.Store when Array.length s.Node.args = 1 -> (
+        kill_sym s.Node.sym;
+        let dst_ty = m.Meth.symbols.(s.Node.sym).Tessera_il.Symbol.ty in
+        match derive ~dst_ty s.Node.sym s.Node.args.(0) with
+        | Some repl ->
+            map := (s.Node.sym, repl, Treeutil.loaded_syms_of_tree repl) :: !map
+        | None -> ())
+    | Opcode.Inc -> kill_sym s.Node.sym
+    | _ -> ());
+    s
+  in
+  Meth.map_blocks
+    (fun (b : Block.t) ->
+      map := [];
+      let b = Block.map_stmts stmt b in
+      Block.with_term b (Block.map_terminator_nodes apply b.Block.term))
+    m
 
 let copy_prop m =
   propagate m ~derive:(fun ~dst_ty _dst (rhs : Node.t) ->
@@ -336,44 +476,52 @@ let local_const_prop m =
 (* In-block overwrites: a store to [t] is dead when [t] is stored again
    later in the same block with no intervening read.  Backward scan;
    blocks with a handler are skipped (the handler could observe [t] after
-   a trap between the two stores). *)
-let eliminate_overwritten (b : Block.t) =
-  if b.Block.handler <> None then b
-  else begin
-    let overwritten = Hashtbl.create 8 in
-    let read_syms root =
-      List.iter (fun s -> Hashtbl.remove overwritten s)
-        (Treeutil.loaded_syms_of_tree root)
-    in
-    List.iter read_syms (Block.terminator_nodes b.Block.term);
-    let kept =
-      List.fold_left
-        (fun acc (s : Node.t) ->
-          match s.Node.op with
-          | Opcode.Store when Array.length s.Node.args = 1 ->
-              let rhs = s.Node.args.(0) in
-              let dead = Hashtbl.mem overwritten s.Node.sym in
-              if dead then begin
-                read_syms rhs;
-                if Node.subtree_pure rhs then acc else rhs :: acc
-              end
-              else begin
-                Hashtbl.replace overwritten s.Node.sym ();
-                read_syms rhs;
+   a trap between the two stores).  [t] is in the overwritten set while
+   [marks.(t) = stamp], one fresh stamp per block. *)
+let rec unmark_reads marks (n : Node.t) =
+  (match n.Node.op with
+  | Opcode.Load when Array.length n.Node.args = 0 -> marks.(n.Node.sym) <- 0
+  | Opcode.Inc -> marks.(n.Node.sym) <- 0
+  | _ -> ());
+  let args = n.Node.args in
+  for i = 0 to Array.length args - 1 do
+    unmark_reads marks (Array.unsafe_get args i)
+  done
+
+let eliminate_overwritten marks stamp (b : Block.t) =
+  match b.Block.handler with
+  | Some _ -> b
+  | None ->
+      (match b.Block.term with
+      | Block.Goto _ | Block.Return None -> ()
+      | Block.If { cond = n; _ } | Block.Return (Some n) | Block.Throw n ->
+          unmark_reads marks n);
+      let kept =
+        List.fold_left
+          (fun acc (s : Node.t) ->
+            match s.Node.op with
+            | Opcode.Store when Array.length s.Node.args = 1 ->
+                let rhs = s.Node.args.(0) in
+                if marks.(s.Node.sym) = stamp then begin
+                  unmark_reads marks rhs;
+                  if Node.subtree_pure rhs then acc else rhs :: acc
+                end
+                else begin
+                  marks.(s.Node.sym) <- stamp;
+                  unmark_reads marks rhs;
+                  s :: acc
+                end
+            | Opcode.Inc ->
+                (* reads and writes its symbol *)
+                marks.(s.Node.sym) <- 0;
                 s :: acc
-              end
-          | Opcode.Inc ->
-              (* reads and writes its symbol *)
-              Hashtbl.remove overwritten s.Node.sym;
-              s :: acc
-          | _ ->
-              read_syms s;
-              s :: acc)
-        []
-        (List.rev b.Block.stmts)
-    in
-    Block.with_stmts b kept
-  end
+            | _ ->
+                unmark_reads marks s;
+                s :: acc)
+          []
+          (List.rev b.Block.stmts)
+      in
+      Block.with_stmts b kept
 
 let dead_store_elim (m : Meth.t) =
   let info = Treeutil.sym_info m in
@@ -381,21 +529,21 @@ let dead_store_elim (m : Meth.t) =
     info.Treeutil.loads.(s) = 0
     && m.Meth.symbols.(s).Tessera_il.Symbol.kind = Tessera_il.Symbol.Temp
   in
-  Meth.with_blocks m
-    (Array.map
-       (fun b ->
-         eliminate_overwritten
-           (Treeutil.filter_map_stmts
-              (fun (s : Node.t) ->
-                match s.Node.op with
-                | Opcode.Store
-                  when Array.length s.Node.args = 1 && dead s.Node.sym ->
-                    let rhs = s.Node.args.(0) in
-                    if Node.subtree_pure rhs then None else Some rhs
-                | Opcode.Inc when dead s.Node.sym -> None
-                | _ -> Some s)
-              b))
-       m.Meth.blocks)
+  let marks = Array.make (Array.length m.Meth.symbols) 0 in
+  Meth.map_blocks
+    (fun (b : Block.t) ->
+      eliminate_overwritten marks (b.Block.id + 1)
+        (Treeutil.filter_map_stmts
+           (fun (s : Node.t) ->
+             match s.Node.op with
+             | Opcode.Store when Array.length s.Node.args = 1 && dead s.Node.sym
+               ->
+                 let rhs = s.Node.args.(0) in
+                 if Node.subtree_pure rhs then None else Some rhs
+             | Opcode.Inc when dead s.Node.sym -> None
+             | _ -> Some s)
+           b))
+    m
 
 let dead_tree_elim (m : Meth.t) =
   Meth.with_blocks m
@@ -671,31 +819,35 @@ let throw_to_goto (m : Meth.t) =
 (* Check elimination                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Proven-fact tracking within a block over register-only trees. *)
+(* Proven-fact tracking within a block over register-only trees; each
+   fact keeps its hash and the locals it reads, for kills. *)
 module Facts = struct
-  type t = (int * Node.t) list ref  (* hash, tree *)
+  type fact = { hash : int; tree : Node.t; loaded : int list }
+  type t = fact list ref
 
   let create () : t = ref []
 
-  let mem (t : t) tree =
-    let h = Node.structural_hash tree in
-    List.exists (fun (h', n) -> h = h' && Node.structural_equal n tree) !t
+  let rec mem_in h tree = function
+    | [] -> false
+    | f :: rest ->
+        (f.hash = h && Node.structural_equal f.tree tree) || mem_in h tree rest
+
+  let mem (t : t) tree = mem_in (Node.structural_hash tree) tree !t
 
   let add (t : t) tree =
-    if register_only tree && not (mem t tree) then
-      t := (Node.structural_hash tree, tree) :: !t
+    if register_only tree then begin
+      let h = Node.structural_hash tree in
+      if not (mem_in h tree !t) then
+        t := { hash = h; tree; loaded = Treeutil.loaded_syms_of_tree tree } :: !t
+    end
 
   let kill_stores (t : t) stmt =
-    let stored = Treeutil.stored_syms_of_tree stmt in
-    if stored <> [] then
-      t :=
-        List.filter
-          (fun (_, tree) ->
-            not
-              (List.exists
-                 (fun s -> List.mem s (Treeutil.loaded_syms_of_tree tree))
-                 stored))
-          !t
+    match !t with
+    | [] -> ()
+    | facts ->
+        let stored = Treeutil.stored_syms_of_tree stmt in
+        if stored <> [] then
+          t := List.filter (fun f -> not (stores_any_of stored f.loaded)) facts
 end
 
 (* A bounds fact is the pair (array tree, index tree), encoded as a
@@ -703,66 +855,60 @@ end
 let pair_key a i = Node.mk Opcode.Mixedop Types.Void [| a; i |]
 
 let bounds_check_elim (m : Meth.t) =
-  Meth.with_blocks m
-    (Array.map
-       (fun (b : Block.t) ->
-         let proven = Facts.create () in
-         let stmts =
-           List.filter_map
-             (fun (s : Node.t) ->
-               let keep =
-                 match s.Node.op with
-                 | Opcode.Arrayop Opcode.Bounds_check
-                   when register_only s.Node.args.(0)
-                        && register_only s.Node.args.(1) ->
-                     let key = pair_key s.Node.args.(0) s.Node.args.(1) in
-                     if Facts.mem proven key then None
-                     else begin
-                       Facts.add proven key;
-                       Some s
-                     end
-                 | _ -> Some s
-               in
-               Facts.kill_stores proven s;
-               keep)
-             b.Block.stmts
-         in
-         Block.with_stmts b stmts)
-       m.Meth.blocks)
+  Meth.map_blocks
+    (fun (b : Block.t) ->
+      let proven = Facts.create () in
+      Treeutil.filter_map_stmts
+        (fun (s : Node.t) ->
+          let keep =
+            match s.Node.op with
+            | Opcode.Arrayop Opcode.Bounds_check
+              when register_only s.Node.args.(0)
+                   && register_only s.Node.args.(1) ->
+                let key = pair_key s.Node.args.(0) s.Node.args.(1) in
+                if Facts.mem proven key then None
+                else begin
+                  Facts.add proven key;
+                  Some s
+                end
+            | _ -> Some s
+          in
+          Facts.kill_stores proven s;
+          keep)
+        b)
+    m
 
 let flag_covered_accesses ~get_key ~flag (m : Meth.t) =
-  Meth.with_blocks m
-    (Array.map
-       (fun (b : Block.t) ->
-         let proven = Facts.create () in
-         let process tree =
-           (* flag nodes proven by earlier statements, then record the
-              facts this statement establishes *)
-           let tree' =
-             Node.map_bottom_up
-               (fun (n : Node.t) ->
-                 match get_key n with
-                 | Some key when Facts.mem proven key -> Node.with_flags n flag
-                 | _ -> n)
-               tree
-           in
-           Node.fold
-             (fun () (n : Node.t) ->
-               match get_key n with Some key -> Facts.add proven key | None -> ())
-             () tree';
-           tree'
-         in
-         let stmts =
-           List.map
-             (fun s ->
-               let s' = process s in
-               Facts.kill_stores proven s';
-               s')
-             b.Block.stmts
-         in
-         let term = Block.map_terminator_nodes process b.Block.term in
-         { b with Block.stmts; term })
-       m.Meth.blocks)
+  Meth.map_blocks
+    (fun (b : Block.t) ->
+      let proven = Facts.create () in
+      let process tree =
+        (* flag nodes proven by earlier statements, then record the
+           facts this statement establishes *)
+        let tree' =
+          Node.map_bottom_up
+            (fun (n : Node.t) ->
+              match get_key n with
+              | Some key when Facts.mem proven key -> Node.with_flags n flag
+              | _ -> n)
+            tree
+        in
+        Node.fold
+          (fun () (n : Node.t) ->
+            match get_key n with Some key -> Facts.add proven key | None -> ())
+          () tree';
+        tree'
+      in
+      let b =
+        Block.map_stmts
+          (fun s ->
+            let s' = process s in
+            Facts.kill_stores proven s';
+            s')
+          b
+      in
+      Block.with_term b (Block.map_terminator_nodes process b.Block.term))
+    m
 
 let loop_bounds_flags m =
   flag_covered_accesses m ~flag:Node.flag_no_bounds_check

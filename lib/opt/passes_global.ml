@@ -65,7 +65,7 @@ let forward_defs defs (m : Meth.t) =
             let term =
               Block.map_terminator_nodes (rewrite ~after_idx:max_int) b.Block.term
             in
-            { b with Block.stmts; term }
+            Block.with_term (Block.with_stmts b stmts) term
           end
           else Treeutil.map_block_nodes (rewrite ~after_idx:max_int) b)
         m.Meth.blocks

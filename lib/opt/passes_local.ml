@@ -77,98 +77,104 @@ let longdouble_narrow m =
 
 let same_ty (n : Node.t) (k : Node.t) = Types.equal n.Node.ty k.Node.ty
 
+(* the first and second operands; read only where the opcode has them *)
+let arg0 (n : Node.t) = n.Node.args.(0)
+let arg1 (n : Node.t) = n.Node.args.(1)
+
 let simplify m =
   rewrite
     (fun (n : Node.t) ->
-      let a () = n.Node.args.(0) and b () = n.Node.args.(1) in
       match n.Node.op with
       | Opcode.Add when Types.is_integral n.Node.ty -> (
-          match (int_const (a ()), int_const (b ())) with
-          | _, Some 0L when same_ty n (a ()) -> a ()
-          | Some 0L, _ when same_ty n (b ()) -> b ()
+          match (int_const (arg0 n), int_const (arg1 n)) with
+          | _, Some 0L when same_ty n (arg0 n) -> arg0 n
+          | Some 0L, _ when same_ty n (arg1 n) -> arg1 n
           | _ -> n)
       | Opcode.Sub when Types.is_integral n.Node.ty -> (
-          match int_const (b ()) with
-          | Some 0L when same_ty n (a ()) -> a ()
+          match int_const (arg1 n) with
+          | Some 0L when same_ty n (arg0 n) -> arg0 n
           | _ -> n)
       | Opcode.Mul -> (
-          match (int_const (a ()), int_const (b ())) with
-          | _, Some 1L when same_ty n (a ()) -> a ()
-          | Some 1L, _ when same_ty n (b ()) -> b ()
+          match (int_const (arg0 n), int_const (arg1 n)) with
+          | _, Some 1L when same_ty n (arg0 n) -> arg0 n
+          | Some 1L, _ when same_ty n (arg1 n) -> arg1 n
           | _, Some 0L
-            when Types.is_integral n.Node.ty && Node.subtree_pure (a ()) ->
+            when Types.is_integral n.Node.ty && Node.subtree_pure (arg0 n) ->
               Node.iconst n.Node.ty 0L
           | Some 0L, _
-            when Types.is_integral n.Node.ty && Node.subtree_pure (b ()) ->
+            when Types.is_integral n.Node.ty && Node.subtree_pure (arg1 n) ->
               Node.iconst n.Node.ty 0L
           | _ ->
               if
                 Types.is_floating n.Node.ty
-                && is_const (b ())
-                && Node.const_float (b ()) = 1.0
-              then a ()
+                && is_const (arg1 n)
+                && Node.const_float (arg1 n) = 1.0
+              then arg0 n
               else n)
       | Opcode.Div -> (
-          match int_const (b ()) with
-          | Some 1L when Types.is_integral n.Node.ty && same_ty n (a ()) ->
-              a ()
+          match int_const (arg1 n) with
+          | Some 1L when Types.is_integral n.Node.ty && same_ty n (arg0 n) ->
+              arg0 n
           | _ ->
               if
                 Types.is_floating n.Node.ty
-                && is_const (b ())
-                && Node.const_float (b ()) = 1.0
-              then a ()
+                && is_const (arg1 n)
+                && Node.const_float (arg1 n) = 1.0
+              then arg0 n
               else n)
       | Opcode.Shift _ when Types.is_integral n.Node.ty -> (
-          match int_const (b ()) with
-          | Some 0L when same_ty n (a ()) -> a ()
+          match int_const (arg1 n) with
+          | Some 0L when same_ty n (arg0 n) -> arg0 n
           | _ -> n)
       | Opcode.Or | Opcode.Xor -> (
-          match (int_const (a ()), int_const (b ())) with
-          | _, Some 0L when same_ty n (a ()) -> a ()
-          | Some 0L, _ when same_ty n (b ()) -> b ()
+          match (int_const (arg0 n), int_const (arg1 n)) with
+          | _, Some 0L when same_ty n (arg0 n) -> arg0 n
+          | Some 0L, _ when same_ty n (arg1 n) -> arg1 n
           | _ -> n)
       | Opcode.And -> (
-          match (int_const (a ()), int_const (b ())) with
-          | _, Some 0L when Node.subtree_pure (a ()) -> Node.iconst n.Node.ty 0L
-          | Some 0L, _ when Node.subtree_pure (b ()) -> Node.iconst n.Node.ty 0L
+          match (int_const (arg0 n), int_const (arg1 n)) with
+          | _, Some 0L when Node.subtree_pure (arg0 n) ->
+              Node.iconst n.Node.ty 0L
+          | Some 0L, _ when Node.subtree_pure (arg1 n) ->
+              Node.iconst n.Node.ty 0L
           | _ -> n)
       | Opcode.Neg -> (
-          match (a ()).Node.op with
-          | Opcode.Neg when same_ty n (a ()).Node.args.(0) && same_ty n (a ())
-            ->
-              (a ()).Node.args.(0)
+          match (arg0 n).Node.op with
+          | Opcode.Neg
+            when same_ty n (arg0 n).Node.args.(0) && same_ty n (arg0 n) ->
+              (arg0 n).Node.args.(0)
           | _ -> n)
       | Opcode.Cast k when k <> Opcode.C_check -> (
           match Opcode.cast_target k with
           | Some target
-            when Types.equal target (a ()).Node.ty
+            when Types.equal target (arg0 n).Node.ty
                  && Types.is_reference target ->
-              a ()
+              arg0 n
           | _ -> n)
       | _ -> n)
     m
 
+(* a binary node whose operands are one pure expression twice *)
+let self_pair (n : Node.t) =
+  Array.length n.Node.args = 2
+  && Node.structural_equal n.Node.args.(0) n.Node.args.(1)
+  && Node.subtree_pure n.Node.args.(0)
+
 let bitop_simplify m =
   let rec simplify (n : Node.t) =
-    let self_pair () =
-      Array.length n.Node.args = 2
-      && Node.structural_equal n.Node.args.(0) n.Node.args.(1)
-      && Node.subtree_pure n.Node.args.(0)
-    in
     match n.Node.op with
     | (Opcode.And | Opcode.Or)
       when Types.is_integral n.Node.ty
-           && self_pair ()
+           && self_pair n
            && same_ty n n.Node.args.(0) ->
         n.Node.args.(0)
-    | Opcode.Xor when Types.is_integral n.Node.ty && self_pair () ->
+    | Opcode.Xor when Types.is_integral n.Node.ty && self_pair n ->
         Node.iconst n.Node.ty 0L
-    | Opcode.Sub when Types.is_integral n.Node.ty && self_pair () ->
+    | Opcode.Sub when Types.is_integral n.Node.ty && self_pair n ->
         (* x - x = 0; exact in modular arithmetic *)
         Node.iconst n.Node.ty 0L
     | Opcode.Compare rel
-      when Types.is_integral n.Node.args.(0).Node.ty && self_pair () ->
+      when Types.is_integral n.Node.args.(0).Node.ty && self_pair n ->
         (* comparisons of a value with itself fold (integers only: NaN
            breaks reflexivity for floating point) *)
         let r =

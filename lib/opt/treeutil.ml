@@ -5,33 +5,53 @@ module Block = Tessera_il.Block
 module Meth = Tessera_il.Meth
 module Symbol = Tessera_il.Symbol
 
-let map_block_nodes f (b : Block.t) =
-  let stmts = List.map f b.Block.stmts in
-  let term = Block.map_terminator_nodes f b.Block.term in
-  { b with Block.stmts; term }
+let map_block_nodes = Block.map_nodes
 
-let map_method_nodes f (m : Meth.t) =
-  Meth.with_blocks m (Array.map (map_block_nodes f) m.blocks)
+let map_method_nodes = Meth.map_trees
+
+(* [List.filter_map] that returns [l] itself when [f] keeps every
+   element unchanged; elements are visited first to last *)
+let rec filter_map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest -> (
+      let y = f x in
+      let rest' = filter_map_shared f rest in
+      match y with
+      | Some y -> if y == x && rest' == rest then l else y :: rest'
+      | None -> rest')
 
 let filter_map_stmts f (b : Block.t) =
-  Block.with_stmts b (List.filter_map f b.Block.stmts)
+  Block.with_stmts b (filter_map_shared f b.Block.stmts)
 
-let retarget f (m : Meth.t) =
-  let blocks =
-    Array.map
-      (fun (b : Block.t) ->
-        let term =
-          match b.Block.term with
-          | Block.Goto t -> Block.Goto (f t)
-          | Block.If { cond; if_true; if_false } ->
-              Block.If { cond; if_true = f if_true; if_false = f if_false }
-          | (Block.Return _ | Block.Throw _) as t -> t
-        in
-        let handler = Option.map f b.Block.handler in
-        { b with Block.term; handler })
-      m.blocks
+(* [f] sees, block by block, an [If]'s false target, then its true
+   target, then the handler.  [Passes_block.jump_threading] memoizes
+   inside [f], so this order decides which block represents a cycle of
+   empty gotos. *)
+let retarget_block f (b : Block.t) =
+  let term =
+    match b.Block.term with
+    | Block.Goto t ->
+        let t' = f t in
+        if t' = t then b.Block.term else Block.Goto t'
+    | Block.If ({ if_true; if_false; _ } as r) ->
+        let if_false' = f if_false in
+        let if_true' = f if_true in
+        if if_true' = if_true && if_false' = if_false then b.Block.term
+        else Block.If { r with if_true = if_true'; if_false = if_false' }
+    | (Block.Return _ | Block.Throw _) as t -> t
   in
-  Meth.with_blocks m blocks
+  let handler =
+    match b.Block.handler with
+    | None -> None
+    | Some h as old ->
+        let h' = f h in
+        if h' = h then old else Some h'
+  in
+  if term == b.Block.term && handler == b.Block.handler then b
+  else { b with Block.term; handler }
+
+let retarget f (m : Meth.t) = Meth.map_blocks (retarget_block f) m
 
 let compact (m : Meth.t) =
   let cfg = Cfg.build m in
@@ -66,12 +86,15 @@ let reorder (m : Meth.t) order =
   Array.iteri (fun newi oldi -> new_id_of_old.(oldi) <- newi) order;
   if Array.exists (fun x -> x < 0) new_id_of_old then
     invalid_arg "Treeutil.reorder: not a permutation";
-  let blocks =
-    Array.mapi
-      (fun newi oldi -> { (m.Meth.blocks.(oldi)) with Block.id = newi })
-      order
-  in
-  retarget (fun t -> new_id_of_old.(t)) (Meth.with_blocks m blocks)
+  let rec identity i = i = n || (order.(i) = i && identity (i + 1)) in
+  if identity 0 then m
+  else
+    let blocks =
+      Array.mapi
+        (fun newi oldi -> { (m.Meth.blocks.(oldi)) with Block.id = newi })
+        order
+    in
+    retarget (fun t -> new_id_of_old.(t)) (Meth.with_blocks m blocks)
 
 type sym_info = {
   loads : int array;

@@ -4,17 +4,23 @@ module Node = Tessera_il.Node
 module Block = Tessera_il.Block
 module Meth = Tessera_il.Meth
 
+(** Every rewrite here returns its input itself ([==]) when it changes
+    nothing, so a pass built from them hands back an unchanged method. *)
+
 val map_block_nodes : (Node.t -> Node.t) -> Block.t -> Block.t
-(** Rewrite every statement root and every terminator tree of a block. *)
+(** Rewrite every statement root and every terminator tree of a block
+    ({!Tessera_il.Block.map_nodes}). *)
 
 val map_method_nodes : (Node.t -> Node.t) -> Meth.t -> Meth.t
+(** {!Tessera_il.Meth.map_trees}. *)
 
 val filter_map_stmts : (Node.t -> Node.t option) -> Block.t -> Block.t
 (** Rewrite statements, dropping those mapped to [None].  Terminators are
     untouched. *)
 
 val retarget : (int -> int) -> Meth.t -> Meth.t
-(** Remap every branch target and handler id. *)
+(** Remap every branch target and handler id; [f] sees, block by block,
+    an [If]'s false target, its true target, then the handler. *)
 
 val compact : Meth.t -> Meth.t
 (** Drop unreachable blocks (normal + exception reachability) and
@@ -25,7 +31,7 @@ val reorder : Meth.t -> int array -> Meth.t
 (** [reorder m order] permutes blocks into the sequence [order] (a
     permutation of block ids with [order.(0) = 0]) and renumbers.  Note:
     renumbering can turn forward edges into back edges; callers must keep
-    loop headers before their bodies. *)
+    loop headers before their bodies.  The identity order returns [m]. *)
 
 (** {1 Symbol dataflow summaries} *)
 

@@ -214,7 +214,9 @@ let test_fingerprint () =
      move the fingerprint *)
   let rebuilt =
     Meth.map_trees
-      (Node.map_bottom_up (fun n -> Node.with_args n n.Node.args))
+      (Node.map_bottom_up (fun (n : Node.t) ->
+           Node.mk ~sym:n.Node.sym ~const:n.Node.const ~flags:n.Node.flags
+             n.Node.op n.Node.ty n.Node.args))
       m
   in
   Alcotest.(check bool)

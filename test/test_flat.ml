@@ -165,11 +165,18 @@ let test_fingerprint_memo () =
           && Int64.equal fp (Meth.fingerprint_uncached m)
           &&
           (* mutation points reset the memo: a rebuilt method computes a
-             fresh (equal, since the trees are equal) fingerprint *)
-          let m' = Meth.map_trees (fun n -> n) m in
+             fresh (equal, since the trees are equal) fingerprint; an
+             unchanged rewrite hands back the method, memo and all *)
+          let m' =
+            Meth.map_blocks
+              (fun (b : Tessera_il.Block.t) -> { b with id = b.id })
+              m
+          in
           ignore (Meth.fingerprint m);
-          Int64.equal (Meth.fingerprint m') (Meth.fingerprint_uncached m')
+          m' != m
+          && Int64.equal (Meth.fingerprint m') (Meth.fingerprint_uncached m')
           && Int64.equal (Meth.fingerprint m') fp
+          && Meth.map_trees (fun n -> n) m == m
           &&
           let m'' = Meth.with_blocks m m.Meth.blocks in
           Int64.equal (Meth.fingerprint m'') (Meth.fingerprint_uncached m''))

@@ -223,3 +223,72 @@ let suite =
     Alcotest.test_case "all suite programs validate" `Slow
       test_generated_programs_valid;
   ]
+
+(* ---- allocation-free walks keep their answers ---------------------
+
+   [Node.structural_hash] used to hash a freshly built tuple with
+   [Hashtbl.hash]; it now mixes the same words itself.  The old
+   definition stays here as the reference: every opcode and type, edge
+   constants and symbols, and every node of every suite program. *)
+
+let rec reference_hash (n : Node.t) =
+  let h =
+    Hashtbl.hash
+      (Opcode.name n.Node.op, Types.index n.Node.ty, n.Node.sym, n.Node.const)
+  in
+  Array.fold_left (fun acc k -> (acc * 31) + reference_hash k) h n.Node.args
+
+let all_opcodes =
+  let open Opcode in
+  [ Add; Sub; Mul; Div; Rem; Neg; Or; And; Xor; Inc; Load; Loadconst; Store;
+    New; Newarray; Newmultiarray; Instanceof; Throw_op; Branch_op; Call;
+    Mixedop ]
+  @ List.map (fun d -> Shift d) [ Shl; Shr; Ushr ]
+  @ List.map (fun c -> Compare c) [ Eq; Ne; Lt; Le; Gt; Ge ]
+  @ List.map (fun k -> Cast k)
+      [ C_byte; C_char; C_short; C_int; C_long; C_float; C_double;
+        C_longdouble; C_address; C_object; C_packed; C_zoned; C_check ]
+  @ List.map (fun s -> Synchronization s) [ Monitor_enter; Monitor_exit ]
+  @ List.map (fun k -> Arrayop k)
+      [ Bounds_check; Array_copy; Array_cmp; Array_length ]
+
+let test_structural_hash_oracle () =
+  let check (n : Node.t) =
+    if Node.structural_hash n <> reference_hash n then
+      Alcotest.failf "structural_hash of %a: %d, Hashtbl.hash gives %d" Node.pp
+        n (Node.structural_hash n) (reference_hash n)
+  in
+  let consts =
+    [ 0L; 1L; -1L; 255L; 65536L; 0x7fff_ffffL; 0x8000_0000L; -0x8000_0000L;
+      0x1_0000_0001L; Int64.max_int; Int64.min_int; Int64.bits_of_float 2.5 ]
+  in
+  let syms =
+    [ -1; 0; 1; 77; 0x3fff_ffff; 0x4000_0000; -0x4000_0001; max_int; min_int ]
+  in
+  List.iter
+    (fun op ->
+      Array.iter
+        (fun ty ->
+          List.iter (fun const -> check (Node.mk ~const op ty [||])) consts;
+          List.iter (fun sym -> check (Node.mk ~sym op ty [||])) syms)
+        Types.all)
+    all_opcodes;
+  let leaf = Node.iconst Types.Int 3L in
+  check
+    (Node.mk Opcode.Call Types.Long [| leaf; Node.load_sym Types.Int 2; leaf |]);
+  List.iter
+    (fun (b : Tessera_workloads.Suites.bench) ->
+      let p =
+        Tessera_workloads.Generate.program b.Tessera_workloads.Suites.profile
+      in
+      Array.iter
+        (fun m -> Meth.fold_nodes (fun () n -> check n) () m)
+        p.Program.methods)
+    Tessera_workloads.Suites.all
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "structural hash = Hashtbl.hash reference" `Quick
+        test_structural_hash_oracle;
+    ]

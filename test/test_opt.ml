@@ -488,3 +488,257 @@ let test_catalog_differential_with_lint () =
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest (test_catalog_differential_with_lint ()) ]
+
+(* ---- optimizer known answers -------------------------------------
+
+   One md5 over [Manager.optimize] then [Lower.compile] of every method
+   of the 20 suite programs (method counts scaled down), at every level,
+   under the null modifier and two seeded random ones: the optimized
+   method's fingerprint, the compiled bytes, the opt/front/back cycles,
+   the quality tier and the applied/skipped/disabled lists.  Recorded
+   before the optimizer learned to hand back unchanged methods, so
+   sharing may move no answer. *)
+
+module Program = Tessera_il.Program
+module Suites = Tessera_workloads.Suites
+module Profile = Tessera_workloads.Profile
+module Modifier = Tessera_modifiers.Modifier
+
+let known_answer_programs () =
+  List.map
+    (fun (b : Suites.bench) ->
+      let p = b.Suites.profile in
+      Tessera_workloads.Generate.program
+        { p with Profile.methods = max 2 (p.Profile.methods / 3) })
+    Suites.all
+
+let known_answer_modifiers () =
+  let rng = Tessera_util.Prng.create 20L in
+  [
+    Modifier.null;
+    Modifier.random rng ~density:0.25;
+    Modifier.random rng ~density:0.5;
+  ]
+
+let quality_floor_of level =
+  match level with
+  | Plan.Cold | Plan.Warm -> Tessera_vm.Cost.Q_base
+  | Plan.Hot | Plan.Very_hot | Plan.Scorching -> Tessera_vm.Cost.Q_regalloc
+
+let optimizer_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let modifiers = known_answer_modifiers () in
+  List.iter
+    (fun (program : Program.t) ->
+      Array.iteri
+        (fun id m ->
+          Array.iter
+            (fun level ->
+              List.iteri
+                (fun mi modifier ->
+                  let r =
+                    Manager.optimize
+                      ~enabled:(Modifier.enabled_fun modifier)
+                      ~quality_floor:(quality_floor_of level) ~program
+                      ~plan:(Plan.plan level) m
+                  in
+                  let code =
+                    Tessera_codegen.Lower.compile ~quality:r.Manager.quality
+                      r.Manager.meth
+                  in
+                  Printf.bprintf buf
+                    "%s %d %s %d %Lx %d %d %d %d [%s] [%s] [%s] %s\n"
+                    program.Program.name id (Plan.level_name level) mi
+                    (Meth.fingerprint r.Manager.meth)
+                    r.Manager.opt_cycles r.Manager.front_cycles
+                    r.Manager.back_cycles
+                    (Tessera_vm.Cost.quality_rank r.Manager.quality)
+                    (ints r.Manager.applied)
+                    (ints r.Manager.skipped_inapplicable)
+                    (ints r.Manager.disabled)
+                    (Digest.to_hex
+                       (Digest.string
+                          (Tessera_codegen.Isa_codec.to_string code))))
+                modifiers)
+            Plan.levels)
+        program.Program.methods)
+    (known_answer_programs ());
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_optimizer_known_answers () =
+  Alcotest.(check string) "md5 over every optimized and lowered suite method"
+    "16e44d146cb52e45cfc4bd6feac6700c" (optimizer_digest ())
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "optimizer known answers" `Quick
+        test_optimizer_known_answers;
+    ]
+
+(* ---- traits once per version, unchanged methods come back as themselves
+
+   [Catalog.traits_of] is now one allocation-free walk; the definition
+   it replaced stays here as the reference.  Every method version that
+   [optimize] produces (the input and each pass's result) must get the
+   same traits from both, and every pass application whose result is
+   strictly equal to its input (structure, flags, block frequencies and
+   handlers, symbols) must hand back the input itself. *)
+
+let reference_traits (m : Meth.t) : Catalog.traits =
+  let nodes = ref 0 in
+  let has_allocs = ref false
+  and has_sync = ref m.Meth.attrs.Meth.synchronized
+  and has_arrays = ref false
+  and has_calls = ref false
+  and has_casts = ref false
+  and has_decimals = ref false
+  and has_longdouble = ref false
+  and has_fp = ref false
+  and has_objects = ref false
+  and has_mixed = ref false
+  and has_heap_loads = ref false
+  and has_throws = ref false in
+  Meth.fold_nodes
+    (fun () (n : Node.t) ->
+      incr nodes;
+      (match n.Node.ty with
+      | Types.Float_ | Types.Double -> has_fp := true
+      | Types.Long_double ->
+          has_fp := true;
+          has_longdouble := true
+      | Types.Packed_decimal | Types.Zoned_decimal -> has_decimals := true
+      | Types.Object_ -> has_objects := true
+      | Types.Address -> has_arrays := true
+      | _ -> ());
+      match n.Node.op with
+      | Opcode.New | Opcode.Newarray | Opcode.Newmultiarray ->
+          has_allocs := true
+      | Opcode.Synchronization _ -> has_sync := true
+      | Opcode.Arrayop _ -> has_arrays := true
+      | Opcode.Call -> has_calls := true
+      | Opcode.Cast _ -> has_casts := true
+      | Opcode.Mixedop -> has_mixed := true
+      | Opcode.Instanceof -> has_objects := true
+      | Opcode.Throw_op -> has_throws := true
+      | Opcode.Load when Array.length n.Node.args > 0 -> has_heap_loads := true
+      | _ -> ())
+    () m;
+  Array.iter
+    (fun (b : Block.t) ->
+      match b.Block.term with Block.Throw _ -> has_throws := true | _ -> ())
+    m.Meth.blocks;
+  {
+    Catalog.nodes = !nodes;
+    has_loops =
+      Array.exists
+        (fun (b : Block.t) ->
+          List.exists (fun s -> s <= b.Block.id) (Block.successors b))
+        m.Meth.blocks;
+    has_allocs = !has_allocs;
+    has_sync = !has_sync;
+    has_arrays = !has_arrays;
+    has_handlers = Meth.exception_handler_count m > 0;
+    has_calls = !has_calls;
+    has_casts = !has_casts;
+    has_decimals = !has_decimals;
+    has_longdouble = !has_longdouble;
+    has_fp = !has_fp;
+    has_objects = !has_objects;
+    has_mixed = !has_mixed;
+    has_heap_loads = !has_heap_loads;
+    has_throws = !has_throws;
+    uses_bigdecimal = m.Meth.attrs.Meth.uses_bigdecimal;
+    uses_unsafe = m.Meth.attrs.Meth.uses_unsafe;
+  }
+
+(* [Node.structural_equal] plus flags, node by node *)
+let rec strict_node_equal (a : Node.t) (b : Node.t) =
+  Opcode.equal a.Node.op b.Node.op
+  && Types.equal a.Node.ty b.Node.ty
+  && a.Node.sym = b.Node.sym
+  && Int64.equal a.Node.const b.Node.const
+  && a.Node.flags = b.Node.flags
+  && Array.length a.Node.args = Array.length b.Node.args
+  && Array.for_all2 strict_node_equal a.Node.args b.Node.args
+
+let strict_term_equal (a : Block.terminator) (b : Block.terminator) =
+  match (a, b) with
+  | Block.Goto x, Block.Goto y -> x = y
+  | Block.If x, Block.If y ->
+      x.if_true = y.if_true && x.if_false = y.if_false
+      && strict_node_equal x.cond y.cond
+  | Block.Return None, Block.Return None -> true
+  | Block.Return (Some x), Block.Return (Some y)
+  | Block.Throw x, Block.Throw y ->
+      strict_node_equal x y
+  | _ -> false
+
+(* [Meth.equal] (signature, symbols, block ids and handlers, trees) plus
+   flags and block frequencies *)
+let strict_equal (a : Meth.t) (b : Meth.t) =
+  Meth.equal a b
+  && Array.for_all2
+       (fun (x : Block.t) (y : Block.t) ->
+         Int64.equal (Int64.bits_of_float x.Block.freq)
+           (Int64.bits_of_float y.Block.freq)
+         && List.for_all2 strict_node_equal x.Block.stmts y.Block.stmts
+         && strict_term_equal x.Block.term y.Block.term)
+       a.Meth.blocks b.Meth.blocks
+
+let test_traits_oracle_and_sharing () =
+  let versions = ref 0 and applications = ref 0 and physical = ref 0 in
+  let check_traits what (m : Meth.t) =
+    incr versions;
+    if Catalog.traits_of m <> reference_traits m then
+      Alcotest.failf "%s: traits of %s differ from the reference" what
+        m.Meth.name
+  in
+  let sweep name (program : Program.t) modifiers =
+    let audit ~pass_index:_ ~pass_name ~before ~after =
+      incr applications;
+      if after == before then incr physical
+      else begin
+        check_traits name after;
+        if strict_equal before after then
+          Alcotest.failf "%s: %s rebuilt %s unchanged instead of returning it"
+            name pass_name before.Meth.name
+      end
+    in
+    Array.iter
+      (fun m ->
+        check_traits name m;
+        Array.iter
+          (fun level ->
+            List.iter
+              (fun modifier ->
+                ignore
+                  (Manager.optimize ~audit
+                     ~enabled:(Modifier.enabled_fun modifier)
+                     ~quality_floor:(quality_floor_of level) ~program
+                     ~plan:(Plan.plan level) m))
+              modifiers)
+          Plan.levels)
+      program.Program.methods
+  in
+  List.iter
+    (fun (p : Program.t) -> sweep p.Program.name p (known_answer_modifiers ()))
+    (known_answer_programs ());
+  for i = 0 to 99 do
+    sweep
+      (Printf.sprintf "generated %d" i)
+      (Helpers.gen_program (Int64.of_int (9_100 + i)))
+      [ Modifier.null ]
+  done;
+  (* the sweep saw real work and real sharing *)
+  Alcotest.(check bool) "many versions" true (!versions > 10_000);
+  Alcotest.(check bool) "most applications share" true
+    (!physical * 2 > !applications)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "traits oracle and sharing invariant" `Quick
+        test_traits_oracle_and_sharing;
+    ]
