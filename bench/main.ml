@@ -1789,13 +1789,11 @@ let run_micro ~jobs cfg =
                meth) );
       ( "Catalog.traits_of",
         fun () -> ignore (Tessera_opt.Catalog.traits_of meth) );
-      (* the engine extracts a method's features once and hands them to
-         every compilation, so the row times compilation alone *)
+      ( "Loops.analyze (one method)",
+        fun () -> ignore (Tessera_opt.Loops.analyze meth) );
       ( "JIT compilation, cold plan",
         fun () ->
-          ignore
-            (Tessera_jit.Compiler.compile ~features ~program ~level:Plan.Cold
-               meth) );
+          ignore (Tessera_jit.Compiler.compile ~program ~level:Plan.Cold meth) );
       ("archive encode", fun () -> ignore (Tessera_collect.Archive.to_string archive));
       ( "archive decode",
         fun () -> ignore (Tessera_collect.Archive.of_string archive_bytes) );

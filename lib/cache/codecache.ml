@@ -5,14 +5,12 @@ module Isa_codec = Tessera_codegen.Isa_codec
 module Meth = Tessera_il.Meth
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
-module Features = Tessera_features.Features
 module Target = Tessera_vm.Target
 
 type entry = {
   code : Isa.compiled;
   level : Plan.level;
   modifier : Modifier.t;
-  features : Features.t;
   compile_cycles : int;
   optimized_nodes : int;
   original_nodes : int;
@@ -25,17 +23,10 @@ let file_name = "code.tscc"
 
 exception Stale_schema
 
-(* The feature-vector layout is versioned by its dimension, written as
-   the first varint of every entry payload.  Entries written under an
-   older layout decode as a clean stale miss (dropped and recounted as
-   [stale]) rather than a decode error.  Deliberately NOT folded into
-   [format_version]: that value salts the key fingerprint, so bumping it
-   would turn old entries into silent misses that linger in the file
-   instead of being reclaimed.  Historical note: the first shipped
-   layout had no schema varint and began with a u8 plan level (0..4) —
-   values a [Features.dim]-valued varint can never take, so pre-schema
-   entries are detected as stale too. *)
-let feature_schema = Features.dim
+(* The first varint of every entry payload.  Entries of the older
+   layouts begin with a plan level 0..4 or with the varint 76, so this
+   value must be neither for them to read as stale. *)
+let entry_layout = 5
 
 let create ~dir ?(capacity_mb = 64) ?(readonly = false) () =
   if (not readonly) && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -54,12 +45,9 @@ let fingerprint ~target ~level ~modifier m =
 
 let encode_entry e =
   let buf = Buffer.create 512 in
-  Codec.write_varint buf feature_schema;
+  Codec.write_varint buf entry_layout;
   Codec.write_u8 buf (Plan.level_index e.level);
   Codec.write_i64 buf (Modifier.to_bits e.modifier);
-  let fs = Features.to_array e.features in
-  Codec.write_varint buf (Array.length fs);
-  Array.iter (fun v -> Codec.write_varint buf v) fs;
   Codec.write_varint buf e.compile_cycles;
   Codec.write_varint buf e.optimized_nodes;
   Codec.write_varint buf e.original_nodes;
@@ -68,50 +56,37 @@ let encode_entry e =
 
 let decode_entry s =
   let r = Codec.reader_of_string s in
-  let schema = Codec.read_varint ~what:"feature schema" r in
-  if schema <> feature_schema then raise Stale_schema;
+  let layout = Codec.read_varint ~what:"entry layout" r in
+  if layout <> entry_layout then raise Stale_schema;
   let li = Codec.read_u8 ~what:"level" r in
   if li >= Array.length Plan.levels then
     raise (Isa_codec.Malformed "entry: bad level");
   let level = Plan.level_of_index li in
   let modifier = Modifier.of_bits (Codec.read_i64 ~what:"modifier" r) in
-  let n = Codec.read_varint ~what:"feature count" r in
-  if n <> Features.dim then raise (Isa_codec.Malformed "entry: bad features");
-  let features =
-    Features.of_array
-      (Array.init n (fun _ -> Codec.read_varint ~what:"feature" r))
-  in
   let compile_cycles = Codec.read_varint ~what:"compile cycles" r in
   let optimized_nodes = Codec.read_varint ~what:"optimized nodes" r in
   let original_nodes = Codec.read_varint ~what:"original nodes" r in
   let code = Isa_codec.decode r in
   if not (Codec.at_end r) then
     raise (Isa_codec.Malformed "entry: trailing bytes");
-  { code; level; modifier; features; compile_cycles; optimized_nodes;
-    original_nodes }
+  { code; level; modifier; compile_cycles; optimized_nodes; original_nodes }
 
 let lookup t ~key ~level ~modifier =
-  match Store.find t key with
-  | None -> None
-  | Some bytes -> (
+  Store.find t key (fun bytes ->
       match decode_entry bytes with
       | exception Stale_schema ->
-          (* written under an older feature layout: a clean generational
+          (* written under another entry layout: a clean generational
              miss, not damage *)
-          Store.drop_stale t key;
-          None
+          Error `Stale
       | exception _ ->
           (* CRC-clean but undecodable: treat exactly like disk damage *)
-          Store.drop_corrupt t key;
-          None
+          Error `Corrupt
       | e ->
-          if e.level = level && Modifier.equal e.modifier modifier then Some e
-          else begin
+          if e.level = level && Modifier.equal e.modifier modifier then Ok e
+          else
             (* a fingerprint collision or codec drift: the entry is
                well-formed, just not the code we asked for *)
-            Store.drop_stale t key;
-            None
-          end)
+            Error `Stale)
 
 let store t ~key e = Store.add t key (encode_entry e)
 

@@ -1,8 +1,8 @@
 (** The persistent compiled-code cache: warm-start for the simulated JIT.
 
     Entries are whole compilation results — the {!Tessera_codegen.Isa}
-    body plus the level/modifier/features/cycle metadata the engine
-    tracks per installed compilation — keyed by a content fingerprint of
+    body plus the level/modifier/cycle metadata the engine tracks per
+    installed compilation — keyed by a content fingerprint of
     (method IL hash, target, level, modifier, cache-format version).
     Anything that could change the generated code changes the key, so
     invalidation is structural: there is nothing to flush when a method,
@@ -19,14 +19,12 @@ module Isa = Tessera_codegen.Isa
 module Meth = Tessera_il.Meth
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
-module Features = Tessera_features.Features
 module Target = Tessera_vm.Target
 
 type entry = {
   code : Isa.compiled;
   level : Plan.level;
   modifier : Modifier.t;
-  features : Features.t;
   compile_cycles : int;
       (** what the original compilation cost — what a warm start saves *)
   optimized_nodes : int;
@@ -41,14 +39,16 @@ val format_version : int
 (** Bump on any codec or fingerprint change; old files then read as
     stale (version byte) or simply never hit (fingerprint salt). *)
 
-val feature_schema : int
-(** Feature-layout version written as the first varint of every entry
-    payload (currently {!Features.dim}).  An entry carrying a different
-    value — including pre-schema entries, which begin with a plan-level
-    byte in [0..4] — decodes as a clean stale miss: dropped, counted
-    under [stale], recompiled.  Kept out of {!format_version} on
-    purpose, since that salts the lookup key and old entries would
-    otherwise linger unreclaimed. *)
+val entry_layout : int
+(** Entry-layout version, written as the first varint of every entry
+    payload.  An entry carrying a different value decodes as a clean
+    stale miss: dropped, counted under [stale] (and the lookup under
+    [misses]), recompiled and superseded.  The two older layouts both
+    start with a byte this value never takes: a plan-level byte in
+    [0..4] (the first layout), or the feature-vector dimension 76 (the
+    second, which also carried the method's feature vector).  Kept out
+    of {!format_version} on purpose, since that salts the lookup key and
+    old entries would otherwise linger unreclaimed. *)
 
 val file_name : string
 (** Name of the store file inside the cache directory. *)
@@ -67,8 +67,9 @@ val fingerprint :
 
 val lookup :
   t -> key:int64 -> level:Plan.level -> modifier:Modifier.t -> entry option
-(** Decode-and-verify: corrupt payloads and metadata mismatches return
-    [None] (dropped and counted); never raises. *)
+(** Decode-and-verify: corrupt payloads, other entry layouts and
+    metadata mismatches return [None] (dropped, counted [corrupt] or
+    [stale], and counted as a miss, not a hit); never raises. *)
 
 val store : t -> key:int64 -> entry -> unit
 (** Write-back after a successful compilation; no-op when read-only. *)

@@ -195,17 +195,33 @@ let trace_key name key =
       ~args:[ ("key", Tessera_obs.Trace.Str (Printf.sprintf "%016Lx" key)) ]
       name
 
-let find t key =
+(* A value the caller rejects is not a hit: the caller compiles after
+   all. *)
+let find t key decode =
+  let miss () =
+    t.cnt.misses <- t.cnt.misses + 1;
+    trace_key "store_miss" key;
+    None
+  in
   match Hashtbl.find_opt t.tbl key with
-  | Some s ->
-      t.cnt.hits <- t.cnt.hits + 1;
-      s.tick <- next_tick t;
-      trace_key "store_hit" key;
-      Some s.value
-  | None ->
-      t.cnt.misses <- t.cnt.misses + 1;
-      trace_key "store_miss" key;
-      None
+  | None -> miss ()
+  | Some s -> (
+      match decode s.value with
+      | Ok v ->
+          t.cnt.hits <- t.cnt.hits + 1;
+          s.tick <- next_tick t;
+          trace_key "store_hit" key;
+          Some v
+      | Error `Stale ->
+          remove t key;
+          t.cnt.stale_entries <- t.cnt.stale_entries + 1;
+          trace_key "store_stale" key;
+          miss ()
+      | Error `Corrupt ->
+          remove t key;
+          t.cnt.corrupt_entries <- t.cnt.corrupt_entries + 1;
+          trace_key "store_corrupt" key;
+          miss ())
 
 let out_channel t =
   match t.out with
@@ -233,16 +249,6 @@ let add t key value =
     flush oc;
     enforce_capacity t
   end
-
-let drop_corrupt t key =
-  remove t key;
-  t.cnt.corrupt_entries <- t.cnt.corrupt_entries + 1;
-  trace_key "store_corrupt" key
-
-let drop_stale t key =
-  remove t key;
-  t.cnt.stale_entries <- t.cnt.stale_entries + 1;
-  trace_key "store_stale" key
 
 let entry_count t = Hashtbl.length t.tbl
 let byte_size t = t.live_bytes

@@ -27,10 +27,10 @@ type counters = {
   mutable evictions : int;
   mutable corrupt_entries : int;
       (** load/decode anomalies: torn frames, CRC mismatches, bad magic,
-          undecodable payloads reported via {!drop_corrupt} *)
+          undecodable payloads rejected by {!find}'s [decode] *)
   mutable stale_entries : int;
       (** well-formed but outdated: format-version mismatch, or a
-          metadata mismatch reported via {!drop_stale} *)
+          metadata mismatch rejected by {!find}'s [decode] *)
 }
 
 type t
@@ -39,20 +39,19 @@ val open_ : path:string -> capacity_bytes:int -> readonly:bool -> t
 (** Loads and verifies [path] (a missing file is an empty store).
     Never raises on damaged content — damage is counted and skipped. *)
 
-val find : t -> int64 -> string option
-(** Counts a hit or miss and refreshes the entry's recency. *)
+val find :
+  t -> int64 -> (string -> ('a, [ `Stale | `Corrupt ]) result) -> 'a option
+(** [find t key decode] looks [key] up and lets [decode] check its value
+    before anything is counted.  [Ok v] counts a hit and refreshes the
+    entry's recency.  [Error reason] removes the entry, counts it
+    [stale] (outdated or mismatched metadata) or [corrupt] (a payload
+    that passed the CRC but does not decode), and counts the lookup as a
+    miss, like an absent key: the caller compiles after all.  Pass
+    [Result.ok] to take any value. *)
 
 val add : t -> int64 -> string -> unit
 (** Insert or supersede; appends a frame and evicts LRU entries while
     over capacity.  A no-op (not even a counter) on read-only stores. *)
-
-val drop_corrupt : t -> int64 -> unit
-(** The caller failed to decode a payload that passed the CRC: remove
-    the entry and count it corrupt. *)
-
-val drop_stale : t -> int64 -> unit
-(** The payload decoded but its metadata does not match the request
-    (fingerprint collision or format drift): remove and count stale. *)
 
 val entry_count : t -> int
 

@@ -132,7 +132,7 @@ let run_sweep ~config ~program ~benchmark ~entry_args () =
     | Some (`Guided g) -> Tessera_modifiers.Guided.next g ~method_key:meth_id
     | None -> None (* levels outside the collection set are not explored *)
   in
-  let on_compiled _engine ~meth_id (comp : Compiler.compilation) =
+  let on_compiled engine ~meth_id (comp : Compiler.compilation) =
     let mc = per_meth.(meth_id) in
     close_record ~meth_id mc;
     let name = (Program.meth program meth_id).Meth.name in
@@ -140,7 +140,8 @@ let run_sweep ~config ~program ~benchmark ~entry_args () =
       Some
         (Record.make
            ~sig_id:(Dictionary.intern dictionary name)
-           ~features:comp.Compiler.features ~level:comp.Compiler.level
+           ~features:(Engine.features engine meth_id)
+           ~level:comp.Compiler.level
            ~modifier:comp.Compiler.modifier
            ~compile_cycles:comp.Compiler.compile_cycles);
     mc.version_invocations <- 0
@@ -328,13 +329,13 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
     let active = ref false in
     let disc = ref 0 in
     let invs = ref 0 in
-    let on_compiled _e ~meth_id (comp : Compiler.compilation) =
+    let on_compiled e ~meth_id (comp : Compiler.compilation) =
       if !active && meth_id = d.d_meth then
         match !record with
         | None ->
             record :=
               Some
-                (Record.make ~sig_id ~features:comp.Compiler.features
+                (Record.make ~sig_id ~features:(Engine.features e meth_id)
                    ~level:comp.Compiler.level ~modifier:comp.Compiler.modifier
                    ~compile_cycles:comp.Compiler.compile_cycles)
         | Some _ -> closed := true
@@ -389,6 +390,9 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
       let name = (Program.meth program d.d_meth).Meth.name in
       let sig_id = Dictionary.intern dictionary name in
       let cands = List.assoc d.d_level candidates in
+      (* extract on the trunk, so the snapshot every branch forks from
+         already carries the vector its record reads *)
+      ignore (Engine.features trunk d.d_meth);
       incr forks;
       Metrics.inc m_forks;
       if !Trace.enabled then

@@ -47,8 +47,8 @@ val choose_modifier :
   t -> Tessera_jit.Engine.t -> meth_id:int -> level:Plan.level -> Modifier.t option
 (** Adapter for {!Tessera_jit.Engine.callbacks.choose_modifier}: reads
     the method's features from {!Tessera_jit.Engine.features} (the
-    engine's memo, which the compilation that follows reuses) and
-    predicts.  Never returns [None]. *)
+    engine's memo, extracted at the method's first query) and predicts.
+    Never returns [None]. *)
 
 val server_predictor :
   t -> level:Plan.level -> features:float array -> Modifier.t

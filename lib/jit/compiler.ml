@@ -3,13 +3,11 @@ module Program = Tessera_il.Program
 module Modifier = Tessera_modifiers.Modifier
 module Plan = Tessera_opt.Plan
 module Manager = Tessera_opt.Manager
-module Features = Tessera_features.Features
 
 type compilation = {
   code : Tessera_codegen.Isa.compiled;
   level : Plan.level;
   modifier : Modifier.t;
-  features : Features.t;
   compile_cycles : int;
   optimized_nodes : int;
   original_nodes : int;
@@ -26,10 +24,7 @@ let () =
              (Plan.level_name level) reason)
     | _ -> None)
 
-let compile_exn ?features ~modifier ~target ~program ~level (m : Meth.t) =
-  let features =
-    match features with Some f -> f | None -> Features.extract ~program m
-  in
+let compile_exn ~modifier ~target ~program ~level (m : Meth.t) =
   let quality_floor =
     match level with
     | Plan.Cold | Plan.Warm -> Tessera_vm.Cost.Q_base
@@ -48,16 +43,15 @@ let compile_exn ?features ~modifier ~target ~program ~level (m : Meth.t) =
     code;
     level;
     modifier;
-    features;
     compile_cycles = Manager.total_cycles result;
     optimized_nodes = result.Manager.final_nodes;
     original_nodes = result.Manager.initial_nodes;
     flat = None;
   }
 
-let compile ?features ?(modifier = Modifier.null)
-    ?(target = Tessera_vm.Target.zircon) ~program ~level (m : Meth.t) =
-  try compile_exn ?features ~modifier ~target ~program ~level m
+let compile ?(modifier = Modifier.null) ?(target = Tessera_vm.Target.zircon)
+    ~program ~level (m : Meth.t) =
+  try compile_exn ~modifier ~target ~program ~level m
   with
   | Error _ as e -> raise e
   | e ->

@@ -1,5 +1,6 @@
-(** One JIT compilation: features → plan (filtered by a modifier) →
-    optimizer → code generator. *)
+(** One JIT compilation: plan (filtered by a modifier) → optimizer →
+    code generator.  Reading the method's features is the model's
+    business ({!Engine.features}), not the compiler's. *)
 
 module Meth = Tessera_il.Meth
 module Program = Tessera_il.Program
@@ -10,8 +11,6 @@ type compilation = {
   code : Tessera_codegen.Isa.compiled;
   level : Plan.level;
   modifier : Modifier.t;
-  features : Tessera_features.Features.t;
-      (** extracted just prior to the optimization stage *)
   compile_cycles : int;
   optimized_nodes : int;
   original_nodes : int;
@@ -27,17 +26,12 @@ exception Error of { meth : string; level : Plan.level; reason : string }
     catches this (and anything else) and falls back. *)
 
 val compile :
-  ?features:Tessera_features.Features.t ->
   ?modifier:Modifier.t ->
   ?target:Tessera_vm.Target.t ->
   program:Program.t ->
   level:Plan.level ->
   Meth.t ->
   compilation
-(** [features] is the method's vector from
-    [Tessera_features.Features.extract ~program], which the engine
-    extracts once per method and passes in; when absent, [compile]
-    extracts it.  [modifier] defaults to the null modifier (the original
-    Testarossa plan for the level); [target] to
-    {!Tessera_vm.Target.zircon}.  Internal failures are re-raised as
-    {!Error}. *)
+(** [modifier] defaults to the null modifier (the original Testarossa
+    plan for the level); [target] to {!Tessera_vm.Target.zircon}.
+    Internal failures are re-raised as {!Error}. *)

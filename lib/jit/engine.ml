@@ -277,8 +277,8 @@ let loop_class t meth_id =
       c
 
 (* A method's IL never changes inside an engine, so its feature vector
-   is extracted at most once, by whichever asks first: the model query
-   or the compiler. *)
+   is extracted at most once, by whichever reader asks first: the model
+   query or a collector.  Compilation itself reads none. *)
 let features t meth_id =
   let st = t.states.(meth_id) in
   match st.features with
@@ -350,7 +350,6 @@ let entry_of_compilation (c : Compiler.compilation) : Codecache.entry =
     Codecache.code = c.Compiler.code;
     level = c.Compiler.level;
     modifier = c.Compiler.modifier;
-    features = c.Compiler.features;
     compile_cycles = c.Compiler.compile_cycles;
     optimized_nodes = c.Compiler.optimized_nodes;
     original_nodes = c.Compiler.original_nodes;
@@ -361,7 +360,6 @@ let compilation_of_entry (e : Codecache.entry) : Compiler.compilation =
     Compiler.code = e.Codecache.code;
     level = e.Codecache.level;
     modifier = e.Codecache.modifier;
-    features = e.Codecache.features;
     compile_cycles = e.Codecache.compile_cycles;
     optimized_nodes = e.Codecache.optimized_nodes;
     original_nodes = e.Codecache.original_nodes;
@@ -400,15 +398,11 @@ let install_cached t ~meth_id (st : method_state) comp =
       "promote"
   end
 
-let install t ~meth_id ~level (st : method_state) comp =
-  (match t.config.code_cache with
-  | Some cache ->
-      (* write-back: whatever we just paid to compile is the warm start
-         of the next run (a cache failure must never fail the engine) *)
-      let key =
-        cache_key t ~meth_id ~level:comp.Compiler.level
-          ~modifier:comp.Compiler.modifier
-      in
+let install t ~meth_id ~level ~write_back (st : method_state) comp =
+  (match write_back with
+  | Some (cache, key) ->
+      (* whatever we just paid to compile is the warm start of the next
+         run (a cache failure must never fail the engine) *)
       (try Codecache.store cache ~key (entry_of_compilation comp)
        with _ -> ())
   | None -> ());
@@ -466,26 +460,27 @@ let install t ~meth_id ~level (st : method_state) comp =
    cycle budget degrades down the plan ladder
    (scorching → … → cold → interpreter). *)
 let rec do_compile t ~meth_id ~level ~modifier =
-  let st = t.states.(meth_id) in
-  match
-    match t.config.code_cache with
-    | None -> None
-    | Some cache ->
-        let key = cache_key t ~meth_id ~level ~modifier in
-        let entry = Codecache.lookup cache ~key ~level ~modifier in
-        if entry = None && !Trace.enabled then
-          Trace.instant ~cycles:(Clock.now t.clock) ~cat:"jit"
-            ~args:(targs t meth_id [ ("level", Trace.Str (Plan.level_name level)) ])
-            "cache_miss";
-        entry
-  with
-  | Some entry ->
-      (* lookup-before-compile: the cache already holds code for exactly
-         this (method IL, target, level, modifier) *)
-      install_cached t ~meth_id st (compilation_of_entry entry)
-  | None -> do_compile_miss t ~meth_id ~level ~modifier
+  match t.config.code_cache with
+  | None -> do_compile_miss t ~meth_id ~level ~modifier ~write_back:None
+  | Some cache -> (
+      (* one key per compilation: the lookup's key is also the store's *)
+      let key = cache_key t ~meth_id ~level ~modifier in
+      match Codecache.lookup cache ~key ~level ~modifier with
+      | Some entry ->
+          (* lookup-before-compile: the cache already holds code for
+             exactly this (method IL, target, level, modifier) *)
+          install_cached t ~meth_id t.states.(meth_id)
+            (compilation_of_entry entry)
+      | None ->
+          if !Trace.enabled then
+            Trace.instant ~cycles:(Clock.now t.clock) ~cat:"jit"
+              ~args:
+                (targs t meth_id [ ("level", Trace.Str (Plan.level_name level)) ])
+              "cache_miss";
+          do_compile_miss t ~meth_id ~level ~modifier
+            ~write_back:(Some (cache, key)))
 
-and do_compile_miss t ~meth_id ~level ~modifier =
+and do_compile_miss t ~meth_id ~level ~modifier ~write_back =
   let st = t.states.(meth_id) in
   let tracing = !Trace.enabled in
   if tracing then
@@ -501,9 +496,8 @@ and do_compile_miss t ~meth_id ~level ~modifier =
     (match t.callbacks.pre_compile with
     | Some f -> f t ~meth_id ~level
     | None -> ());
-    Compiler.compile ~features:(features t meth_id) ~modifier
-      ~target:t.config.target ~program:t.program ~level
-      (Program.meth t.program meth_id)
+    Compiler.compile ~modifier ~target:t.config.target ~program:t.program
+      ~level (Program.meth t.program meth_id)
   with
   | exception _ ->
       if tracing then
@@ -571,7 +565,7 @@ and do_compile_miss t ~meth_id ~level ~modifier =
           | None ->
               (* even the cold plan blows the budget: stay interpreted *)
               quarantine t meth_id st)
-      | _ -> install t ~meth_id ~level st comp)
+      | _ -> install t ~meth_id ~level ~write_back st comp)
 
 let request_compile t ~meth_id ~level ?modifier () =
   let st = t.states.(meth_id) in

@@ -101,10 +101,12 @@ val clock_now : t -> int64
 val features : t -> int -> Tessera_features.Features.t
 (** [features t meth_id] is [Features.extract ~program] of the method,
     extracted at its first request and then memoized for the engine's
-    lifetime: the model query ([choose_modifier]) and every compilation
-    of the method read this one vector.  Snapshots carry the memo, so
-    forked branches inherit it.  The memo is per engine, never per
-    process: each start-up pays for the extractions it needs. *)
+    lifetime.  Only readers ask: the model query ([choose_modifier]) and
+    the data collectors' [on_compiled].  Compilation and cache loads
+    extract nothing, so an engine with neither reader never extracts.
+    Snapshots carry the memo, so forked branches inherit it.  The memo
+    is per engine, never per process: each start-up pays for the
+    extractions its readers need. *)
 
 (** {1 Compilation forking}
 

@@ -40,46 +40,61 @@ let build (m : Meth.t) =
 
 let single_pred t b = match t.preds.(b) with [ p ] -> Some p | _ -> None
 
+(* Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm":
+   iterate [idom b = fold intersect (processed preds of b)] over reverse
+   postorder until nothing changes.  [intersect] climbs the tree from
+   whichever finger sits later in reverse postorder. *)
 let dominators (m : Meth.t) =
-  let n = Array.length m.blocks in
-  let succs =
-    Array.map
-      (fun (b : Block.t) ->
-        match b.Block.handler with
-        | Some h -> h :: Block.successors b
-        | None -> Block.successors b)
-      m.blocks
-  in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun b ts -> List.iter (fun t -> preds.(t) <- b :: preds.(t)) ts)
-    succs;
-  (* iterative dataflow: dom(entry) = {entry};
-     dom(b) = {b} ∪ ⋂ dom(preds) *)
-  let dom = Array.init n (fun _ -> Array.make n true) in
+  let blocks = m.Meth.blocks in
+  let n = Array.length blocks in
+  let idom = Array.make n (-1) in
   if n > 0 then begin
-    for x = 0 to n - 1 do
-      dom.(0).(x) <- x = 0
-    done;
+    (* depth-first over normal and handler edges: the predecessors of
+       reachable blocks, and each block's position in reverse postorder
+       ([order], -1 until visited; [rpo] filled from the back) *)
+    let preds = Array.make n [] in
+    let order = Array.make n (-1) in
+    let rpo = Array.make n 0 in
+    let next = ref n in
+    let rec visit b =
+      order.(b) <- 0;
+      let edge s =
+        preds.(s) <- b :: preds.(s);
+        if order.(s) < 0 then visit s
+      in
+      Option.iter edge blocks.(b).Block.handler;
+      List.iter edge (Block.successors blocks.(b));
+      decr next;
+      rpo.(!next) <- b;
+      order.(b) <- !next
+    in
+    visit 0;
+    let rec intersect a b =
+      if a = b then a
+      else if order.(a) > order.(b) then intersect idom.(a) b
+      else intersect a idom.(b)
+    in
+    idom.(0) <- 0;
     let changed = ref true in
     while !changed do
       changed := false;
-      for b = 1 to n - 1 do
-        match preds.(b) with
-        | [] -> () (* unreachable: keep the all-true convention *)
-        | ps ->
-            for x = 0 to n - 1 do
-              let inter =
-                x = b || List.for_all (fun p -> dom.(p).(x)) ps
-              in
-              if dom.(b).(x) <> inter then begin
-                dom.(b).(x) <- inter;
-                changed := true
-              end
-            done
+      for i = !next + 1 to n - 1 do
+        let b = rpo.(i) in
+        let d =
+          List.fold_left
+            (fun d p ->
+              if idom.(p) < 0 then d else if d < 0 then p else intersect p d)
+            (-1) preds.(b)
+        in
+        if idom.(b) <> d then begin
+          idom.(b) <- d;
+          changed := true
+        end
       done
     done
   end;
-  dom
+  idom
 
-let is_back_edge dom u v = dom.(u).(v)
+let dominates idom x b =
+  let rec up b = b = x || (b <> 0 && up idom.(b)) in
+  idom.(b) < 0 || up b

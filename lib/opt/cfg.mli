@@ -17,14 +17,18 @@ val build : Tessera_il.Meth.t -> t
 val single_pred : t -> int -> int option
 (** The unique normal predecessor of a block, if it has exactly one. *)
 
-val dominators : Tessera_il.Meth.t -> bool array array
-(** [d.(b).(x)] iff block [x] dominates block [b].  Computed over normal
-    edges plus exception edges (block → handler), so handler blocks are
-    properly dominated rather than vacuously dominated-by-everything;
-    blocks unreachable from entry dominate nothing and are dominated by
-    everything (the standard convention). *)
+val dominators : Tessera_il.Meth.t -> int array
+(** The immediate-dominator tree: [idom.(b)] is the immediate dominator
+    of block [b], [idom.(0) = 0], and [-1] for a block unreachable from
+    the entry.  Computed over normal edges plus exception edges (block →
+    handler), so handler blocks are properly dominated rather than
+    vacuously dominated-by-everything.  Cooper, Harvey and Kennedy's
+    iteration over reverse postorder. *)
 
-val is_back_edge : bool array array -> int -> int -> bool
-(** [is_back_edge dom u v]: the edge [u -> v] is a back edge, i.e. [v]
-    dominates [u].  Id-order is irrelevant — block layout may renumber
-    freely without confusing loop detection. *)
+val dominates : int array -> int -> int -> bool
+(** [dominates idom x b]: block [x] dominates block [b], found by walking
+    [b]'s chain of immediate dominators.  A block unreachable from the
+    entry is dominated by every block (the standard convention).  An
+    edge [u -> v] is a back edge when [dominates idom v u]: id-order is
+    irrelevant, so block layout may renumber freely without confusing
+    loop detection. *)

@@ -8,18 +8,20 @@ type t = { loops : loop list; depth_of : int array }
 let analyze (m : Meth.t) =
   let n = Array.length m.blocks in
   let cfg = Cfg.build m in
-  let dom = Cfg.dominators m in
+  let idom = Cfg.dominators m in
   (* Back edges: b -> h where h dominates b (id-order irrelevant; layout
-     passes renumber blocks freely).  Natural loop of (b, h): h plus all
-     blocks that reach b without passing through h. *)
+     passes renumber blocks freely), from reachable blocks only: an
+     unreachable block has no dominator chain to walk.  Natural loop of
+     (b, h): h plus all blocks that reach b without passing through h. *)
   let back_edges = ref [] in
   Array.iteri
     (fun b succs ->
-      List.iter
-        (fun h ->
-          if Cfg.is_back_edge dom b h && cfg.Cfg.reachable.(b) then
-            back_edges := (b, h) :: !back_edges)
-        succs)
+      if cfg.Cfg.reachable.(b) then
+        List.iter
+          (fun h ->
+            if Cfg.dominates idom h b then
+              back_edges := (b, h) :: !back_edges)
+          succs)
     cfg.Cfg.succs;
   let loop_of (b, h) =
     let in_loop = Array.make n false in

@@ -1,6 +1,7 @@
 (** Natural-loop detection.
 
-    A back edge is an edge [u -> v] where [v] dominates [u]; loop
+    A back edge is an edge [u -> v] from a block reachable from the
+    entry where [v] dominates [u] (on {!Cfg.dominators}' tree); loop
     discovery is therefore immune to block renumbering by the layout
     passes.  (The paper's "may have loops" {e feature} is still the
     cruder "has a backward branch" test, computed before optimization —

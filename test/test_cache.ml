@@ -150,8 +150,6 @@ let gen_entry =
   oneofl (Array.to_list Plan.levels) >>= fun level ->
   map (fun i -> Modifier.of_bits (Int64.of_int i)) (int_range 0 0xFFFF)
   >>= fun modifier ->
-  map Features.of_array (array_repeat Features.dim (int_range 0 2000))
-  >>= fun features ->
   int_range 0 1_000_000 >>= fun compile_cycles ->
   int_range 0 5_000 >>= fun optimized_nodes ->
   int_range 0 5_000 >>= fun original_nodes ->
@@ -160,7 +158,6 @@ let gen_entry =
       Codecache.code;
       level;
       modifier;
-      features;
       compile_cycles;
       optimized_nodes;
       original_nodes;
@@ -170,7 +167,6 @@ let entry_equal (a : Codecache.entry) (b : Codecache.entry) =
   a.Codecache.code = b.Codecache.code
   && a.Codecache.level = b.Codecache.level
   && Modifier.equal a.Codecache.modifier b.Codecache.modifier
-  && Features.equal a.Codecache.features b.Codecache.features
   && a.Codecache.compile_cycles = b.Codecache.compile_cycles
   && a.Codecache.optimized_nodes = b.Codecache.optimized_nodes
   && a.Codecache.original_nodes = b.Codecache.original_nodes
@@ -257,14 +253,14 @@ let test_store_roundtrip () =
   Store.add s 2L "beta";
   Store.add s 1L "gamma";
   Alcotest.(check (option string))
-    "supersede in memory" (Some "gamma") (Store.find s 1L);
+    "supersede in memory" (Some "gamma") (Store.find s 1L Result.ok);
   Store.close s;
   let s2 = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
   Alcotest.(check int) "entries survive close" 2 (Store.entry_count s2);
   Alcotest.(check (option string))
-    "supersede survives close" (Some "gamma") (Store.find s2 1L);
-  Alcotest.(check (option string)) "find beta" (Some "beta") (Store.find s2 2L);
-  Alcotest.(check (option string)) "miss" None (Store.find s2 3L);
+    "supersede survives close" (Some "gamma") (Store.find s2 1L Result.ok);
+  Alcotest.(check (option string)) "find beta" (Some "beta") (Store.find s2 2L Result.ok);
+  Alcotest.(check (option string)) "miss" None (Store.find s2 3L Result.ok);
   let c = Store.counters s2 in
   Alcotest.(check int) "hits" 2 c.Store.hits;
   Alcotest.(check int) "misses" 1 c.Store.misses;
@@ -280,12 +276,12 @@ let test_store_lru_eviction () =
   let s = Store.open_ ~path ~capacity_bytes:170 ~readonly:false in
   Store.add s 1L value;
   Store.add s 2L value;
-  ignore (Store.find s 1L);
+  ignore (Store.find s 1L Result.ok);
   (* key 2 is now least recently used *)
   Store.add s 3L value;
-  Alcotest.(check (option string)) "LRU victim gone" None (Store.find s 2L);
-  Alcotest.(check bool) "refreshed key kept" true (Store.find s 1L <> None);
-  Alcotest.(check bool) "new key kept" true (Store.find s 3L <> None);
+  Alcotest.(check (option string)) "LRU victim gone" None (Store.find s 2L Result.ok);
+  Alcotest.(check bool) "refreshed key kept" true (Store.find s 1L Result.ok <> None);
+  Alcotest.(check bool) "new key kept" true (Store.find s 3L Result.ok <> None);
   Alcotest.(check int) "evictions" 1 (Store.counters s).Store.evictions;
   Alcotest.(check bool)
     "capacity respected" true
@@ -313,7 +309,7 @@ let test_store_torn_tail () =
     "torn frame counted" true
     ((Store.counters s2).Store.corrupt_entries > 0);
   Alcotest.(check (option string))
-    "intact prefix readable" (Some "alpha") (Store.find s2 1L);
+    "intact prefix readable" (Some "alpha") (Store.find s2 1L Result.ok);
   Store.close s2;
   (* the compaction on close scrubbed the damage away *)
   let s3 = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
@@ -380,7 +376,7 @@ let test_store_negative_length () =
             (Store.entry_count s2);
           if survivors > 0 then
             Alcotest.(check (option string)) (what ^ ": prefix kept")
-              (Some "alpha") (Store.find s2 1L);
+              (Some "alpha") (Store.find s2 1L Result.ok);
           Store.close s2)
     [
       (* a varint of -18: its frame's next boundary would be its own
@@ -449,6 +445,33 @@ let test_engine_warm_equivalence () =
     "read-only leaves the file alone" true
     (String.equal image (read_file (Filename.concat dir Codecache.file_name)))
 
+(* With no model query and no collector, nothing reads a feature
+   vector, so no method's is extracted: not by a cold compilation, not
+   by a warm AOT load. *)
+let test_no_reader_no_extraction () =
+  let module Suites = Tessera_workloads.Suites in
+  let bench = Suites.scale_bench (Option.get (Suites.find "jack")) 0.4 in
+  let program = Generate.program bench.Suites.profile in
+  with_store_dir @@ fun dir ->
+  let run what =
+    let cache = Codecache.create ~dir () in
+    let _, engine =
+      run_adaptive ~cache ~invocations:bench.Suites.iteration_invocations
+        program
+    in
+    Codecache.close cache;
+    Array.iteri
+      (fun id _ ->
+        if (Engine.state engine id).Engine.features <> None then
+          Alcotest.failf "%s: method %d was extracted" what id)
+      program.Program.methods;
+    engine
+  in
+  Alcotest.(check bool) "the cold run compiles" true
+    (Engine.compile_count (run "cold") > 0);
+  Alcotest.(check bool) "the warm run loads" true
+    (Engine.cache_hits (run "warm") > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Fault matrix                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -510,56 +533,140 @@ let test_fault_matrix () =
   write_file path pristine
 
 (* ------------------------------------------------------------------ *)
-(* Feature-schema generations                                           *)
+(* Entry-layout generations                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* An entry written by the first shipped layout — no feature-schema
-   varint, a u8 plan level first — must read back as a clean stale miss:
-   dropped, counted under [stale], never [corrupt], never an error. *)
-let test_pre_schema_entry_stale () =
-  with_store_dir @@ fun dir ->
-  let m =
-    Meth.make ~name:"Old.o()I" ~params:[||] ~ret:Types.Int ~symbols:[||]
-      [|
-        Tessera_il.Block.make 0 []
-          (Tessera_il.Block.Return (Some (Node.iconst Types.Int 7L)));
-      |]
-  in
-  let code = Tessera_codegen.Lower.compile m in
-  let old_bytes =
-    let module Codec = Tessera_util.Codec in
-    let buf = Buffer.create 256 in
-    Codec.write_u8 buf (Plan.level_index Plan.Cold);
-    Codec.write_i64 buf (Modifier.to_bits Modifier.null);
-    let fs = Features.to_array (Features.extract m) in
-    Codec.write_varint buf (Array.length fs);
-    Array.iter (fun v -> Codec.write_varint buf v) fs;
-    Codec.write_varint buf 123;
-    Codec.write_varint buf 4;
-    Codec.write_varint buf 5;
-    Isa_codec.encode buf code;
-    Buffer.contents buf
-  in
-  let key =
-    Codecache.fingerprint ~target:Target.zircon ~level:Plan.Cold
-      ~modifier:Modifier.null m
-  in
-  (* write the frame the way an old binary would have: through the
-     store, so the CRC and framing are perfectly valid *)
+let old_meth =
+  Meth.make ~name:"Old.o()I" ~params:[||] ~ret:Types.Int ~symbols:[||]
+    [|
+      Tessera_il.Block.make 0 []
+        (Tessera_il.Block.Return (Some (Node.iconst Types.Int 7L)));
+    |]
+
+let old_key =
+  Codecache.fingerprint ~target:Target.zircon ~level:Plan.Cold
+    ~modifier:Modifier.null old_meth
+
+(* An entry of an older layout for [old_meth] at the cold level: the
+   fields after the level byte, with [features] written as a count and
+   that many varints, when given. *)
+let old_entry_bytes ?schema ?features () =
+  let module Codec = Tessera_util.Codec in
+  let buf = Buffer.create 256 in
+  Option.iter (Codec.write_varint buf) schema;
+  Codec.write_u8 buf (Plan.level_index Plan.Cold);
+  Codec.write_i64 buf (Modifier.to_bits Modifier.null);
+  Option.iter
+    (fun f ->
+      let fs = Features.to_array f in
+      Codec.write_varint buf (Array.length fs);
+      Array.iter (fun v -> Codec.write_varint buf v) fs)
+    features;
+  Codec.write_varint buf 123;
+  Codec.write_varint buf 4;
+  Codec.write_varint buf 5;
+  Isa_codec.encode buf (Tessera_codegen.Lower.compile old_meth);
+  Buffer.contents buf
+
+(* write the frame the way an old binary would have: through the store,
+   so the CRC and framing are perfectly valid *)
+let write_old_entry dir bytes =
   let path = Filename.concat dir Codecache.file_name in
   let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
-  Store.add s key old_bytes;
-  Store.close s;
+  Store.add s old_key bytes;
+  Store.close s
+
+let check_counters what (c : Store.counters) ~hits ~misses ~stale =
+  Alcotest.(check (list int))
+    (what ^ ": hits, misses, stale, corrupt")
+    [ hits; misses; stale; 0 ]
+    [ c.Store.hits; c.Store.misses; c.Store.stale_entries; c.Store.corrupt_entries ]
+
+(* An entry written by the first shipped layout — no leading varint, a
+   u8 plan level first — must read back as a clean stale miss: dropped,
+   counted under [stale] and as a miss, never [corrupt] or a hit, never
+   an error. *)
+let test_pre_schema_entry_stale () =
+  with_store_dir @@ fun dir ->
+  write_old_entry dir
+    (old_entry_bytes ~features:(Features.extract old_meth) ());
   let cache = Codecache.create ~dir () in
   Alcotest.(check int) "old entry loads" 1 (Codecache.entry_count cache);
   Alcotest.(check bool) "pre-schema entry is a miss" true
     (Option.is_none
-       (Codecache.lookup cache ~key ~level:Plan.Cold ~modifier:Modifier.null));
-  let c = Codecache.counters cache in
-  Alcotest.(check int) "counted stale" 1 c.Store.stale_entries;
-  Alcotest.(check int) "not corrupt" 0 c.Store.corrupt_entries;
+       (Codecache.lookup cache ~key:old_key ~level:Plan.Cold
+          ~modifier:Modifier.null));
+  check_counters "lookup" (Codecache.counters cache) ~hits:0 ~misses:1
+    ~stale:1;
   Alcotest.(check int) "entry dropped" 0 (Codecache.entry_count cache);
   Codecache.close cache
+
+(* An entry of the second layout — the feature dimension 76 as a schema
+   varint, then the vector itself — is a stale miss too.  The engine
+   recompiles the method, the new entry supersedes the old one, and the
+   next open serves it. *)
+let test_feature_schema_entry_stale () =
+  let program = Program.make ~name:"old" ~entry:0 [| old_meth |] in
+  with_store_dir @@ fun dir ->
+  write_old_entry dir
+    (old_entry_bytes ~schema:Features.dim
+       ~features:(Features.extract ~program old_meth)
+       ());
+  let run () =
+    let cache = Codecache.create ~dir () in
+    let engine =
+      Engine.create
+        ~config:
+          {
+            Engine.default_config with
+            Engine.adaptive = false;
+            code_cache = Some cache;
+          }
+        program
+    in
+    Engine.request_compile engine ~meth_id:0 ~level:Plan.Cold
+      ~modifier:Modifier.null ();
+    Codecache.close cache;
+    (engine, Codecache.counters cache)
+  in
+  let engine, c = run () in
+  Alcotest.(check int) "recompiled" 1 (Engine.compile_count engine);
+  Alcotest.(check int) "no AOT load" 0 (Engine.cache_hits engine);
+  check_counters "first open" c ~hits:0 ~misses:1 ~stale:1;
+  let engine, c = run () in
+  Alcotest.(check int) "nothing compiled" 0 (Engine.compile_count engine);
+  Alcotest.(check int) "one AOT load" 1 (Engine.cache_hits engine);
+  check_counters "second open" c ~hits:1 ~misses:0 ~stale:0
+
+(* The bytes of entries in today's layout: every method of a generated
+   program compiled at each level under two modifiers. *)
+let test_entry_known_answers () =
+  let program = Helpers.gen_program 7L in
+  let buf = Buffer.create 65_536 in
+  Array.iter
+    (fun m ->
+      Array.iter
+        (fun level ->
+          List.iter
+            (fun modifier ->
+              let c =
+                Tessera_jit.Compiler.compile ~modifier ~program ~level m
+              in
+              Buffer.add_string buf
+                (Codecache.encode_entry
+                   {
+                     Codecache.code = c.Tessera_jit.Compiler.code;
+                     level;
+                     modifier;
+                     compile_cycles = c.Tessera_jit.Compiler.compile_cycles;
+                     optimized_nodes = c.Tessera_jit.Compiler.optimized_nodes;
+                     original_nodes = c.Tessera_jit.Compiler.original_nodes;
+                   }))
+            [ Modifier.null; Modifier.of_disabled [ 3; 17; 40 ] ])
+        Plan.levels)
+    program.Program.methods;
+  Alcotest.(check string) "entry bytes md5" "342cb5d410c28888a2fa39a763148247"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -581,8 +688,15 @@ let suite =
         test_store_negative_length;
       Alcotest.test_case "codecache: pre-schema entry reads as stale" `Quick
         test_pre_schema_entry_stale;
+      Alcotest.test_case
+        "codecache: feature-schema entry reads as stale, then is served"
+        `Quick test_feature_schema_entry_stale;
+      Alcotest.test_case "codecache: entry bytes: known answers" `Quick
+        test_entry_known_answers;
       Alcotest.test_case "engine: warm start replays without compiling" `Quick
         test_engine_warm_equivalence;
+      Alcotest.test_case "engine: no reader, no feature extraction" `Quick
+        test_no_reader_no_extraction;
       Alcotest.test_case "fault matrix: every byte flip is survived" `Slow
         test_fault_matrix;
     ]

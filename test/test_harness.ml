@@ -144,11 +144,10 @@ let test_modelset_save_load () =
         ms.Harness.Modelset.levels)
 
 (* The engine extracts each method's features at most once: the model
-   query and every compilation read its memo, snapshots carry it, and a
-   new engine starts without one. *)
+   query reads its memo, snapshots carry it, and a new engine starts
+   without one. *)
 let test_feature_memo () =
   let module Engine = Tessera_jit.Engine in
-  let module Compiler = Tessera_jit.Compiler in
   let module Features = Tessera_features.Features in
   let ms = Harness.Training.train_on_all ~name:"tiny" (Lazy.force outcomes) in
   let bench = Suites.scale_bench (Option.get (Suites.find "jack")) 0.4 in
@@ -171,8 +170,7 @@ let test_feature_memo () =
     {
       Engine.no_callbacks with
       Engine.choose_modifier = Some choose;
-      on_compiled =
-        Some (fun _ ~meth_id c -> compiled := (meth_id, c) :: !compiled);
+      on_compiled = Some (fun _ ~meth_id _ -> compiled := meth_id :: !compiled);
     }
   in
   let e = Engine.create ~callbacks program in
@@ -182,11 +180,6 @@ let test_feature_memo () =
   Alcotest.(check bool) "the model was queried" true (!queries > 0);
   Alcotest.(check (list int)) "model queries that bypassed the memo" [] !bypassed;
   Alcotest.(check bool) "methods were compiled" true (!compiled <> []);
-  List.iter
-    (fun (id, (c : Compiler.compilation)) ->
-      if c.Compiler.features != Engine.features e id then
-        Alcotest.failf "method %d: its compilation extracted its features again" id)
-    !compiled;
   let fresh = Engine.create program in
   let vectors =
     Array.mapi
@@ -534,4 +527,35 @@ let suite =
         test_regress_mode_mismatch;
       Alcotest.test_case "regress profiler coverage and drop gates" `Quick
         test_regress_profile_gates;
+    ]
+
+(* ---- collection known answers -------------------------------------
+
+   Both collectors' records, pinned as one md5 over [Archive.to_string]
+   of a sweep collection of the five training benchmarks and a fork
+   collection of mtrt on two domains.  Recorded while the compiler still
+   handed every compilation its feature vector; the collectors now read
+   the engine's memo instead, and must record the same archives. *)
+
+let test_collection_known_answers () =
+  let cfg = { Harness.Expconfig.quick with Harness.Expconfig.bench_scale = 0.1 } in
+  let buf = Buffer.create 65_536 in
+  let add (o : Harness.Collection.outcome) =
+    Buffer.add_string buf
+      (Tessera_collect.Archive.to_string o.Harness.Collection.merged)
+  in
+  List.iter
+    (fun b -> add (Harness.Collection.collect_bench ~cfg b))
+    Suites.training_set;
+  add
+    (Harness.Collection.collect_bench ~cfg ~fork:true ~fork_jobs:2
+       (Option.get (Suites.find "mtrt")));
+  Alcotest.(check string) "collection md5" "b5d67095b43c3915e2a8fbeeb5986611"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "collection known answers" `Quick
+        test_collection_known_answers;
     ]

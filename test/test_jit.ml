@@ -21,7 +21,7 @@ let test_compiler_modifier_effect () =
   Alcotest.(check int) "unoptimized nodes unchanged"
     all_off.Compiler.original_nodes all_off.Compiler.optimized_nodes;
   Alcotest.(check bool) "features extracted pre-optimization" true
-    (Tessera_features.Features.get all_off.Compiler.features 3
+    (Tessera_features.Features.get (Tessera_features.Features.extract ~program:p m) 3
     = full.Compiler.original_nodes)
 
 let test_levels_cost_ladder () =

@@ -349,9 +349,13 @@ let test_dominators () =
       |]
   in
   let dom = Tessera_opt.Cfg.dominators m in
-  Alcotest.(check bool) "entry dominates all" true (dom.(3).(0));
-  Alcotest.(check bool) "1 does not dominate 3" false (dom.(3).(1));
-  Alcotest.(check bool) "no back edge 1->3" false (Tessera_opt.Cfg.is_back_edge dom 1 3);
+  Alcotest.(check (array int)) "immediate dominators" [| 0; 0; 0; 0 |] dom;
+  Alcotest.(check bool) "entry dominates all" true
+    (Tessera_opt.Cfg.dominates dom 0 3);
+  Alcotest.(check bool) "1 does not dominate 3" false
+    (Tessera_opt.Cfg.dominates dom 1 3);
+  Alcotest.(check bool) "no back edge 1->3" false
+    (Tessera_opt.Cfg.dominates dom 3 1);
   (* renumbered join: edge from higher id to lower id is NOT a back edge *)
   let m2 =
     mk_method
@@ -364,7 +368,7 @@ let test_dominators () =
   in
   let dom2 = Tessera_opt.Cfg.dominators m2 in
   Alcotest.(check bool) "3 -> 2 is not a back edge" false
-    (Tessera_opt.Cfg.is_back_edge dom2 3 2);
+    (Tessera_opt.Cfg.dominates dom2 2 3);
   let la = Tessera_opt.Loops.analyze m2 in
   Alcotest.(check int) "no loops found" 0 (Tessera_opt.Loops.loop_count la)
 
@@ -741,4 +745,200 @@ let suite =
   @ [
       Alcotest.test_case "traits oracle and sharing invariant" `Quick
         test_traits_oracle_and_sharing;
+    ]
+
+(* ---- loops on an immediate-dominator tree -------------------------
+
+   [Cfg.dominators] is an immediate-dominator array (Cooper, Harvey and
+   Kennedy); the n×n boolean matrix it replaced, found by fixpoint over
+   the same edges (normal and handler, from block 0), stays here as the
+   reference, with the loop analysis built on it.  Every method version
+   that [optimize] produces must get the same dominance relation and the
+   same loops from both. *)
+
+(* [d.(b).(x)] iff [x] dominates [b]; unreachable blocks are dominated by
+   everything *)
+let reference_dominators (m : Meth.t) =
+  let n = Array.length m.Meth.blocks in
+  let succs =
+    Array.map
+      (fun (b : Block.t) ->
+        match b.Block.handler with
+        | Some h -> h :: Block.successors b
+        | None -> Block.successors b)
+      m.Meth.blocks
+  in
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun b ts -> List.iter (fun t -> preds.(t) <- b :: preds.(t)) ts)
+    succs;
+  let dom = Array.init n (fun _ -> Array.make n true) in
+  if n > 0 then begin
+    for x = 0 to n - 1 do
+      dom.(0).(x) <- x = 0
+    done;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for b = 1 to n - 1 do
+        match preds.(b) with
+        | [] -> ()
+        | ps ->
+            for x = 0 to n - 1 do
+              let inter = x = b || List.for_all (fun p -> dom.(p).(x)) ps in
+              if dom.(b).(x) <> inter then begin
+                dom.(b).(x) <- inter;
+                changed := true
+              end
+            done
+      done
+    done
+  end;
+  dom
+
+let reference_loops (m : Meth.t) : Tessera_opt.Loops.t =
+  let module Cfg = Tessera_opt.Cfg in
+  let module Loops = Tessera_opt.Loops in
+  let n = Array.length m.Meth.blocks in
+  let cfg = Cfg.build m in
+  let dom = reference_dominators m in
+  let back_edges = ref [] in
+  Array.iteri
+    (fun b succs ->
+      List.iter
+        (fun h ->
+          if dom.(b).(h) && cfg.Cfg.reachable.(b) then
+            back_edges := (b, h) :: !back_edges)
+        succs)
+    cfg.Cfg.succs;
+  let loop_of (b, h) =
+    let in_loop = Array.make n false in
+    in_loop.(h) <- true;
+    let rec pull x =
+      if not in_loop.(x) then begin
+        in_loop.(x) <- true;
+        List.iter pull cfg.Cfg.preds.(x)
+      end
+    in
+    pull b;
+    let body = ref [] in
+    for i = n - 1 downto 0 do
+      if in_loop.(i) then body := i :: !body
+    done;
+    (h, !body)
+  in
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      let h, body = loop_of e in
+      let prev = try Hashtbl.find tbl h with Not_found -> [] in
+      Hashtbl.replace tbl h (List.sort_uniq compare (prev @ body)))
+    !back_edges;
+  let depth_of = Array.make n 0 in
+  Hashtbl.iter
+    (fun _ body -> List.iter (fun b -> depth_of.(b) <- depth_of.(b) + 1) body)
+    tbl;
+  let loops =
+    Hashtbl.fold
+      (fun header body acc ->
+        { Loops.header; body; depth = depth_of.(header) } :: acc)
+      tbl []
+    |> List.sort (fun a b -> compare a.Loops.header b.Loops.header)
+  in
+  { Loops.loops; depth_of }
+
+let check_loops what (m : Meth.t) =
+  let idom = Tessera_opt.Cfg.dominators m in
+  let dom = reference_dominators m in
+  Array.iteri
+    (fun b row ->
+      Array.iteri
+        (fun x d ->
+          if Tessera_opt.Cfg.dominates idom x b <> d then
+            Alcotest.failf "%s: %s: does %d dominate %d? matrix %b" what
+              m.Meth.name x b d)
+        row)
+    dom;
+  if Tessera_opt.Loops.analyze m <> reference_loops m then
+    Alcotest.failf "%s: loops of %s differ from the reference" what
+      m.Meth.name
+
+let test_loops_hand_built () =
+  let ret = Block.Return (Some (ld 0)) in
+  let branch t f = Block.If { cond = ld 0; if_true = t; if_false = f } in
+  let case what ~idom ~loops blocks =
+    let m = mk_method blocks in
+    check_loops what m;
+    Alcotest.(check (array int)) (what ^ ": immediate dominators") idom
+      (Tessera_opt.Cfg.dominators m);
+    Alcotest.(check (list (pair int (list int))))
+      (what ^ ": loops") loops
+      (List.map
+         (fun (l : Tessera_opt.Loops.loop) ->
+           (l.Tessera_opt.Loops.header, l.Tessera_opt.Loops.body))
+         (Tessera_opt.Loops.analyze m).Tessera_opt.Loops.loops)
+  in
+  case "unreachable cycle" ~idom:[| 0; -1; -1 |] ~loops:[]
+    [| Block.make 0 [] ret; Block.make 1 [] (Block.Goto 2);
+       Block.make 2 [] (Block.Goto 1) |];
+  (* 2 and 3 are reached only through 1's handler edge *)
+  case "reached through a handler" ~idom:[| 0; 0; 1; 2; 3 |]
+    ~loops:[ (2, [ 2; 3 ]) ]
+    [| Block.make 0 [] (Block.Goto 1);
+       Block.make ~handler:(Some 2) 1 [] ret;
+       Block.make 2 [] (Block.Goto 3);
+       Block.make 3 [] (branch 2 4);
+       Block.make 4 [] ret |];
+  case "self-loop" ~idom:[| 0; 0; 1 |] ~loops:[ (1, [ 1 ]) ]
+    [| Block.make 0 [] (Block.Goto 1); Block.make 1 [] (branch 1 2);
+       Block.make 2 [] ret |];
+  case "back edge to block 0" ~idom:[| 0; 0; 1 |] ~loops:[ (0, [ 0; 1 ]) ]
+    [| Block.make 0 [] (Block.Goto 1); Block.make 1 [] (branch 0 2);
+       Block.make 2 [] ret |];
+  (* 1 and 2 enter each other's cycle from 0: no natural loop, but the
+     cycle through 3 and back to 0 is one *)
+  case "irreducible region" ~idom:[| 0; 0; 0; 2; 3 |]
+    ~loops:[ (0, [ 0; 1; 2; 3 ]) ]
+    [| Block.make 0 [] (branch 1 2); Block.make 1 [] (Block.Goto 2);
+       Block.make 2 [] (branch 1 3); Block.make 3 [] (branch 0 4);
+       Block.make 4 [] ret |]
+
+let test_loops_oracle () =
+  let versions = ref 0 in
+  let check what m =
+    incr versions;
+    check_loops what m
+  in
+  let sweep name (program : Program.t) =
+    let audit ~pass_index:_ ~pass_name ~before ~after =
+      if after != before then check (name ^ " after " ^ pass_name) after
+    in
+    Array.iter
+      (fun m ->
+        check name m;
+        Array.iter
+          (fun level ->
+            ignore
+              (Manager.optimize ~audit ~quality_floor:(quality_floor_of level)
+                 ~program ~plan:(Plan.plan level) m))
+          Plan.levels)
+      program.Program.methods
+  in
+  List.iter
+    (fun (p : Program.t) -> sweep p.Program.name p)
+    (known_answer_programs ());
+  for i = 0 to 99 do
+    sweep
+      (Printf.sprintf "generated %d" i)
+      (Helpers.gen_program (Int64.of_int (9_300 + i)))
+  done;
+  Alcotest.(check bool) "many versions" true (!versions > 20_000)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "loops: hand-built dominator cases" `Quick
+        test_loops_hand_built;
+      Alcotest.test_case "loops: idom tree = dominator-matrix oracle" `Quick
+        test_loops_oracle;
     ]
