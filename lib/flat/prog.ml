@@ -14,8 +14,8 @@
    learned-model labels and the figures digest comparable.
 
    Compiled code follows the same discipline with the code generator's
-   static costs: each [Isa] instruction is one fuel event, then one
-   charge of its cost, then its action. *)
+   static costs, one flat instruction per [Isa] instruction: one fuel
+   event, then one charge of its cost, then its action. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
@@ -55,7 +55,7 @@ type instr =
   | Instance_of of int
   | Monitor
   | Drop_void  (** 1-arg Throw_op: replace top with Void *)
-  | Invoke of int * int * int  (** callee, argc, call charge *)
+  | Invoke of int * int  (** callee, argc; charges the call overhead *)
   | Mixed of int * Types.t  (** argc, ty *)
   | Bounds_chk
   | Arr_copy
@@ -65,7 +65,6 @@ type instr =
   (* control *)
   | Jmp of int
   | Cond_br of int * int  (** pop; branch to fst if truthy else snd *)
-  | Br_false of int  (** pop; branch if falsy, else fall through *)
   | Ret_void
   | Ret_val
   | Raise_user
@@ -89,6 +88,37 @@ type instr =
   | F_load_const of int * int * int * int
   | F_load_begin of int * int * int
   | F_binop_binop of Opcode.t * Types.t * Opcode.t * Types.t
+  (* compiled code: one instruction per [Isa] instruction, each one fuel
+     event and one charge of its static cost (the first operand), then
+     the action of its interpreted namesake, without the Void a
+     statement leaves in interpreted code.  [Const], [Load_local] and
+     [New_obj] already carry their cost and serve both forms. *)
+  | C_inc_local of int * int * int64 * Types.t
+  | C_store_local of int * int * Types.t
+  | C_field_load of int * int
+  | C_field_store of int * int
+  | C_elem_load of int
+  | C_elem_store of int
+  | C_binop of int * Opcode.t * Types.t
+  | C_negate of int * Types.t
+  | C_cast_to of int * Opcode.cast_kind * Types.t
+  | C_checkcast of int * int
+  | C_new_arr of int * Types.t
+  | C_new_multi of int * Types.t
+  | C_instance_of of int * int
+  | C_monitor of int  (** pops the monitored object *)
+  | C_invoke of int * int * int * bool  (** charge, callee, argc, pushes *)
+  | C_mixed of int * int * Types.t * bool  (** charge, argc, ty, pushes *)
+  | C_bounds_chk of int
+  | C_arr_copy of int
+  | C_arr_cmp of int
+  | C_arr_len of int
+  | C_pop of int
+  | C_jmp of int * int
+  | C_br_false of int * int
+  | C_ret_void of int
+  | C_ret_val of int
+  | C_raise of int
 
 type t = {
   method_name : string;
@@ -144,24 +174,49 @@ let kind = function
   | Ret_void -> 31
   | Ret_val -> 32
   | Raise_user -> 33
-  | Br_false _ -> 34
-  | F_enter_begin _ -> 35
-  | F_begin_begin _ -> 36
-  | F_begin_load _ -> 37
-  | F_begin_const _ -> 38
-  | F_load_load _ -> 39
-  | F_load_binop _ -> 40
-  | F_const_binop _ -> 41
-  | F_load_store _ -> 42
-  | F_binop_store _ -> 43
-  | F_store_pop _ -> 44
-  | F_inc_pop _ -> 45
-  | F_pop_begin _ -> 46
-  | F_load_const _ -> 47
-  | F_load_begin _ -> 48
-  | F_binop_binop _ -> 49
+  | F_enter_begin _ -> 34
+  | F_begin_begin _ -> 35
+  | F_begin_load _ -> 36
+  | F_begin_const _ -> 37
+  | F_load_load _ -> 38
+  | F_load_binop _ -> 39
+  | F_const_binop _ -> 40
+  | F_load_store _ -> 41
+  | F_binop_store _ -> 42
+  | F_store_pop _ -> 43
+  | F_inc_pop _ -> 44
+  | F_pop_begin _ -> 45
+  | F_load_const _ -> 46
+  | F_load_begin _ -> 47
+  | F_binop_binop _ -> 48
+  | C_inc_local _ -> 49
+  | C_store_local _ -> 50
+  | C_field_load _ -> 51
+  | C_field_store _ -> 52
+  | C_elem_load _ -> 53
+  | C_elem_store _ -> 54
+  | C_binop _ -> 55
+  | C_negate _ -> 56
+  | C_cast_to _ -> 57
+  | C_checkcast _ -> 58
+  | C_new_arr _ -> 59
+  | C_new_multi _ -> 60
+  | C_instance_of _ -> 61
+  | C_monitor _ -> 62
+  | C_invoke _ -> 63
+  | C_mixed _ -> 64
+  | C_bounds_chk _ -> 65
+  | C_arr_copy _ -> 66
+  | C_arr_cmp _ -> 67
+  | C_arr_len _ -> 68
+  | C_pop _ -> 69
+  | C_jmp _ -> 70
+  | C_br_false _ -> 71
+  | C_ret_void _ -> 72
+  | C_ret_val _ -> 73
+  | C_raise _ -> 74
 
-let kind_count = 50
+let kind_count = 75
 
 let kind_name = function
   | 0 -> "enter"
@@ -198,27 +253,59 @@ let kind_name = function
   | 31 -> "ret_void"
   | 32 -> "ret_val"
   | 33 -> "raise_user"
-  | 34 -> "br_false"
-  | 35 -> "f_enter_begin"
-  | 36 -> "f_begin_begin"
-  | 37 -> "f_begin_load"
-  | 38 -> "f_begin_const"
-  | 39 -> "f_load_load"
-  | 40 -> "f_load_binop"
-  | 41 -> "f_const_binop"
-  | 42 -> "f_load_store"
-  | 43 -> "f_binop_store"
-  | 44 -> "f_store_pop"
-  | 45 -> "f_inc_pop"
-  | 46 -> "f_pop_begin"
-  | 47 -> "f_load_const"
-  | 48 -> "f_load_begin"
-  | 49 -> "f_binop_binop"
+  | 34 -> "f_enter_begin"
+  | 35 -> "f_begin_begin"
+  | 36 -> "f_begin_load"
+  | 37 -> "f_begin_const"
+  | 38 -> "f_load_load"
+  | 39 -> "f_load_binop"
+  | 40 -> "f_const_binop"
+  | 41 -> "f_load_store"
+  | 42 -> "f_binop_store"
+  | 43 -> "f_store_pop"
+  | 44 -> "f_inc_pop"
+  | 45 -> "f_pop_begin"
+  | 46 -> "f_load_const"
+  | 47 -> "f_load_begin"
+  | 48 -> "f_binop_binop"
+  (* a compiled opcode is named after the action it carries *)
+  | 49 -> "inc_local"
+  | 50 -> "store_local"
+  | 51 -> "field_load"
+  | 52 -> "field_store"
+  | 53 -> "elem_load"
+  | 54 -> "elem_store"
+  | 55 -> "binop"
+  | 56 -> "negate"
+  | 57 -> "cast_to"
+  | 58 -> "checkcast"
+  | 59 -> "new_arr"
+  | 60 -> "new_multi"
+  | 61 -> "instance_of"
+  | 62 -> "monitor"
+  | 63 -> "invoke"
+  | 64 -> "mixed"
+  | 65 -> "bounds_chk"
+  | 66 -> "arr_copy"
+  | 67 -> "arr_cmp"
+  | 68 -> "arr_len"
+  | 69 -> "pop"
+  | 70 -> "jmp"
+  | 71 -> "br_false"
+  | 72 -> "ret_void"
+  | 73 -> "ret_val"
+  | 74 -> "raise_user"
   | _ -> "?"
+
+let is_fused i =
+  let k = kind i in
+  k >= 34 && k < 49
+
+let is_compiled_op i = kind i >= 49
 
 (* Superinstructions occupy two slots: the fused op plus the dead slot
    of its second half, skipped at execution and verification time. *)
-let width i = if kind i >= 35 then 2 else 1
+let width i = if is_fused i then 2 else 1
 
 (* -- verifier -------------------------------------------------------
    Mirrors [Il.Validate]'s role for tree IL: structural soundness of the
@@ -237,10 +324,10 @@ let stack_io = function
     ->
       (2, 1)
   | Elem_store | Arr_copy -> (3, 1)
-  | Invoke (_, argc, _) | Mixed (argc, _) -> (argc, 1)
+  | Invoke (_, argc) | Mixed (argc, _) -> (argc, 1)
   | Pop -> (1, 0)
   | Jmp _ -> (0, 0)
-  | Cond_br _ | Br_false _ -> (1, 0)
+  | Cond_br _ -> (1, 0)
   | Ret_void | Raise_user -> (0, 0)
   | Ret_val -> (1, 0)
   | F_enter_begin _ | F_begin_begin _ | F_inc_pop _ -> (0, 0)
@@ -251,9 +338,22 @@ let stack_io = function
   | F_binop_store _ -> (2, 1)
   | F_binop_binop _ -> (3, 1)
   | F_store_pop _ | F_pop_begin _ -> (1, 0)
+  | C_inc_local _ | C_jmp _ | C_ret_void _ | C_raise _ -> (0, 0)
+  | C_store_local _ | C_monitor _ | C_pop _ | C_br_false _ | C_ret_val _ ->
+      (1, 0)
+  | C_field_load _ | C_negate _ | C_cast_to _ | C_checkcast _ | C_new_arr _
+  | C_instance_of _ | C_arr_len _ ->
+      (1, 1)
+  | C_field_store _ | C_bounds_chk _ -> (2, 0)
+  | C_elem_load _ | C_binop _ | C_new_multi _ | C_arr_cmp _ -> (2, 1)
+  | C_elem_store _ | C_arr_copy _ -> (3, 0)
+  | C_invoke (_, _, argc, pushes) | C_mixed (_, argc, _, pushes) ->
+      (argc, if pushes then 1 else 0)
 
 let is_terminator = function
-  | Jmp _ | Cond_br _ | Ret_void | Ret_val | Raise_user -> true
+  | Jmp _ | Cond_br _ | Ret_void | Ret_val | Raise_user | C_jmp _
+  | C_ret_void _ | C_ret_val _ | C_raise _ ->
+      true
   | _ -> false
 
 let verify p =
@@ -293,7 +393,8 @@ let verify p =
       | Const (_, k) | F_begin_const (_, _, k) -> check_pool k
       | Load_local (_, s) | Inc_local (_, s, _, _) | Store_local (s, _)
       | F_store_pop (s, _) | F_inc_pop (_, s, _, _) | F_begin_load (_, _, s)
-      | F_load_binop (_, s, _, _) | F_load_begin (_, s, _) ->
+      | F_load_binop (_, s, _, _) | F_load_begin (_, s, _)
+      | C_inc_local (_, s, _, _) | C_store_local (_, s, _) ->
           check_slot "local" s
       | F_load_const (_, s, _, k) ->
           check_slot "local" s;
@@ -303,9 +404,10 @@ let verify p =
           check_slot "local" s2
       | F_binop_store (_, _, s, _) -> check_slot "local" s
       | F_const_binop (_, k, _, _) -> check_pool k
-      | Invoke (_, argc, _) | Mixed (argc, _) ->
+      | Invoke (_, argc) | Mixed (argc, _) | C_invoke (_, _, argc, _)
+      | C_mixed (_, argc, _, _) ->
           if argc < 0 then bad "negative arity"
-      | Jmp t | Br_false t -> check_target t
+      | Jmp t | C_jmp (_, t) | C_br_false (_, t) -> check_target t
       | Cond_br (t, f) ->
           check_target t;
           check_target f
@@ -333,7 +435,7 @@ let verify p =
           if !depth <> 0 then bad "nonzero stack depth (%d) at terminator" !depth
         end;
         (match ins with
-        | Br_false _ when !depth <> 0 ->
+        | C_br_false _ when !depth <> 0 ->
             bad "nonzero stack depth (%d) at branch" !depth
         | _ -> ());
         i := !i + width ins
@@ -413,8 +515,9 @@ let finish e ~method_name ~handler_of_block ~local_types ~local_is_arg ~ret
     (fun i ins ->
       match ins with
       | Jmp b -> instrs.(i) <- Jmp (entry b)
-      | Br_false b -> instrs.(i) <- Br_false (entry b)
       | Cond_br (t, f) -> instrs.(i) <- Cond_br (entry t, entry f)
+      | C_jmp (c, b) -> instrs.(i) <- C_jmp (c, entry b)
+      | C_br_false (c, b) -> instrs.(i) <- C_br_false (c, entry b)
       | _ -> ())
     instrs;
   let p =
@@ -535,7 +638,7 @@ let of_meth (m : Meth.t) =
     | Opcode.Call ->
         emit (Begin c);
         Array.iter emit_node n.args;
-        emit (Invoke (n.sym, Array.length n.args, Cost.interp_call_overhead))
+        emit (Invoke (n.sym, Array.length n.args))
     | Opcode.Arrayop Opcode.Bounds_check ->
         emit (Begin c);
         a 0;
@@ -608,68 +711,55 @@ let of_meth (m : Meth.t) =
     p.block_entry;
   p
 
-(* Compiled code: each [Isa] instruction is one fuel event and one
-   charge of its static cost (a leaf form, or a [Begin]), then its flat
-   action.  Where the flat action pushes a Void the [Isa] instruction
-   does not, a [Pop] follows; calls were charged by the code generator,
-   so [Invoke] adds nothing. *)
+(* Compiled code: one flat instruction per [Isa] instruction, so flat
+   pcs are [Isa] pcs.  Each is one fuel event and one charge of its
+   static cost, then its action; a call was charged by the code
+   generator, so [C_invoke] adds nothing.  [Monitor false] (monitor
+   exit with nothing on the stack) has no action and stays a [Begin]. *)
 let of_compiled (c : Isa.compiled) =
-  (* most [Isa] instructions become two flat ones *)
   let e =
-    emitter
-      ~size:(2 * Array.length c.Isa.instrs)
-      (Array.length c.Isa.block_start)
+    emitter ~size:(Array.length c.Isa.instrs) (Array.length c.Isa.block_start)
   in
-  let emit = emit e in
-  let act cost i =
-    emit (Begin cost);
-    emit i
-  in
-  let act_pop cost i =
-    act cost i;
-    emit Pop
-  in
-  let void ty = Types.equal ty Types.Void in
+  let block t = c.Isa.block_of_pc.(t) in
+  let pushes ty = not (Types.equal ty Types.Void) in
   Array.iteri
     (fun pc ins ->
-      let b = c.Isa.block_of_pc.(pc) in
+      let b = block pc in
       if c.Isa.block_start.(b) = pc then start_block e b;
       let cost = c.Isa.costs.(pc) in
-      match ins with
-      | Isa.Const (ty, bits) -> emit (Const (cost, const_idx e ty bits))
-      | Isa.Load_local s -> emit (Load_local (cost, s))
-      | Isa.New_obj cls -> emit (New_obj (cost, cls))
-      | Isa.Inc_local (s, d, ty) ->
-          emit (Inc_local (cost, s, d, ty));
-          emit Pop
-      | Isa.Store_local (s, ty) -> act_pop cost (Store_local (s, ty))
-      | Isa.Field_load f -> act cost (Field_load f)
-      | Isa.Field_store f -> act_pop cost (Field_store f)
-      | Isa.Elem_load -> act cost Elem_load
-      | Isa.Elem_store -> act_pop cost Elem_store
-      | Isa.Binop (op, ty) -> act cost (Binop (op, ty))
-      | Isa.Negate ty -> act cost (Negate ty)
-      | Isa.Cast_to (k, ty) -> act cost (Cast_to (k, ty))
-      | Isa.Checkcast cls -> act cost (Checkcast cls)
-      | Isa.New_arr ty -> act cost (New_arr ty)
-      | Isa.New_multi ty -> act cost (New_multi ty)
-      | Isa.Instance_of cls -> act cost (Instance_of cls)
-      | Isa.Monitor true -> act_pop cost Monitor
-      | Isa.Monitor false -> emit (Begin cost)
-      | Isa.Invoke (callee, argc, ret) ->
-          (if void ret then act_pop else act) cost (Invoke (callee, argc, 0))
-      | Isa.Mixed_op (argc, ty) ->
-          (if void ty then act_pop else act) cost (Mixed (argc, ty))
-      | Isa.Bounds_chk -> act_pop cost Bounds_chk
-      | Isa.Arr_copy -> act_pop cost Arr_copy
-      | Isa.Arr_cmp -> act cost Arr_cmp
-      | Isa.Arr_len -> act cost Arr_len
-      | Isa.Pop -> act cost Pop
-      | Isa.Jump t -> act cost (Jmp c.Isa.block_of_pc.(t))
-      | Isa.Jump_if_false t -> act cost (Br_false c.Isa.block_of_pc.(t))
-      | Isa.Ret true -> act cost Ret_val
-      | Isa.Ret false -> act cost Ret_void
-      | Isa.Throw_instr -> act cost Raise_user)
+      emit e
+        (match ins with
+        | Isa.Const (ty, bits) -> Const (cost, const_idx e ty bits)
+        | Isa.Load_local s -> Load_local (cost, s)
+        | Isa.New_obj cls -> New_obj (cost, cls)
+        | Isa.Inc_local (s, d, ty) -> C_inc_local (cost, s, d, ty)
+        | Isa.Store_local (s, ty) -> C_store_local (cost, s, ty)
+        | Isa.Field_load f -> C_field_load (cost, f)
+        | Isa.Field_store f -> C_field_store (cost, f)
+        | Isa.Elem_load -> C_elem_load cost
+        | Isa.Elem_store -> C_elem_store cost
+        | Isa.Binop (op, ty) -> C_binop (cost, op, ty)
+        | Isa.Negate ty -> C_negate (cost, ty)
+        | Isa.Cast_to (k, ty) -> C_cast_to (cost, k, ty)
+        | Isa.Checkcast cls -> C_checkcast (cost, cls)
+        | Isa.New_arr ty -> C_new_arr (cost, ty)
+        | Isa.New_multi ty -> C_new_multi (cost, ty)
+        | Isa.Instance_of cls -> C_instance_of (cost, cls)
+        | Isa.Monitor true -> C_monitor cost
+        | Isa.Monitor false -> Begin cost
+        | Isa.Invoke (callee, argc, ret) ->
+            C_invoke (cost, callee, argc, pushes ret)
+        | Isa.Mixed_op (argc, ty) -> C_mixed (cost, argc, ty, pushes ty)
+        | Isa.Bounds_chk -> C_bounds_chk cost
+        | Isa.Arr_copy -> C_arr_copy cost
+        | Isa.Arr_cmp -> C_arr_cmp cost
+        | Isa.Arr_len -> C_arr_len cost
+        | Isa.Pop -> C_pop cost
+        | Isa.Jump t -> C_jmp (cost, block t)
+        | Isa.Jump_if_false t -> C_br_false (cost, block t)
+        | Isa.Ret true -> C_ret_val cost
+        | Isa.Ret false -> C_ret_void cost
+        | Isa.Throw_instr -> C_raise cost))
     c.Isa.instrs;
   finish e ~method_name:c.Isa.method_name
     ~handler_of_block:c.Isa.handler_of_block ~local_types:c.Isa.local_types

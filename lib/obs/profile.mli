@@ -13,10 +13,10 @@
     ([samples × period]) account for every charged cycle to within one
     period per site.
 
-    Off by default, like [Trace]: the interpreters test [!enabled] once
-    per run and select an unwrapped charge closure when it is false, so
-    the profiler-off cost is one branch per interpreter entry (measured
-    within the <3% observability budget by [bench profile]).  The site
+    Off by default, like [Trace]: the interpreters read [!enabled] once
+    per run, so the profiler-off cost is at most one well-predicted
+    branch on a local flag per charge (measured within the <3%
+    observability budget by [bench profile]).  The site
     table is bounded ({!enable}'s [max_sites]); weight landing past the
     bound is counted in {!dropped_samples}, never silently lost.
     Single-domain discipline: fires are mutex-guarded so concurrent

@@ -77,10 +77,7 @@ let run ctx (m : Meth.t) args =
             Semantics.elem_store a i v;
             Void_v)
     | Opcode.Inc ->
-        env.(n.sym) <-
-          Int_v
-            (truncate m.symbols.(n.sym).ty
-               (Int64.add (as_int env.(n.sym)) n.const));
+        env.(n.sym) <- Semantics.inc m.symbols.(n.sym).ty env.(n.sym) n.const;
         Void_v
     | Opcode.Neg -> Semantics.neg n.ty (eval n.args.(0))
     | Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem

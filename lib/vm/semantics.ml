@@ -3,9 +3,13 @@ module Opcode = Tessera_il.Opcode
 module Classdef = Tessera_il.Classdef
 open Values
 
+(* integer results: one box for the [int64], one for [Int_v], and
+   none at all where truncation changes nothing *)
 let store_coerce ty v =
   match v with
-  | Int_v x when Types.is_integral ty -> Int_v (truncate ty x)
+  | Int_v x when Types.is_integral ty ->
+      let y = truncate ty x in
+      if Int64.equal x y then v else Int_v y
   | Int_v x when Types.is_floating ty -> Float_v (Int64.to_float x)
   | Float_v f when Types.is_integral ty ->
       Int_v (truncate ty (Int64.of_float f))
@@ -20,7 +24,7 @@ let fp_binop op a b =
   | Opcode.Rem -> Float.rem a b
   | _ -> invalid_arg "Semantics.fp_binop"
 
-let int_binop op (a : int64) (b : int64) =
+let[@inline] int_binop op (a : int64) (b : int64) =
   match op with
   | Opcode.Add -> Int64.add a b
   | Opcode.Sub -> Int64.sub a b
@@ -40,6 +44,10 @@ let int_binop op (a : int64) (b : int64) =
       | Opcode.Ushr -> Int64.shift_right_logical a s)
   | _ -> invalid_arg "Semantics.int_binop"
 
+let true_v = Int_v 1L
+let false_v = Int_v 0L
+let[@inline] of_bool r = if r then true_v else false_v
+
 let compare_values c a b =
   let num =
     match (a, b) with
@@ -57,18 +65,25 @@ let compare_values c a b =
     | Opcode.Gt -> num > 0
     | Opcode.Ge -> num >= 0
   in
-  Int_v (if r then 1L else 0L)
+  of_bool r
 
 let binop op ty a b =
   match op with
   | Opcode.Compare c -> compare_values c a b
-  | _ ->
-      if Types.is_floating ty then Float_v (fp_binop op (as_float a) (as_float b))
-      else Int_v (truncate ty (int_binop op (as_int a) (as_int b)))
+  | _ -> (
+      match (a, b) with
+      | Int_v x, Int_v y when not (Types.is_floating ty) ->
+          Int_v (truncate ty (int_binop op x y))
+      | _ ->
+          if Types.is_floating ty then
+            Float_v (fp_binop op (as_float a) (as_float b))
+          else Int_v (truncate ty (int_binop op (as_int a) (as_int b))))
 
 let neg ty v =
   if Types.is_floating ty then Float_v (-.as_float v)
   else Int_v (truncate ty (Int64.neg (as_int v)))
+
+let inc ty v d = Int_v (truncate ty (Int64.add (as_int v) d))
 
 let checkcast ~classes class_id v =
   match v with
@@ -109,27 +124,35 @@ let field_store objv i v =
   if i < 0 || i >= Array.length o.fields then raise (Trap Out_of_bounds);
   o.fields.(i) <- v
 
-let index_of arrv idxv =
-  let a = as_arr arrv in
-  let i = Int64.to_int (as_int idxv) in
-  if i < 0 || i >= Array.length a.data then raise (Trap Out_of_bounds);
-  (a, i)
+(* an [int64] length or index as a native int, trapping outside
+   [0, limit]: compared before it converts, since [Int64.to_int] drops
+   the top bit and would read [Int64.min_int + 1024] as 1024 *)
+let[@inline] within ~limit (x : int64) =
+  if x < 0L || x > Int64.of_int limit then raise (Trap Out_of_bounds);
+  Int64.to_int x
+
+(* the index of an element access, after the array's own null and
+   class checks *)
+let[@inline] index_in a idxv =
+  within ~limit:(Array.length a.data - 1) (as_int idxv)
 
 let elem_load arrv idxv =
-  let a, i = index_of arrv idxv in
-  a.data.(i)
+  let a = as_arr arrv in
+  Array.unsafe_get a.data (index_in a idxv)
 
 let elem_store arrv idxv v =
-  let a, i = index_of arrv idxv in
-  a.data.(i) <- store_coerce a.elem v
+  let a = as_arr arrv in
+  Array.unsafe_set a.data (index_in a idxv) (store_coerce a.elem v)
 
-let bounds_check arrv idxv = ignore (index_of arrv idxv)
+let bounds_check arrv idxv = ignore (index_in (as_arr arrv) idxv : int)
 
 let array_copy srcv dstv lenv =
   let src = as_arr srcv and dst = as_arr dstv in
-  let len = Int64.to_int (as_int lenv) in
-  if len < 0 || len > Array.length src.data || len > Array.length dst.data then
-    raise (Trap Out_of_bounds);
+  let len =
+    within
+      ~limit:(min (Array.length src.data) (Array.length dst.data))
+      (as_int lenv)
+  in
   Array.blit src.data 0 dst.data 0 len;
   len
 
@@ -156,14 +179,16 @@ let new_obj ~classes class_id =
 let max_array_length = 1 lsl 20
 
 let new_array ~elem lenv =
-  let len = Int64.to_int (as_int lenv) in
-  if len < 0 || len > max_array_length then raise (Trap Out_of_bounds);
+  let len = within ~limit:max_array_length (as_int lenv) in
   Arr_v { elem; data = Array.make len (default elem) }
 
 let new_multiarray ~elem d1v d2v =
-  let d1 = Int64.to_int (as_int d1v) and d2 = Int64.to_int (as_int d2v) in
-  if d1 < 0 || d2 < 0 || d1 * max 1 d2 > max_array_length then
-    raise (Trap Out_of_bounds);
+  let x1 = as_int d1v and x2 = as_int d2v in
+  (* each dimension is bounded before they multiply: 2^32 * 2^31
+     overflows to 0 *)
+  let d1 = within ~limit:max_array_length x1
+  and d2 = within ~limit:max_array_length x2 in
+  if d1 * max 1 d2 > max_array_length then raise (Trap Out_of_bounds);
   let inner () = Arr_v { elem; data = Array.make d2 (default elem) } in
   Arr_v { elem = Types.Address; data = Array.init d1 (fun _ -> inner ()) }
 
@@ -173,7 +198,7 @@ let instanceof ~classes class_id v =
     | Obj_v o -> Classdef.is_subclass classes o.class_id class_id
     | _ -> false
   in
-  Int_v (if r then 1L else 0L)
+  of_bool r
 
 let monitor = function
   | Null_v -> raise (Trap Null_deref)

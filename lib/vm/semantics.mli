@@ -13,6 +13,9 @@ val binop : Opcode.t -> Types.t -> Values.t -> Values.t -> Values.t
 
 val neg : Types.t -> Values.t -> Values.t
 
+val inc : Types.t -> Values.t -> int64 -> Values.t
+(** [inc ty v d]: the local increment, [v + d] truncated to [ty]. *)
+
 val cast : Opcode.cast_kind -> Types.t -> Values.t -> Values.t
 (** Numeric conversions and reference reinterpretation.  [C_check] is the
     identity here; engines must route checkcasts through {!checkcast}. *)
@@ -49,6 +52,8 @@ val new_array : elem:Types.t -> Values.t -> Values.t
 (** Raises [Trap Out_of_bounds] for negative or absurd (>2^20) lengths. *)
 
 val new_multiarray : elem:Types.t -> Values.t -> Values.t -> Values.t
+(** Raises [Trap Out_of_bounds] when a dimension is negative or either
+    dimension, or their product, exceeds 2^20. *)
 
 val instanceof : classes:Tessera_il.Classdef.t array -> int -> Values.t -> Values.t
 
@@ -60,4 +65,5 @@ val mixed : Types.t -> Values.t array -> Values.t
     shape of its operands into the result type. *)
 
 val store_coerce : Types.t -> Values.t -> Values.t
-(** Truncation performed by stores into a typed location. *)
+(** Truncation performed by stores into a typed location.  Returns its
+    argument itself when truncation changes nothing. *)

@@ -337,9 +337,238 @@ let test_engine_parity () =
   Alcotest.(check int64) "app cycles" (Int64.of_int tree_cycles)
     (Engine.app_cycles engine)
 
+(* ---- known answers of every clock read ----------------------------
+
+   The loop hands its charges to [ctx.charge] in batches, so what must
+   not move is the cycle total wherever the clock can be read: when a
+   call leaves the loop ([ctx.invoke]), when the callee returns or
+   raises, and when the entry invocation ends.  The 20 suite programs at
+   scale 0.05 (entry argument 0) run all interpreted and all compiled at
+   each level (null modifier), at full fuel and at two budgets that stop
+   mid-run.  The constant was recorded on the loop that charged every
+   instruction on its own. *)
+
+module Compiler = Tessera_jit.Compiler
+
+let clock_read_fuel = 200_000_000
+
+(* One run's log: [>] callee, cycles and fuel as a call leaves the
+   loop; [<] or [!] as it returns or raises; then the outcome. *)
+let clock_reads ~fuel (program : Program.t) (flats : Prog.t array) =
+  let buf = Buffer.create 4096 in
+  let cycles = ref 0 in
+  let fuel_ref = ref fuel in
+  let rec invoke id args =
+    Printf.bprintf buf ">%d %d %d\n" id !cycles !fuel_ref;
+    match
+      Flat_interp.run
+        {
+          Interp.classes = program.Program.classes;
+          charge = (fun n -> cycles := !cycles + n);
+          invoke;
+          fuel = fuel_ref;
+        }
+        flats.(id) args
+    with
+    | v ->
+        Printf.bprintf buf "<%d %d\n" !cycles !fuel_ref;
+        v
+    | exception e ->
+        Printf.bprintf buf "!%d %d\n" !cycles !fuel_ref;
+        raise e
+  in
+  (match invoke program.Program.entry [| Values.Int_v 0L |] with
+  | v -> Printf.bprintf buf "ok:%Ld" (Values.checksum v)
+  | exception Values.Trap k -> Printf.bprintf buf "trap:%s" (Values.trap_name k)
+  | exception Interp.Out_of_fuel -> Buffer.add_string buf "fuel");
+  Printf.bprintf buf " %d %d\n" !cycles !fuel_ref;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), fuel - !fuel_ref)
+
+let clock_read_digest () =
+  let out = Buffer.create 4096 in
+  List.iter
+    (fun (b : Suites.bench) ->
+      let b = Suites.scale_bench b 0.05 in
+      let program = Tessera_workloads.Generate.program b.Suites.profile in
+      let forms =
+        ( "interpreted",
+          Array.map (fun m -> Prog.fuse (Prog.of_meth m)) program.Program.methods
+        )
+        :: List.map
+             (fun level ->
+               ( Plan.level_name level,
+                 Array.map
+                   (fun m ->
+                     Helpers.flat_of_compiled
+                       (Compiler.compile ~program ~level m).Compiler.code)
+                   program.Program.methods ))
+             (Array.to_list Plan.levels)
+      in
+      List.iter
+        (fun (form, flats) ->
+          let full, used = clock_reads ~fuel:clock_read_fuel program flats in
+          let third, _ = clock_reads ~fuel:(used / 3) program flats in
+          let late, _ = clock_reads ~fuel:((2 * used / 3) + 1) program flats in
+          Printf.bprintf out "%s %s %s %s %s\n"
+            b.Suites.profile.Tessera_workloads.Profile.name form full third late)
+        forms)
+    Suites.all;
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
+let test_clock_read_known_answers () =
+  Alcotest.(check string) "clock reads" "8212db383f43d2ad14f4ed8696fc4a50"
+    (clock_read_digest ())
+
+(* ---- translation shape -------------------------------------------- *)
+
+module Isa = Tessera_codegen.Isa
+
+(* Compiled code translates one to one: as many flat instructions as
+   [Isa] instructions, none of them fused, and a [Begin] only where
+   monitor exit has nothing on the stack. *)
+let check_translation (c : Isa.compiled) =
+  let p = Prog.of_compiled c in
+  Alcotest.(check int)
+    (c.Isa.method_name ^ ": one flat instruction per Isa")
+    (Array.length c.Isa.instrs) (Prog.code_size p);
+  (match Prog.verify p with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "translation does not verify: %s" e);
+  Array.iteri
+    (fun pc ins ->
+      let is_begin = match ins with Prog.Begin _ -> true | _ -> false in
+      if Prog.is_fused ins || is_begin <> (c.Isa.instrs.(pc) = Isa.Monitor false)
+      then
+        Alcotest.failf "%s: pc %d translates to %s" c.Isa.method_name pc
+          (Prog.kind_name (Prog.kind ins)))
+    p.Prog.instrs
+
+let test_translation_shape () =
+  List.iter
+    (fun (b : Suites.bench) ->
+      let program = Tessera_workloads.Generate.program b.Suites.profile in
+      Array.iter
+        (fun level ->
+          Array.iter
+            (fun m ->
+              check_translation (Compiler.compile ~program ~level m).Compiler.code)
+            program.Program.methods)
+        Plan.levels)
+    Suites.all;
+  for seed = 0 to 119 do
+    let program = Helpers.gen_program (Int64.of_int (seed + 5)) in
+    let level = Plan.levels.(seed mod Array.length Plan.levels) in
+    Array.iter
+      (fun m ->
+        check_translation (Compiler.compile ~program ~level m).Compiler.code)
+      program.Program.methods
+  done;
+  (* the pair census runs interpreted, unfused code only *)
+  let program = Helpers.gen_program 5L in
+  let compiled =
+    Prog.of_compiled
+      (Compiler.compile ~program ~level:Plan.Hot
+         (Program.meth program program.Program.entry))
+        .Compiler.code
+  in
+  let ctx =
+    {
+      Interp.classes = program.Program.classes;
+      charge = ignore;
+      invoke = (fun _ _ -> Values.Void_v);
+      fuel = ref 1_000;
+    }
+  in
+  match
+    Flat_interp.run_counted
+      ~pairs:(Array.make (Prog.kind_count * Prog.kind_count) 0)
+      ctx compiled (Helpers.entry_args 0)
+  with
+  | _ -> Alcotest.fail "run_counted ran compiled code"
+  | exception Invalid_argument _ -> ()
+
+(* ---- newmultiarray bounds ----------------------------------------- *)
+
+module Types = Tessera_il.Types
+module Node = Tessera_il.Node
+
+(* Each dimension is bounded before the two multiply: 2^32 * 2^31
+   overflowed to 0, passed the check, and [Array.init] then asked for
+   2^32 inner arrays. *)
+let long v = Node.iconst Types.Long v
+
+let int_array opcode dims =
+  Node.mk ~sym:(Types.index Types.Int) opcode Types.Address dims
+
+let array_length arr =
+  Node.mk Tessera_il.Opcode.(Arrayop Array_length) Types.Int [| arr |]
+
+(* a one-block method returning [value] *)
+let value_program value =
+  Program.make ~name:"arrays" ~entry:0
+    [|
+      Meth.make ~name:"M.m()I" ~params:[||] ~ret:Types.Int ~symbols:[||]
+        [| Tessera_il.Block.make 0 [] (Tessera_il.Block.Return (Some value)) |];
+    |]
+
+(* [value]'s outcome on the tree walker, flat and fused interpreted
+   code, and compiled code *)
+let check_outcome name expected value =
+  let program = value_program value in
+  List.iter
+    (fun (tier_name, tier) ->
+      Alcotest.check ext_testable
+        (Printf.sprintf "%s: %s" name tier_name)
+        expected
+        (fst (run_tier ~tier program [||])))
+    [ ("tree", `Tree); ("flat", `Flat); ("fused", `Fused) ];
+  Alcotest.check ext_testable
+    (Printf.sprintf "%s: compiled" name)
+    expected
+    (Done (fst (Helpers.run_program ~compile:true program [||])))
+
+let trap = Done (Error Values.Out_of_bounds)
+
+let test_multiarray_bounds () =
+  let check name expected (d1, d2) =
+    check_outcome name expected
+      (array_length
+         (int_array Tessera_il.Opcode.Newmultiarray [| long d1; long d2 |]))
+  in
+  check "2^32 x 2^31 traps" trap (0x1_0000_0000L, 0x8000_0000L);
+  check "2^31 x 2^32 traps" trap (0x8000_0000L, 0x1_0000_0000L);
+  check "0 x 2^40 traps" trap (0L, 0x100_0000_0000L);
+  check "2^20 x 2 traps" trap (0x10_0000L, 2L);
+  (* compared as [int64]: converted first, the top bit would drop and
+     leave 1024 *)
+  check "(min_int + 1024) x 1024 traps" trap (Int64.add Int64.min_int 1024L, 1024L);
+  check "1024 x (min_int + 1024) traps" trap (1024L, Int64.add Int64.min_int 1024L);
+  check "1024 x 1024 allocates" (Done (Ok (Values.Int_v 1024L))) (1024L, 1024L)
+
+(* A length or an index is compared as an [int64]: converted first, the
+   top bit would drop and [Int64.min_int + k] would read as k. *)
+let test_array_operands_int64 () =
+  let min_plus k = Int64.add Int64.min_int k in
+  let new_array len = int_array Tessera_il.Opcode.Newarray [| long len |] in
+  let elem len idx = Node.mk Tessera_il.Opcode.Load Types.Int [| new_array len; long idx |] in
+  check_outcome "newarray (min_int + 1024) traps" trap
+    (array_length (new_array (min_plus 1024L)));
+  check_outcome "newarray 1024 allocates" (Done (Ok (Values.Int_v 1024L)))
+    (array_length (new_array 1024L));
+  check_outcome "index (min_int + 3) of 4 traps" trap (elem 4L (min_plus 3L));
+  check_outcome "index 3 of 4 loads" (Done (Ok (Values.Int_v 0L))) (elem 4L 3L)
+
 let suite =
   [
     Alcotest.test_case "fuel boundary (tree)" `Quick test_fuel_boundary;
+    Alcotest.test_case "clock reads: known answers" `Quick
+      test_clock_read_known_answers;
+    Alcotest.test_case "translation: one flat instruction per Isa" `Quick
+      test_translation_shape;
+    Alcotest.test_case "newmultiarray: each dimension bounded" `Quick
+      test_multiarray_bounds;
+    Alcotest.test_case "array lengths and indices: compared as int64" `Quick
+      test_array_operands_int64;
     Alcotest.test_case "fuel boundary (flat tiers)" `Quick
       test_fuel_boundary_flat;
     Alcotest.test_case "verifier rejects corruption" `Quick

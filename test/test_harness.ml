@@ -491,6 +491,27 @@ let test_regress_profile_gates () =
           write_json cand "BENCH_profile.json" (profile ~dropped:7 ~coverage:0.98);
           Alcotest.(check bool) "dropped samples fail" true (failed ())))
 
+(* fusion is gated on its own factor: a faster unfused loop lowers
+   fusion's share of the win over the tree walker, not the factor *)
+let test_regress_fusion_factor () =
+  with_temp_dir (fun base ->
+      with_temp_dir (fun cand ->
+          let flat ~flat ~super =
+            Printf.sprintf
+              {|{"flat_speedup_geomean": %f, "flat_super_speedup_geomean": %f}|}
+              flat super
+          in
+          let failed () =
+            Harness.Regress.failed
+              (Harness.Regress.run ~baseline_dir:base ~candidate_dir:cand ())
+          in
+          write_json base "BENCH_flat.json" (flat ~flat:1.06 ~super:1.52);
+          write_json cand "BENCH_flat.json" (flat ~flat:1.41 ~super:1.95);
+          Alcotest.(check bool) "faster base loop, same fusion passes" false
+            (failed ());
+          write_json cand "BENCH_flat.json" (flat ~flat:1.41 ~super:1.62);
+          Alcotest.(check bool) "fusion losing its gain fails" true (failed ())))
+
 let test_regress_mode_mismatch () =
   with_temp_dir (fun base ->
       with_temp_dir (fun cand ->
@@ -527,6 +548,8 @@ let suite =
         test_regress_mode_mismatch;
       Alcotest.test_case "regress profiler coverage and drop gates" `Quick
         test_regress_profile_gates;
+      Alcotest.test_case "regress gates fusion's own factor" `Quick
+        test_regress_fusion_factor;
     ]
 
 (* ---- collection known answers -------------------------------------
