@@ -973,7 +973,7 @@ let run_flat ~jobs cfg =
         let program = Tessera_workloads.Generate.program bench.Suites.profile in
         let n = Il_program.method_count program in
         let base =
-          Array.init n (fun i -> Flat_prog.of_meth (Il_program.meth program i))
+          Array.init n (fun i -> Tessera_flat.Lower.of_meth (Il_program.meth program i))
         in
         let fused = Array.map Flat_prog.fuse base in
         (* one all-interpreted leg: a raw context whose invoke closure
@@ -1783,8 +1783,8 @@ let run_micro ~jobs cfg =
   let wire_frame = Tessera_protocol.Message.encode wire_predict in
   (* the flat loop on a small fixed program: one entry invocation of
      compress at scale 0.05 on a raw context, with every method compiled
-     at the hot level (translated and fused, as the engine runs it) or
-     every method interpreted *)
+     at the hot level (the code the engine runs) or every method
+     interpreted *)
   let loop_program =
     Tessera_workloads.Generate.program
       (Suites.scale_bench (Option.get (Suites.find "compress")) 0.05)
@@ -1813,19 +1813,21 @@ let run_micro ~jobs cfg =
     loop_entry
       (Array.map
          (fun m ->
-           Flat_prog.(
-             fuse
-               (of_compiled
-                  (Tessera_jit.Compiler.compile ~program:loop_program
-                     ~level:Plan.Hot m)
-                    .Tessera_jit.Compiler.code)))
+           (Tessera_jit.Compiler.compile ~program:loop_program ~level:Plan.Hot m)
+             .Tessera_jit.Compiler.code)
          loop_program.Il_program.methods)
   in
   let loop_interpreted =
     loop_entry
       (Array.map
-         (fun m -> Flat_prog.(fuse (of_meth m)))
+         (fun m -> Flat_prog.fuse (Tessera_flat.Lower.of_meth m))
          loop_program.Il_program.methods)
+  in
+  (* the warm path's decoding: one hot-level entry back to the verified,
+     fused program it holds *)
+  let entry_bytes =
+    Tessera_cache.Codecache.encode_entry
+      (Tessera_jit.Compiler.compile ~program ~level:Plan.Hot meth)
   in
   let tests =
     [
@@ -1849,6 +1851,8 @@ let run_micro ~jobs cfg =
       ( "JIT compilation, cold plan",
         fun () ->
           ignore (Tessera_jit.Compiler.compile ~program ~level:Plan.Cold meth) );
+      ( "code-cache entry decode",
+        fun () -> ignore (Tessera_cache.Codecache.decode_entry entry_bytes) );
       ("archive encode", fun () -> ignore (Tessera_collect.Archive.to_string archive));
       ( "archive decode",
         fun () -> ignore (Tessera_collect.Archive.of_string archive_bytes) );

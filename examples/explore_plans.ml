@@ -36,9 +36,7 @@ let () =
 
   (* cost of one invocation under a given compilation *)
   let run_cycles (comp : Compiler.compilation) =
-    let code =
-      Tessera_flat.Prog.fuse (Tessera_flat.Prog.of_compiled comp.Compiler.code)
-    in
+    let code = comp.Compiler.code in
     let cycles = ref 0 in
     let fuel = ref 50_000_000 in
     let rec invoke id args =

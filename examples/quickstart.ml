@@ -57,7 +57,7 @@ let () =
         "%-5s compile: %6d cycles, %3d -> %3d IL nodes, %3d instructions@."
         (Plan.level_name level)
         c.Compiler.compile_cycles c.Compiler.original_nodes
-        c.Compiler.optimized_nodes c.Compiler.code.Tessera_codegen.Isa.code_size)
+        c.Compiler.optimized_nodes (Tessera_flat.Prog.code_size c.Compiler.code))
     [ Plan.Cold; Plan.Hot ];
 
   (* 3. Compile with a plan modifier that disables the simplifier family
@@ -68,7 +68,7 @@ let () =
   let c = Compiler.compile ~modifier ~program ~level:Plan.Hot meth in
   Format.printf
     "hot with simplification disabled: %6d cycles, %3d instructions@."
-    c.Compiler.compile_cycles c.Compiler.code.Tessera_codegen.Isa.code_size;
+    c.Compiler.compile_cycles (Tessera_flat.Prog.code_size c.Compiler.code);
 
   (* 4. The features the learned models would see. *)
   let f = Tessera_features.Features.extract meth in

@@ -1,14 +1,16 @@
 module Codec = Tessera_util.Codec
 module H = Tessera_util.Hash64
-module Isa = Tessera_codegen.Isa
-module Isa_codec = Tessera_codegen.Isa_codec
+module Types = Tessera_il.Types
+module Opcode = Tessera_il.Opcode
 module Meth = Tessera_il.Meth
+module Values = Tessera_vm.Values
+module Prog = Tessera_flat.Prog
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
 module Target = Tessera_vm.Target
 
 type entry = {
-  code : Isa.compiled;
+  code : Prog.t;
   level : Plan.level;
   modifier : Modifier.t;
   compile_cycles : int;
@@ -22,11 +24,14 @@ let format_version = 1
 let file_name = "code.tscc"
 
 exception Stale_schema
+exception Malformed of string
+
+let fail what = raise (Malformed what)
 
 (* The first varint of every entry payload.  Entries of the older
-   layouts begin with a plan level 0..4 or with the varint 76, so this
-   value must be neither for them to read as stale. *)
-let entry_layout = 5
+   layouts begin with a plan level 0..4, with the varint 76 or with 5,
+   so this value must be none of them for them to read as stale. *)
+let entry_layout = 6
 
 let create ~dir ?(capacity_mb = 64) ?(readonly = false) () =
   if (not readonly) && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -43,6 +48,231 @@ let fingerprint ~target ~level ~modifier m =
   let acc = H.int acc (Plan.level_index level) in
   H.int64 acc (Modifier.to_bits modifier)
 
+(* -- program codec ----------------------------------------------------
+   An entry holds the unfused program: a superinstruction is written as
+   its first half (its second half is the next slot already), and the
+   decoder fuses again, so the bytes do not depend on the fusion table.
+   An instruction is its [Prog.kind] as the tag, its static cost, then
+   its operands; the decoder knows only the kinds compiled code holds.
+   [block_of_pc] is implied by the block entries, which the verifier
+   requires to rise from pc 0.  Every count is checked against the
+   bytes left before anything is allocated for it: each element takes
+   at least one byte. *)
+
+let write_ty buf ty = Codec.write_u8 buf (Types.index ty)
+
+let read_ty r =
+  let i = Codec.read_u8 ~what:"type" r in
+  if i >= Types.count then fail "bad type index";
+  Types.of_index i
+
+let write_bool buf b = Codec.write_u8 buf (Bool.to_int b)
+
+let read_bool r =
+  match Codec.read_u8 ~what:"flag" r with
+  | 0 -> false
+  | 1 -> true
+  | _ -> fail "bad flag"
+
+let read_op r =
+  let name = Codec.read_string ~what:"opcode" r in
+  match Opcode.of_name name with Some op -> op | None -> fail ("opcode " ^ name)
+
+(* tag and static cost: the head of every instruction *)
+let head buf i c =
+  Codec.write_u8 buf (Prog.kind i);
+  Codec.write_varint buf c
+
+let rec write_instr buf (i : Prog.instr) =
+  match i with
+  | Prog.Begin c | C_elem_load c | C_elem_store c | C_monitor c
+  | C_bounds_chk c | C_arr_copy c | C_arr_cmp c | C_arr_len c | C_pop c
+  | C_ret_void c | C_ret_val c | C_raise c ->
+      head buf i c
+  | Const (c, k) | Load_local (c, k) | New_obj (c, k) | C_field_load (c, k)
+  | C_field_store (c, k) | C_checkcast (c, k) | C_instance_of (c, k)
+  | C_jmp (c, k) | C_br_false (c, k) ->
+      head buf i c;
+      Codec.write_varint buf k
+  | C_inc_local (c, s, d, ty) ->
+      head buf i c;
+      Codec.write_varint buf s;
+      Codec.write_i64 buf d;
+      write_ty buf ty
+  | C_store_local (c, s, ty) ->
+      head buf i c;
+      Codec.write_varint buf s;
+      write_ty buf ty
+  | C_binop (c, op, ty) ->
+      head buf i c;
+      Codec.write_string buf (Opcode.name op);
+      write_ty buf ty
+  | C_cast_to (c, k, ty) ->
+      head buf i c;
+      Codec.write_string buf (Opcode.name (Opcode.Cast k));
+      write_ty buf ty
+  | C_negate (c, ty) | C_new_arr (c, ty) | C_new_multi (c, ty) ->
+      head buf i c;
+      write_ty buf ty
+  | C_invoke (c, callee, argc, pushes) ->
+      head buf i c;
+      Codec.write_varint buf callee;
+      Codec.write_varint buf argc;
+      write_bool buf pushes
+  | C_mixed (c, argc, ty, pushes) ->
+      head buf i c;
+      Codec.write_varint buf argc;
+      write_ty buf ty;
+      write_bool buf pushes
+  | F_begin_begin (c, _) | F_begin_load (c, _, _) | F_begin_const (c, _, _) ->
+      write_instr buf (Begin c)
+  | F_load_load (c, s, _, _) | F_load_const (c, s, _, _) | F_load_begin (c, s, _)
+    ->
+      write_instr buf (Load_local (c, s))
+  | _ -> invalid_arg ("Codecache: not compiled code: " ^ Prog.kind_name (Prog.kind i))
+
+let operand r = Codec.read_varint ~what:"operand" r
+
+let read_instr r : Prog.instr =
+  let tag = Codec.read_u8 ~what:"instr tag" r in
+  let c = Codec.read_varint ~what:"cost" r in
+  match tag with
+  | 1 -> Begin c
+  | 3 -> Const (c, operand r)
+  | 4 -> Load_local (c, operand r)
+  | 6 -> New_obj (c, operand r)
+  | 49 ->
+      let s = operand r in
+      let d = Codec.read_i64 ~what:"delta" r in
+      C_inc_local (c, s, d, read_ty r)
+  | 50 ->
+      let s = operand r in
+      C_store_local (c, s, read_ty r)
+  | 51 -> C_field_load (c, operand r)
+  | 52 -> C_field_store (c, operand r)
+  | 53 -> C_elem_load c
+  | 54 -> C_elem_store c
+  | 55 -> (
+      match read_op r with
+      | ( Opcode.Add | Sub | Mul | Div | Rem | Or | And | Xor | Shift _
+        | Compare _ ) as op ->
+          C_binop (c, op, read_ty r)
+      | _ -> fail "binop: not a binary opcode")
+  | 56 -> C_negate (c, read_ty r)
+  | 57 -> (
+      match read_op r with
+      | Opcode.Cast k -> C_cast_to (c, k, read_ty r)
+      | _ -> fail "cast: not a cast")
+  | 58 -> C_checkcast (c, operand r)
+  | 59 -> C_new_arr (c, read_ty r)
+  | 60 -> C_new_multi (c, read_ty r)
+  | 61 -> C_instance_of (c, operand r)
+  | 62 -> C_monitor c
+  | 63 ->
+      let callee = operand r in
+      let argc = operand r in
+      C_invoke (c, callee, argc, read_bool r)
+  | 64 ->
+      let argc = operand r in
+      let ty = read_ty r in
+      C_mixed (c, argc, ty, read_bool r)
+  | 65 -> C_bounds_chk c
+  | 66 -> C_arr_copy c
+  | 67 -> C_arr_cmp c
+  | 68 -> C_arr_len c
+  | 69 -> C_pop c
+  | 70 -> C_jmp (c, operand r)
+  | 71 -> C_br_false (c, operand r)
+  | 72 -> C_ret_void c
+  | 73 -> C_ret_val c
+  | 74 -> C_raise c
+  | t -> fail (Printf.sprintf "instr tag %d" t)
+
+let write_array buf f a =
+  Codec.write_varint buf (Array.length a);
+  Array.iter f a
+
+let read_count r what =
+  let n = Codec.read_varint ~what r in
+  if n > Codec.reader_length r - Codec.reader_pos r then
+    fail (what ^ ": count exceeds the payload");
+  n
+
+let read_array r what f = Array.init (read_count r what) (fun _ -> f r)
+
+let write_program buf (p : Prog.t) =
+  Codec.write_string buf p.method_name;
+  write_ty buf p.ret;
+  Codec.write_varint buf p.sync_charge;
+  (* a local's type index and argument flag in one byte *)
+  Codec.write_varint buf (Array.length p.local_types);
+  Array.iteri
+    (fun i ty ->
+      Codec.write_u8 buf ((2 * Types.index ty) + Bool.to_int p.local_is_arg.(i)))
+    p.local_types;
+  write_array buf
+    (function
+      | Values.Int_v bits ->
+          Codec.write_u8 buf 0;
+          Codec.write_i64 buf bits
+      | Values.Float_v f ->
+          Codec.write_u8 buf 1;
+          Codec.write_i64 buf (Int64.bits_of_float f)
+      | _ -> invalid_arg "Codecache: pool holds a non-constant")
+    p.pool;
+  write_array buf (write_instr buf) p.instrs;
+  write_array buf (Codec.write_varint buf) p.block_entry;
+  (* -1 is "no handler": shifted by one for the varint *)
+  Array.iter (fun h -> Codec.write_varint buf (h + 1)) p.handler_of_block
+
+let read_program r : Prog.t =
+  let method_name = Codec.read_string ~what:"method name" r in
+  let ret = read_ty r in
+  let sync_charge = Codec.read_varint ~what:"sync charge" r in
+  let nlocals = read_count r "locals" in
+  let local_is_arg = Array.make nlocals false in
+  let local_types =
+    Array.init nlocals (fun i ->
+        let b = Codec.read_u8 ~what:"local" r in
+        if b lsr 1 >= Types.count then fail "local: bad type index";
+        local_is_arg.(i) <- b land 1 = 1;
+        Types.of_index (b lsr 1))
+  in
+  let pool =
+    read_array r "pool" (fun r ->
+        match Codec.read_u8 ~what:"constant kind" r with
+        | 0 -> Values.Int_v (Codec.read_i64 ~what:"constant" r)
+        | 1 -> Values.Float_v (Int64.float_of_bits (Codec.read_i64 ~what:"constant" r))
+        | _ -> fail "bad constant kind")
+  in
+  let instrs = read_array r "instrs" read_instr in
+  let block_entry = read_array r "blocks" (Codec.read_varint ~what:"block entry") in
+  let handler_of_block =
+    Array.map (fun _ -> Codec.read_varint ~what:"handler" r - 1) block_entry
+  in
+  let p =
+    {
+      Prog.method_name;
+      instrs;
+      pool;
+      block_of_pc =
+        Prog.owner_blocks ~code_size:(Array.length instrs) block_entry;
+      block_entry;
+      handler_of_block;
+      local_types;
+      local_is_arg;
+      ret;
+      sync_charge;
+      max_stack = 0;
+      fused_pairs = 0;
+    }
+  in
+  match Prog.verify p with
+  | Ok max_stack -> Prog.fuse { p with max_stack }
+  | Error e -> fail e
+
+(* -- entries ---------------------------------------------------------- *)
+
 let encode_entry e =
   let buf = Buffer.create 512 in
   Codec.write_varint buf entry_layout;
@@ -51,7 +281,7 @@ let encode_entry e =
   Codec.write_varint buf e.compile_cycles;
   Codec.write_varint buf e.optimized_nodes;
   Codec.write_varint buf e.original_nodes;
-  Isa_codec.encode buf e.code;
+  write_program buf e.code;
   Buffer.contents buf
 
 let decode_entry s =
@@ -59,16 +289,14 @@ let decode_entry s =
   let layout = Codec.read_varint ~what:"entry layout" r in
   if layout <> entry_layout then raise Stale_schema;
   let li = Codec.read_u8 ~what:"level" r in
-  if li >= Array.length Plan.levels then
-    raise (Isa_codec.Malformed "entry: bad level");
+  if li >= Array.length Plan.levels then fail "entry: bad level";
   let level = Plan.level_of_index li in
   let modifier = Modifier.of_bits (Codec.read_i64 ~what:"modifier" r) in
   let compile_cycles = Codec.read_varint ~what:"compile cycles" r in
   let optimized_nodes = Codec.read_varint ~what:"optimized nodes" r in
   let original_nodes = Codec.read_varint ~what:"original nodes" r in
-  let code = Isa_codec.decode r in
-  if not (Codec.at_end r) then
-    raise (Isa_codec.Malformed "entry: trailing bytes");
+  let code = read_program r in
+  if not (Codec.at_end r) then fail "entry: trailing bytes";
   { code; level; modifier; compile_cycles; optimized_nodes; original_nodes }
 
 let lookup t ~key ~level ~modifier =
@@ -79,7 +307,8 @@ let lookup t ~key ~level ~modifier =
              miss, not damage *)
           Error `Stale
       | exception _ ->
-          (* CRC-clean but undecodable: treat exactly like disk damage *)
+          (* CRC-clean but undecodable or unverifiable: treat exactly
+             like disk damage *)
           Error `Corrupt
       | e ->
           if e.level = level && Modifier.equal e.modifier modifier then Ok e

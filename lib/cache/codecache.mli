@@ -1,8 +1,10 @@
 (** The persistent compiled-code cache: warm-start for the simulated JIT.
 
-    Entries are whole compilation results — the {!Tessera_codegen.Isa}
-    body plus the level/modifier/cycle metadata the engine tracks per
-    installed compilation — keyed by a content fingerprint of
+    Entries are whole compilation results — the compiled program
+    ({!Tessera_flat.Prog.t}, the one form compiled code has from code
+    generation to disk to execution) plus the level/modifier/cycle
+    metadata the engine tracks per installed compilation — keyed by a
+    content fingerprint of
     (method IL hash, target, level, modifier, cache-format version).
     Anything that could change the generated code changes the key, so
     invalidation is structural: there is nothing to flush when a method,
@@ -11,18 +13,19 @@
 
     A cache hit must be {e exactly} as trustworthy as a fresh
     compilation: a decoded entry whose payload is damaged (CRC, framing,
-    codec errors) or whose metadata disagrees with the request
-    (fingerprint collision) is dropped, counted, and the caller
-    recompiles — cache trouble can never change program behaviour. *)
+    codec errors), whose program fails {!Tessera_flat.Prog.verify}, or
+    whose metadata disagrees with the request (fingerprint collision) is
+    dropped, counted, and the caller recompiles — cache trouble can
+    never change program behaviour. *)
 
-module Isa = Tessera_codegen.Isa
 module Meth = Tessera_il.Meth
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
 module Target = Tessera_vm.Target
 
 type entry = {
-  code : Isa.compiled;
+  code : Tessera_flat.Prog.t;
+      (** the fused, verified program the engine runs *)
   level : Plan.level;
   modifier : Modifier.t;
   compile_cycles : int;
@@ -30,8 +33,9 @@ type entry = {
   optimized_nodes : int;
   original_nodes : int;
 }
-(** Mirrors [Tessera_jit.Compiler.compilation] field for field; the JIT
-    converts at the boundary (the cache cannot depend on the JIT). *)
+(** One compilation: [Tessera_jit.Compiler.compilation] is this type
+    (the cache cannot depend on the JIT), so what the engine installs is
+    what the cache stores, with nothing converted in between. *)
 
 type t
 
@@ -43,12 +47,14 @@ val entry_layout : int
 (** Entry-layout version, written as the first varint of every entry
     payload.  An entry carrying a different value decodes as a clean
     stale miss: dropped, counted under [stale] (and the lookup under
-    [misses]), recompiled and superseded.  The two older layouts both
-    start with a byte this value never takes: a plan-level byte in
-    [0..4] (the first layout), or the feature-vector dimension 76 (the
-    second, which also carried the method's feature vector).  Kept out
-    of {!format_version} on purpose, since that salts the lookup key and
-    old entries would otherwise linger unreclaimed. *)
+    [misses]), recompiled and superseded.  The older layouts all start
+    with a byte this value never takes: a plan-level byte in [0..4] (the
+    first layout), the feature-vector dimension 76 (the second, which
+    also carried the method's feature vector), or 5 (the third, whose
+    code was a stack-machine form translated to the flat one at its
+    first run).  Kept out of {!format_version} on purpose, since that
+    salts the lookup key and old entries would otherwise linger
+    unreclaimed. *)
 
 val file_name : string
 (** Name of the store file inside the cache directory. *)
@@ -67,9 +73,11 @@ val fingerprint :
 
 val lookup :
   t -> key:int64 -> level:Plan.level -> modifier:Modifier.t -> entry option
-(** Decode-and-verify: corrupt payloads, other entry layouts and
-    metadata mismatches return [None] (dropped, counted [corrupt] or
-    [stale], and counted as a miss, not a hit); never raises. *)
+(** Decode-and-verify: a hit's program has passed
+    {!Tessera_flat.Prog.verify}.  Corrupt payloads, programs that fail
+    the verifier, other entry layouts and metadata mismatches return
+    [None] (dropped, counted [corrupt] or [stale], and counted as a
+    miss, not a hit); never raises. *)
 
 val store : t -> key:int64 -> entry -> unit
 (** Write-back after a successful compilation; no-op when read-only. *)
@@ -83,8 +91,15 @@ val pp_counters : Format.formatter -> Store.counters -> unit
 val close : t -> unit
 (** Compacts and persists; idempotent. *)
 
-(** {1 Entry codec} (exposed for the qcheck round-trip properties) *)
+(** {1 Entry codec} (exposed for the round-trip properties) *)
 
 val encode_entry : entry -> string
+(** The program is written unfused: each instruction as its
+    [Prog.kind], static cost and operands.  Raises [Invalid_argument] on
+    a program that is not compiled code. *)
+
 val decode_entry : string -> entry
-(** Raises on malformed input (the exceptions {!lookup} absorbs). *)
+(** Accepts only the opcodes compiled code holds, checks every count
+    against the bytes left before allocating, then verifies the program
+    and fuses it again.  Raises on malformed input (the exceptions
+    {!lookup} absorbs). *)

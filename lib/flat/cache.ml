@@ -17,7 +17,7 @@ let flatten (m : Meth.t) =
     Trace.span_begin ~cat:"flat"
       ~args:[ ("method", Trace.Str m.Meth.name) ]
       "flatten";
-  let p = Prog.of_meth m in
+  let p = Lower.of_meth m in
   Metrics.inc m_flatten;
   if !Trace.enabled then
     Trace.span_end ~cat:"flat"

@@ -1,6 +1,5 @@
 (* Non-recursive dispatch loop over the flat form: the engine's one
-   loop, for interpreted methods and compiled code alike (one flat
-   instruction per compiled [Isa] instruction).
+   loop, for interpreted methods and compiled code alike.
 
    Observable behaviour — returned value, raised trap, the cycle total
    at every point the clock can be read, and every fuel decrement, in

@@ -1,5 +1,5 @@
 (** Dispatch-loop interpreter over the flat form: it runs interpreted
-    methods ({!Prog.of_meth}) and compiled code ({!Prog.of_compiled}).
+    methods ({!Lower.of_meth}) and compiled code ({!Lower.compile}).
 
     Shares [Vm.Interp.context] (and its [Out_of_fuel] exception) with
     the tree walker, so tests and [bench flat] run the two interpreters

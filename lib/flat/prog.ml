@@ -1,31 +1,12 @@
-(* Flat bytecode form of a method: the tree IL of an [Il.Meth], or the
-   compiled code of an [Isa.compiled], lowered to a single instruction
-   array with resolved jump offsets, a constant pool of prebuilt values,
-   and precomputed cycle charges.
-
-   The lowering of tree IL is cycle- and fuel-exact with respect to the
-   tree walker [Vm.Interp.run]: every point where the tree walker
-   decrements fuel or calls [ctx.charge] has a corresponding instruction
-   here that does the same, in the same order.  Interior nodes emit a
-   [Begin] prologue (one fuel event plus the node's dispatch+op charge)
-   before their children, leaves carry their charge inline, and block
-   entries emit [Enter] (fuel only) — so a trace of (fuel, charge)
-   events is bit-identical between the two tiers, which is what keeps
-   learned-model labels and the figures digest comparable.
-
-   Compiled code follows the same discipline with the code generator's
-   static costs, one flat instruction per [Isa] instruction: one fuel
-   event, then one charge of its cost, then its action. *)
+(* Flat bytecode form of a method: a single instruction array with
+   resolved jump offsets, a constant pool of prebuilt values, and
+   precomputed cycle charges.  [Lower] produces it, for interpreted
+   methods and for compiled code; this module holds the form itself,
+   its verifier and the superinstruction pass. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
-module Node = Tessera_il.Node
-module Block = Tessera_il.Block
-module Meth = Tessera_il.Meth
-module Symbol = Tessera_il.Symbol
 module Values = Tessera_vm.Values
-module Cost = Tessera_vm.Cost
-module Isa = Tessera_codegen.Isa
 
 type instr =
   (* fuel-event carriers: each mirrors exactly one fuel decrement of the
@@ -88,11 +69,11 @@ type instr =
   | F_load_const of int * int * int * int
   | F_load_begin of int * int * int
   | F_binop_binop of Opcode.t * Types.t * Opcode.t * Types.t
-  (* compiled code: one instruction per [Isa] instruction, each one fuel
-     event and one charge of its static cost (the first operand), then
-     the action of its interpreted namesake, without the Void a
-     statement leaves in interpreted code.  [Const], [Load_local] and
-     [New_obj] already carry their cost and serve both forms. *)
+  (* compiled code: one instruction per IL node, each one fuel event
+     and one charge of its static cost (the first operand), then the
+     action of its interpreted namesake, without the Void a statement
+     leaves in interpreted code.  [Const], [Load_local] and [New_obj]
+     already carry their cost and serve both forms. *)
   | C_inc_local of int * int * int64 * Types.t
   | C_store_local of int * int * Types.t
   | C_field_load of int * int
@@ -307,9 +288,21 @@ let is_compiled_op i = kind i >= 49
    of its second half, skipped at execution and verification time. *)
 let width i = if is_fused i then 2 else 1
 
+(* [block_of_pc] of blocks laid out in order from pc 0: each pc belongs
+   to the last block entered at or before it (-1 before any) *)
+let owner_blocks ~code_size block_entry =
+  let owner = Array.make code_size (-1) in
+  Array.iteri
+    (fun b e -> if e >= 0 && e < code_size then owner.(e) <- b)
+    block_entry;
+  for pc = 1 to code_size - 1 do
+    if owner.(pc) < 0 then owner.(pc) <- owner.(pc - 1)
+  done;
+  owner
+
 (* -- verifier -------------------------------------------------------
    Mirrors [Il.Validate]'s role for tree IL: structural soundness of the
-   flat form, checked after lowering.  Also computes the exact
+   flat form, checked after lowering and after decoding a cache entry.  Also computes the exact
    operand-stack bound so the interpreter can allocate a fixed-size
    stack with no overflow check. *)
 
@@ -366,6 +359,9 @@ let verify p =
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
   try
     if n = 0 then bad "empty code";
+    (* execution starts at pc 0: with the blocks' entries rising from
+       there, every pc lies in one block and is checked below *)
+    if nb = 0 || p.block_entry.(0) <> 0 then bad "block 0 does not start at pc 0";
     if Array.length p.block_of_pc <> n then bad "block_of_pc length";
     if Array.length p.handler_of_block <> nb then bad "handler_of_block length";
     if Array.length p.local_is_arg <> nloc then bad "local_is_arg length";
@@ -445,350 +441,24 @@ let verify p =
     Ok !max_depth
   with Bad s -> err "%s" s
 
-(* -- lowering -------------------------------------------------------
-   [of_meth] and [of_compiled] share one emitter: instructions are
-   appended with their owning block to growable arrays, constants go
-   through one pool, and [finish] resolves jump targets from block ids
-   to entry pcs, then verifies. *)
-
-type emitter = {
-  mutable code : instr array;
-  mutable owner : int array;  (* owning block of each instruction *)
-  mutable len : int;
-  mutable cur_block : int;
-  block_entry : int array;
-  mutable pool : Values.t list;  (* reversed *)
-  pool_memo : (bool * int64, int) Hashtbl.t;
-}
-
-let emitter ~size nblocks =
-  {
-    code = Array.make size Pop;
-    owner = Array.make size 0;
-    len = 0;
-    cur_block = 0;
-    block_entry = Array.make nblocks 0;
-    pool = [];
-    pool_memo = Hashtbl.create 16;
-  }
-
-let emit e i =
-  let n = e.len in
-  if n = Array.length e.code then begin
-    let grow a fill =
-      let b = Array.make ((2 * n) + 1) fill in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    e.code <- grow e.code Pop;
-    e.owner <- grow e.owner 0
-  end;
-  e.code.(n) <- i;
-  e.owner.(n) <- e.cur_block;
-  e.len <- n + 1
-
-let start_block e b =
-  e.cur_block <- b;
-  e.block_entry.(b) <- e.len
-
-(* Constants are keyed by kind and bits: keyed by value, structural
-   hashing and comparison would merge 0.0 with -0.0, and NaN payloads. *)
-let const_idx e ty bits =
-  let key = (Types.is_floating ty, bits) in
-  match Hashtbl.find_opt e.pool_memo key with
-  | Some k -> k
-  | None ->
-      let k = Hashtbl.length e.pool_memo in
-      let v =
-        if fst key then Values.Float_v (Int64.float_of_bits bits)
-        else Values.Int_v bits
-      in
-      e.pool <- v :: e.pool;
-      Hashtbl.add e.pool_memo key k;
-      k
-
-let finish e ~method_name ~handler_of_block ~local_types ~local_is_arg ~ret
-    ~sync_charge =
-  let instrs = Array.sub e.code 0 e.len in
-  let entry b = e.block_entry.(b) in
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | Jmp b -> instrs.(i) <- Jmp (entry b)
-      | Cond_br (t, f) -> instrs.(i) <- Cond_br (entry t, entry f)
-      | C_jmp (c, b) -> instrs.(i) <- C_jmp (c, entry b)
-      | C_br_false (c, b) -> instrs.(i) <- C_br_false (c, entry b)
-      | _ -> ())
-    instrs;
-  let p =
-    {
-      method_name;
-      instrs;
-      pool = Array.of_list (List.rev e.pool);
-      block_of_pc = Array.sub e.owner 0 e.len;
-      block_entry = e.block_entry;
-      handler_of_block;
-      local_types;
-      local_is_arg;
-      ret;
-      sync_charge;
-      max_stack = 0;
-      fused_pairs = 0;
-    }
-  in
-  match verify p with
-  | Ok max_stack -> { p with max_stack }
-  | Error err -> invalid_arg ("Flat.Prog: " ^ err)
-
-let node_charge (n : Node.t) = Cost.interp_dispatch + Cost.op_base n.op n.ty
-
-let monitor_enter_charge =
-  2 * Cost.op_base (Opcode.Synchronization Opcode.Monitor_enter) Types.Object_
-
-let of_meth (m : Meth.t) =
-  let e = emitter ~size:64 (Array.length m.Meth.blocks) in
-  let emit = emit e in
-  let sym_ty s = m.Meth.symbols.(s).Symbol.ty in
-  let rec emit_node (n : Node.t) =
-    let c = node_charge n in
-    let a k = emit_node n.args.(k) in
-    match n.op with
-    | Opcode.Loadconst -> emit (Const (c, const_idx e n.ty n.const))
-    | Opcode.Load -> (
-        match Array.length n.args with
-        | 0 -> emit (Load_local (c, n.sym))
-        | 1 ->
-            emit (Begin (c + 2));
-            a 0;
-            emit (Field_load n.sym)
-        | _ ->
-            emit (Begin (c + 3));
-            a 0;
-            a 1;
-            emit Elem_load)
-    | Opcode.Store -> (
-        match Array.length n.args with
-        | 1 ->
-            emit (Begin c);
-            a 0;
-            emit (Store_local (n.sym, sym_ty n.sym))
-        | 2 ->
-            emit (Begin (c + 2));
-            a 0;
-            a 1;
-            emit (Field_store n.sym)
-        | _ ->
-            emit (Begin (c + 3));
-            a 0;
-            a 1;
-            a 2;
-            emit Elem_store)
-    | Opcode.Inc -> emit (Inc_local (c, n.sym, n.const, sym_ty n.sym))
-    | Opcode.Neg ->
-        emit (Begin c);
-        a 0;
-        emit (Negate n.ty)
-    | Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem
-    | Opcode.Or | Opcode.And | Opcode.Xor | Opcode.Shift _ | Opcode.Compare _
-      ->
-        emit (Begin c);
-        a 0;
-        a 1;
-        emit (Binop (n.op, n.ty))
-    | Opcode.Cast Opcode.C_check ->
-        emit (Begin c);
-        a 0;
-        emit (Checkcast n.sym)
-    | Opcode.Cast k ->
-        emit (Begin c);
-        a 0;
-        emit (Cast_to (k, n.ty))
-    | Opcode.New -> emit (New_obj (c, n.sym))
-    | Opcode.Newarray ->
-        emit (Begin c);
-        a 0;
-        emit (New_arr (Types.of_index n.sym))
-    | Opcode.Newmultiarray ->
-        emit (Begin c);
-        a 0;
-        a 1;
-        emit (New_multi (Types.of_index n.sym))
-    | Opcode.Instanceof ->
-        emit (Begin c);
-        a 0;
-        emit (Instance_of n.sym)
-    | Opcode.Synchronization _ ->
-        if Array.length n.args > 0 then begin
-          emit (Begin c);
-          a 0;
-          emit Monitor
-        end
-        else emit (Void_leaf c)
-    | Opcode.Throw_op ->
-        if Array.length n.args > 0 then begin
-          emit (Begin c);
-          a 0;
-          emit Drop_void
-        end
-        else emit (Void_leaf c)
-    | Opcode.Branch_op ->
-        (* the child's value is the node's value *)
-        emit (Begin c);
-        a 0
-    | Opcode.Call ->
-        emit (Begin c);
-        Array.iter emit_node n.args;
-        emit (Invoke (n.sym, Array.length n.args))
-    | Opcode.Arrayop Opcode.Bounds_check ->
-        emit (Begin c);
-        a 0;
-        a 1;
-        emit Bounds_chk
-    | Opcode.Arrayop Opcode.Array_copy ->
-        emit (Begin c);
-        a 0;
-        a 1;
-        a 2;
-        emit Arr_copy
-    | Opcode.Arrayop Opcode.Array_cmp ->
-        emit (Begin c);
-        a 0;
-        a 1;
-        emit Arr_cmp
-    | Opcode.Arrayop Opcode.Array_length ->
-        emit (Begin c);
-        a 0;
-        emit Arr_len
-    | Opcode.Mixedop ->
-        emit (Begin c);
-        Array.iter emit_node n.args;
-        emit (Mixed (Array.length n.args, n.ty))
-  in
-  Array.iteri
-    (fun bi (b : Block.t) ->
-      start_block e bi;
-      emit Enter;
-      List.iter
-        (fun s ->
-          emit_node s;
-          emit Pop)
-        b.Block.stmts;
-      match b.Block.term with
-      | Block.Goto t -> emit (Jmp t)
-      | Block.If { cond; if_true; if_false } ->
-          emit (Charge 1);
-          emit_node cond;
-          emit (Cond_br (if_true, if_false))
-      | Block.Return None -> emit Ret_void
-      | Block.Return (Some v) ->
-          emit_node v;
-          emit Ret_val
-      | Block.Throw v ->
-          emit_node v;
-          emit Pop;
-          emit Raise_user)
-    m.Meth.blocks;
-  let syms = m.Meth.symbols in
-  let p =
-    finish e ~method_name:m.Meth.name
-      ~handler_of_block:
-        (Array.map
-           (fun (b : Block.t) -> Option.value b.Block.handler ~default:(-1))
-           m.Meth.blocks)
-      ~local_types:(Array.map (fun (s : Symbol.t) -> s.Symbol.ty) syms)
-      ~local_is_arg:
-        (Array.map (fun (s : Symbol.t) -> s.Symbol.kind = Symbol.Arg) syms)
-      ~ret:m.Meth.ret
-      ~sync_charge:
-        (if m.Meth.attrs.Meth.synchronized then monitor_enter_charge else 0)
-  in
-  (* the tree walker spends one fuel unit entering each block *)
-  Array.iter
-    (fun pc ->
-      match p.instrs.(pc) with
-      | Enter -> ()
-      | _ -> invalid_arg "Flat.Prog.of_meth: block entry is not Enter")
-    p.block_entry;
-  p
-
-(* Compiled code: one flat instruction per [Isa] instruction, so flat
-   pcs are [Isa] pcs.  Each is one fuel event and one charge of its
-   static cost, then its action; a call was charged by the code
-   generator, so [C_invoke] adds nothing.  [Monitor false] (monitor
-   exit with nothing on the stack) has no action and stays a [Begin]. *)
-let of_compiled (c : Isa.compiled) =
-  let e =
-    emitter ~size:(Array.length c.Isa.instrs) (Array.length c.Isa.block_start)
-  in
-  let block t = c.Isa.block_of_pc.(t) in
-  let pushes ty = not (Types.equal ty Types.Void) in
-  Array.iteri
-    (fun pc ins ->
-      let b = block pc in
-      if c.Isa.block_start.(b) = pc then start_block e b;
-      let cost = c.Isa.costs.(pc) in
-      emit e
-        (match ins with
-        | Isa.Const (ty, bits) -> Const (cost, const_idx e ty bits)
-        | Isa.Load_local s -> Load_local (cost, s)
-        | Isa.New_obj cls -> New_obj (cost, cls)
-        | Isa.Inc_local (s, d, ty) -> C_inc_local (cost, s, d, ty)
-        | Isa.Store_local (s, ty) -> C_store_local (cost, s, ty)
-        | Isa.Field_load f -> C_field_load (cost, f)
-        | Isa.Field_store f -> C_field_store (cost, f)
-        | Isa.Elem_load -> C_elem_load cost
-        | Isa.Elem_store -> C_elem_store cost
-        | Isa.Binop (op, ty) -> C_binop (cost, op, ty)
-        | Isa.Negate ty -> C_negate (cost, ty)
-        | Isa.Cast_to (k, ty) -> C_cast_to (cost, k, ty)
-        | Isa.Checkcast cls -> C_checkcast (cost, cls)
-        | Isa.New_arr ty -> C_new_arr (cost, ty)
-        | Isa.New_multi ty -> C_new_multi (cost, ty)
-        | Isa.Instance_of cls -> C_instance_of (cost, cls)
-        | Isa.Monitor true -> C_monitor cost
-        | Isa.Monitor false -> Begin cost
-        | Isa.Invoke (callee, argc, ret) ->
-            C_invoke (cost, callee, argc, pushes ret)
-        | Isa.Mixed_op (argc, ty) -> C_mixed (cost, argc, ty, pushes ty)
-        | Isa.Bounds_chk -> C_bounds_chk cost
-        | Isa.Arr_copy -> C_arr_copy cost
-        | Isa.Arr_cmp -> C_arr_cmp cost
-        | Isa.Arr_len -> C_arr_len cost
-        | Isa.Pop -> C_pop cost
-        | Isa.Jump t -> C_jmp (cost, block t)
-        | Isa.Jump_if_false t -> C_br_false (cost, block t)
-        | Isa.Ret true -> C_ret_val cost
-        | Isa.Ret false -> C_ret_void cost
-        | Isa.Throw_instr -> C_raise cost))
-    c.Isa.instrs;
-  finish e ~method_name:c.Isa.method_name
-    ~handler_of_block:c.Isa.handler_of_block ~local_types:c.Isa.local_types
-    ~local_is_arg:(Array.mapi (fun i _ -> i < c.Isa.nargs) c.Isa.local_types)
-    ~ret:c.Isa.ret
-    ~sync_charge:
-      (5 (* frame set-up *)
-      + if c.Isa.sync_method then monitor_enter_charge else 0)
-
 (* -- superinstruction fusion ----------------------------------------
    The pair table below is static but measured: `bench flat` counts
    dynamically executed (kind, next kind) pairs over the standard
    workload mix via [Interp.run_counted], and these fifteen are the
    hottest pairs of that census (see DESIGN.md §12).  Fusion requires
    the second slot not to be a jump target; since every branch in a
-   flat program lands on a block entry, checking the entry set
-   suffices. *)
+   flat program lands on a block entry, and blocks are laid out in
+   order, a pair within one block suffices. *)
 
 let fuse p =
   let n = Array.length p.instrs in
-  let is_entry = Array.make (n + 1) false in
-  Array.iter (fun e -> is_entry.(e) <- true) p.block_entry;
   let out = Array.copy p.instrs in
   let fused = ref 0 in
   let i = ref 0 in
   while !i < n - 1 do
     let next = !i + 1 in
     let pair =
-      if is_entry.(next) then None
+      if p.block_of_pc.(next) <> p.block_of_pc.(!i) then None
       else
         match (p.instrs.(!i), p.instrs.(next)) with
         | Enter, Begin c -> Some (F_enter_begin c)

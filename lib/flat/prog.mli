@@ -1,21 +1,16 @@
-(** Flat bytecode form of a method.
-
-    [of_meth] lowers tree IL into a single instruction array with
+(** Flat bytecode form of a method: a single instruction array with
     resolved jump offsets, a constant pool, and precomputed cycle
-    charges, such that executing it under {!Interp.run} produces a
-    fuel/charge event sequence bit-identical to the tree walker
-    [Vm.Interp.run] — same results, same charged cycles, same
-    out-of-fuel point.  [of_compiled] translates compiled code one to
-    one: each [Isa] instruction becomes one flat instruction that takes
-    one fuel event and one charge of its static cost, then acts.
-    [fuse] rewrites the hottest instruction pairs (a static table
-    measured by [bench flat]) into superinstructions that keep the
-    exact observable sequence while halving dispatch overhead on those
-    pairs. *)
+    charges.  It is the one form code runs in: {!Lower.of_meth} lowers
+    interpreted methods to it, with a fuel/charge event sequence
+    bit-identical to the tree walker [Vm.Interp.run]; {!Lower.compile},
+    the code generator, emits compiled code in it, and the code cache
+    stores that program.  [fuse] rewrites the hottest instruction pairs
+    (a static table measured by [bench flat]) into superinstructions
+    that keep the exact observable sequence while halving dispatch
+    overhead on those pairs. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
-module Meth = Tessera_il.Meth
 module Values = Tessera_vm.Values
 
 type instr =
@@ -94,11 +89,11 @@ type instr =
   | C_ret_void of int
   | C_ret_val of int
   | C_raise of int
-      (** Compiled code's opcodes ({!of_compiled}): the first operand is
-          the static cost, charged after one fuel event and before the
-          action of the interpreted namesake; none pushes a statement's
-          Void.  [C_invoke] and [C_mixed] push their result only when
-          the flag is set. *)
+      (** Compiled code's opcodes ({!Lower.compile}): the first operand
+          is the static cost, charged after one fuel event and before
+          the action of the interpreted namesake; none pushes a
+          statement's Void.  [C_invoke] and [C_mixed] push their result
+          only when the flag is set. *)
 
 type t = {
   method_name : string;
@@ -115,32 +110,25 @@ type t = {
   fused_pairs : int;
 }
 
-val of_meth : Meth.t -> t
-(** Lower a method to its (unfused) flat form.  Runs {!verify}, checks
-    that every block starts with [Enter], and raises [Invalid_argument]
-    if the lowering is unsound — which would indicate a bug, as
-    validated IL always lowers cleanly. *)
-
-val of_compiled : Tessera_codegen.Isa.compiled -> t
-(** Translate compiled code to its (unfused) flat form, one flat
-    instruction per [Isa] instruction (so [code_size] equals the [Isa]
-    code's length and flat pcs are [Isa] pcs): running it under
-    {!Interp.run} charges the code's static costs with one fuel event
-    per [Isa] instruction, after a prologue charge of the frame set-up
-    (plus monitor entry for synchronized methods).  Runs {!verify} and
-    raises [Invalid_argument] on malformed code. *)
+val owner_blocks : code_size:int -> int array -> int array
+(** The [block_of_pc] of code whose blocks are laid out in order from pc
+    0, given their [block_entry]: every pc belongs to the last block
+    entered at or before it ([-1] before the first entry).  Entries out
+    of range are ignored; {!verify} rejects what this cannot express. *)
 
 val fuse : t -> t
-(** Apply the superinstruction pass.  Fused pairs keep their two slots
-    (the second becomes dead padding) so no offsets move;
-    [fused_pairs] counts the rewritten sites. *)
+(** Apply the superinstruction pass to a verified program.  Only pairs
+    within one block fuse, so no jump lands on a second slot; fused
+    pairs keep their two slots (the second becomes dead padding) so no
+    offsets move; [fused_pairs] counts the rewritten sites. *)
 
 val verify : t -> (int, string) result
-(** Structural soundness: jump targets land on block entries, operand
-    indices are in range, every block ends in a terminator, and the
-    operand stack never underflows and is empty at block boundaries
-    and after a [C_br_false].  Returns the maximum operand-stack depth
-    on success. *)
+(** Structural soundness: block 0 starts at pc 0 and the blocks' entries
+    rise from there, jump targets land on block entries, operand indices
+    are in range, every block ends in a terminator, and the operand
+    stack never underflows and is empty at block boundaries and after a
+    [C_br_false].  Returns the maximum operand-stack depth on success.
+    A superinstruction's second slot (dead padding) is not looked at. *)
 
 val code_size : t -> int
 

@@ -4,14 +4,13 @@ module Modifier = Tessera_modifiers.Modifier
 module Plan = Tessera_opt.Plan
 module Manager = Tessera_opt.Manager
 
-type compilation = {
-  code : Tessera_codegen.Isa.compiled;
+type compilation = Tessera_cache.Codecache.entry = {
+  code : Tessera_flat.Prog.t;
   level : Plan.level;
   modifier : Modifier.t;
   compile_cycles : int;
   optimized_nodes : int;
   original_nodes : int;
-  mutable flat : Tessera_flat.Prog.t option;
 }
 
 exception Error of { meth : string; level : Plan.level; reason : string }
@@ -36,7 +35,7 @@ let compile_exn ~modifier ~target ~program ~level (m : Meth.t) =
       ~quality_floor ~program ~plan:(Plan.plan level) m
   in
   let code =
-    Tessera_codegen.Lower.compile ~quality:result.Manager.quality ~target
+    Tessera_flat.Lower.compile ~quality:result.Manager.quality ~target
       result.Manager.meth
   in
   {
@@ -46,7 +45,6 @@ let compile_exn ~modifier ~target ~program ~level (m : Meth.t) =
     compile_cycles = Manager.total_cycles result;
     optimized_nodes = result.Manager.final_nodes;
     original_nodes = result.Manager.initial_nodes;
-    flat = None;
   }
 
 let compile ?(modifier = Modifier.null) ?(target = Tessera_vm.Target.zircon)

@@ -1,24 +1,24 @@
 (** One JIT compilation: plan (filtered by a modifier) → optimizer →
-    code generator.  Reading the method's features is the model's
-    business ({!Engine.features}), not the compiler's. *)
+    code generator ({!Tessera_flat.Lower.compile}), whose verified flat
+    program is the code the engine runs and the code cache stores.
+    Reading the method's features is the model's business
+    ({!Engine.features}), not the compiler's. *)
 
 module Meth = Tessera_il.Meth
 module Program = Tessera_il.Program
 module Modifier = Tessera_modifiers.Modifier
 module Plan = Tessera_opt.Plan
 
-type compilation = {
-  code : Tessera_codegen.Isa.compiled;
+type compilation = Tessera_cache.Codecache.entry = {
+  code : Tessera_flat.Prog.t;  (** fused and verified *)
   level : Plan.level;
   modifier : Modifier.t;
   compile_cycles : int;
   optimized_nodes : int;
   original_nodes : int;
-  mutable flat : Tessera_flat.Prog.t option;
-      (** the code's fused flat form, translated at its first run and
-          shared by every engine that runs this compilation, forked
-          ones included *)
 }
+(** A code-cache entry: installed and stored as it is.  Immutable, so
+    engines forked from one another share it freely. *)
 
 exception Error of { meth : string; level : Plan.level; reason : string }
 (** An internal optimizer/code-generator failure, wrapped with the

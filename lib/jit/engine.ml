@@ -219,8 +219,7 @@ type snapshot = {
 
 (* method_state fields hold immutable values (compilations, levels,
    feature vectors), so a record copy is a deep copy of the
-   deterministic state; the one mutable field of a compilation memoizes
-   a pure translation *)
+   deterministic state *)
 let copy_method_state (st : method_state) = { st with impl = st.impl }
 
 let snapshot t =
@@ -345,27 +344,6 @@ let quarantine t meth_id st =
         "quarantine"
   end
 
-let entry_of_compilation (c : Compiler.compilation) : Codecache.entry =
-  {
-    Codecache.code = c.Compiler.code;
-    level = c.Compiler.level;
-    modifier = c.Compiler.modifier;
-    compile_cycles = c.Compiler.compile_cycles;
-    optimized_nodes = c.Compiler.optimized_nodes;
-    original_nodes = c.Compiler.original_nodes;
-  }
-
-let compilation_of_entry (e : Codecache.entry) : Compiler.compilation =
-  {
-    Compiler.code = e.Codecache.code;
-    level = e.Codecache.level;
-    modifier = e.Codecache.modifier;
-    compile_cycles = e.Codecache.compile_cycles;
-    optimized_nodes = e.Codecache.optimized_nodes;
-    original_nodes = e.Codecache.original_nodes;
-    flat = None;
-  }
-
 let cache_key t ~meth_id ~level ~modifier =
   Codecache.fingerprint ~target:t.config.target ~level ~modifier
     (Program.meth t.program meth_id)
@@ -403,8 +381,7 @@ let install t ~meth_id ~level ~write_back (st : method_state) comp =
   | Some (cache, key) ->
       (* whatever we just paid to compile is the warm start of the next
          run (a cache failure must never fail the engine) *)
-      (try Codecache.store cache ~key (entry_of_compilation comp)
-       with _ -> ())
+      (try Codecache.store cache ~key comp with _ -> ())
   | None -> ());
   Metrics.inc t.m_compilations;
   Metrics.inc t.m_by_level.(Plan.level_index level);
@@ -469,8 +446,7 @@ let rec do_compile t ~meth_id ~level ~modifier =
       | Some entry ->
           (* lookup-before-compile: the cache already holds code for
              exactly this (method IL, target, level, modifier) *)
-          install_cached t ~meth_id t.states.(meth_id)
-            (compilation_of_entry entry)
+          install_cached t ~meth_id t.states.(meth_id) entry
       | None ->
           if !Trace.enabled then
             Trace.instant ~cycles:(Clock.now t.clock) ~cat:"jit"
@@ -626,20 +602,13 @@ let adaptive_controller t meth_id =
 
 let instrumentation_overhead = 35 (* cycles per TR_jitPTTMethod{Enter,Exit} *)
 
-(* The fused flat form of what the method runs now: its tree IL while
-   interpreted, memoized per engine; else its installed code, translated
-   at its first run and memoized on the compilation, so the branches
-   forked from one engine share a pending compilation's translation.
-   Two domains may both translate a shared compilation; either result
-   is the same program.  Flattening and translation charge nothing, so
-   when they happen never moves a cycle. *)
+(* The fused flat form of what the method runs now: its installed code,
+   or its tree IL while interpreted, flattened at its first run and
+   memoized per engine.  Flattening charges nothing, so when it happens
+   never moves a cycle. *)
 let flat_form t meth_id st =
   match st.impl with
-  | Compiled { Compiler.flat = Some p; _ } -> p
-  | Compiled comp ->
-      let p = Tessera_flat.Prog.(fuse (of_compiled comp.Compiler.code)) in
-      comp.Compiler.flat <- Some p;
-      p
+  | Compiled comp -> comp.Compiler.code
   | Interpreted -> (
       match t.flat_forms.(meth_id) with
       | Some p -> p

@@ -31,14 +31,16 @@ let write_varint buf v =
   in
   go v
 
-let read_varint ?(what = "varint") r =
-  let rec go shift acc =
-    if shift > 62 then raise (Truncated (what ^ ": varint too long"));
-    let b = read_u8 ~what r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* a loop of its own, so a read allocates no closure *)
+let rec varint_from r what shift acc =
+  if shift > 62 then raise (Truncated (what ^ ": varint too long"));
+  need r 1 what;
+  let b = Char.code r.data.[r.pos] in
+  r.pos <- r.pos + 1;
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_from r what (shift + 7) acc
+
+let read_varint ?(what = "varint") r = varint_from r what 0 0
 
 let write_i64 buf v = Buffer.add_int64_le buf v
 

@@ -6,7 +6,7 @@ module Program = Tessera_il.Program
 module Meth = Tessera_il.Meth
 module Values = Tessera_vm.Values
 module Interp = Tessera_vm.Interp
-module Lower = Tessera_codegen.Lower
+module Lower = Tessera_flat.Lower
 module Flat_prog = Tessera_flat.Prog
 module Flat_interp = Tessera_flat.Interp
 module Manager = Tessera_opt.Manager
@@ -30,9 +30,6 @@ let outcome_equal a b =
 
 let outcome_testable = Alcotest.testable pp_outcome outcome_equal
 
-(* Compiled code as the engine runs it: translated to fused flat form. *)
-let flat_of_compiled code = Flat_prog.fuse (Flat_prog.of_compiled code)
-
 (* Run a program's entry method with every method in a fixed
    implementation.  [transform] optionally rewrites each method first
    (optimizer under test); [compile] lowers to native code and executes
@@ -45,7 +42,7 @@ let run_program ?(fuel = 200_000_000) ?(compile = false)
   in
   let codes =
     if compile then
-      Some (Array.map (fun m -> flat_of_compiled (Lower.compile m)) methods)
+      Some (Array.map (fun m -> Lower.compile m) methods)
     else None
   in
   let cycles = ref 0 in
@@ -144,3 +141,79 @@ let recv ch =
         | s -> go (buf ^ s))
   in
   go ""
+
+(* The three modifiers of the compiled-code known answers: the null
+   modifier and two seeded random ones. *)
+let known_answer_modifiers () =
+  let rng = Prng.create 20L in
+  [
+    Modifier.null;
+    Modifier.random rng ~density:0.25;
+    Modifier.random rng ~density:0.5;
+  ]
+
+(* A canonical rendering of compiled code as the engine runs it: each
+   instruction slot's kind name and operands, the pool by bits, and
+   every table the loop reads.  Only the forms compiled code can hold
+   render; anything else fails. *)
+let render_code (p : Flat_prog.t) =
+  let module Types = Tessera_il.Types in
+  let module Opcode = Tessera_il.Opcode in
+  let buf = Buffer.create 1024 in
+  let ty t = string_of_int (Types.index t) in
+  let op o = Opcode.name o in
+  let cast k = Opcode.name (Opcode.Cast k) in
+  let bit b = if b then "1" else "0" in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let operands : Flat_prog.instr -> string list = function
+    | Flat_prog.Begin c | C_elem_load c | C_elem_store c | C_monitor c
+    | C_bounds_chk c | C_arr_copy c | C_arr_cmp c | C_arr_len c | C_pop c
+    | C_ret_void c | C_ret_val c | C_raise c ->
+        [ string_of_int c ]
+    | Const (c, k) | Load_local (c, k) | New_obj (c, k) | C_field_load (c, k)
+    | C_field_store (c, k) | C_checkcast (c, k) | C_instance_of (c, k)
+    | C_jmp (c, k) | C_br_false (c, k) | F_begin_begin (c, k) ->
+        [ string_of_int c; string_of_int k ]
+    | C_inc_local (c, s, d, t) ->
+        [ string_of_int c; string_of_int s; Int64.to_string d; ty t ]
+    | C_store_local (c, s, t) -> [ string_of_int c; string_of_int s; ty t ]
+    | C_binop (c, o, t) -> [ string_of_int c; op o; ty t ]
+    | C_negate (c, t) | C_new_arr (c, t) | C_new_multi (c, t) ->
+        [ string_of_int c; ty t ]
+    | C_cast_to (c, k, t) -> [ string_of_int c; cast k; ty t ]
+    | C_invoke (c, callee, argc, pushes) ->
+        [ string_of_int c; string_of_int callee; string_of_int argc; bit pushes ]
+    | C_mixed (c, argc, t, pushes) ->
+        [ string_of_int c; string_of_int argc; ty t; bit pushes ]
+    | F_begin_load (a, b, c) | F_begin_const (a, b, c) | F_load_begin (a, b, c)
+      ->
+        List.map string_of_int [ a; b; c ]
+    | F_load_load (a, b, c, d) | F_load_const (a, b, c, d) ->
+        List.map string_of_int [ a; b; c; d ]
+    | i ->
+        failwith
+          ("render_code: not compiled code: "
+          ^ Flat_prog.kind_name (Flat_prog.kind i))
+  in
+  Array.iter
+    (fun i ->
+      Printf.bprintf buf "%s(%s) "
+        (Flat_prog.kind_name (Flat_prog.kind i))
+        (String.concat "," (operands i)))
+    p.Flat_prog.instrs;
+  Buffer.add_string buf "\npool:";
+  Array.iter
+    (function
+      | Values.Int_v b -> Printf.bprintf buf " i%Lx" b
+      | Values.Float_v f -> Printf.bprintf buf " f%Lx" (Int64.bits_of_float f)
+      | _ -> failwith "render_code: pool holds a non-constant")
+    p.Flat_prog.pool;
+  Printf.bprintf buf
+    "\nblock_of_pc: %s\nblock_entry: %s\nhandlers: %s\nlocals: %s\nargs: %s\nret: %s sync: %d stack: %d\n"
+    (ints p.Flat_prog.block_of_pc)
+    (ints p.Flat_prog.block_entry)
+    (ints p.Flat_prog.handler_of_block)
+    (String.concat "," (Array.to_list (Array.map ty p.Flat_prog.local_types)))
+    (String.concat "" (Array.to_list (Array.map bit p.Flat_prog.local_is_arg)))
+    (ty p.Flat_prog.ret) p.Flat_prog.sync_charge p.Flat_prog.max_stack;
+  Buffer.contents buf

@@ -1,16 +1,13 @@
-(* The persistent code cache: codec round-trips (qcheck), store
-   durability/LRU/damage-tolerance, engine warm-start equivalence, and
-   the exhaustive single-byte fault matrix — no flipped bit anywhere in
-   the cache file may change program output or escape the counters. *)
+(* The persistent code cache: codec round-trips, store
+   durability/LRU/damage-tolerance, crafted entries, engine warm-start
+   equivalence, and the exhaustive single-byte fault matrix — no flipped
+   bit anywhere in the cache file may change program output or escape
+   the counters. *)
 
-module Isa = Tessera_codegen.Isa
-module Isa_codec = Tessera_codegen.Isa_codec
-module Opcode = Tessera_il.Opcode
 module Types = Tessera_il.Types
 module Node = Tessera_il.Node
 module Meth = Tessera_il.Meth
 module Program = Tessera_il.Program
-module Cost = Tessera_vm.Cost
 module Target = Tessera_vm.Target
 module Values = Tessera_vm.Values
 module Plan = Tessera_opt.Plan
@@ -21,6 +18,10 @@ module Generate = Tessera_workloads.Generate
 module Engine = Tessera_jit.Engine
 module Store = Tessera_cache.Store
 module Codecache = Tessera_cache.Codecache
+module Prog = Tessera_flat.Prog
+module Compiler = Tessera_jit.Compiler
+module Suites = Tessera_workloads.Suites
+module Codec = Tessera_util.Codec
 
 (* ------------------------------------------------------------------ *)
 (* Scratch directories                                                  *)
@@ -50,147 +51,68 @@ let write_file path data =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Generators                                                           *)
+(* Codec round-trips                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let gen_ty = QCheck.Gen.oneofl (Array.to_list Types.all)
+let same_bits a b =
+  match (a, b) with
+  | Values.Int_v x, Values.Int_v y -> Int64.equal x y
+  | Values.Float_v x, Values.Float_v y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
 
-let gen_binop =
-  QCheck.Gen.oneofl
-    Opcode.
-      [
-        Add; Sub; Mul; Div; Rem; Shift Shl; Shift Shr; Shift Ushr; Or; And;
-        Xor; Compare Eq; Compare Ne; Compare Lt; Compare Le; Compare Gt;
-        Compare Ge;
-      ]
-
-let gen_cast =
-  QCheck.Gen.oneofl
-    Opcode.
-      [
-        C_byte; C_char; C_short; C_int; C_long; C_float; C_double;
-        C_longdouble; C_address; C_object; C_packed; C_zoned; C_check;
-      ]
-
-let gen_instr =
-  let open QCheck.Gen in
-  let small = int_range 0 48 in
-  let i64 = map Int64.of_int (int_range (-1000) 1000) in
-  oneof
-    [
-      map2 (fun ty v -> Isa.Const (ty, v)) gen_ty i64;
-      map (fun i -> Isa.Load_local i) small;
-      map2 (fun i ty -> Isa.Store_local (i, ty)) small gen_ty;
-      map3 (fun i d ty -> Isa.Inc_local (i, d, ty)) small i64 gen_ty;
-      map (fun i -> Isa.Field_load i) small;
-      map (fun i -> Isa.Field_store i) small;
-      return Isa.Elem_load;
-      return Isa.Elem_store;
-      map2 (fun op ty -> Isa.Binop (op, ty)) gen_binop gen_ty;
-      map (fun ty -> Isa.Negate ty) gen_ty;
-      map2 (fun k ty -> Isa.Cast_to (k, ty)) gen_cast gen_ty;
-      map (fun i -> Isa.Checkcast i) small;
-      map (fun i -> Isa.New_obj i) small;
-      map (fun ty -> Isa.New_arr ty) gen_ty;
-      map (fun ty -> Isa.New_multi ty) gen_ty;
-      map (fun i -> Isa.Instance_of i) small;
-      map (fun b -> Isa.Monitor b) bool;
-      map3 (fun callee n ty -> Isa.Invoke (callee, n, ty)) small
-        (int_range 0 6) gen_ty;
-      map2 (fun n ty -> Isa.Mixed_op (n, ty)) (int_range 0 6) gen_ty;
-      return Isa.Bounds_chk;
-      return Isa.Arr_copy;
-      return Isa.Arr_cmp;
-      return Isa.Arr_len;
-      return Isa.Pop;
-      map (fun pc -> Isa.Jump pc) small;
-      map (fun pc -> Isa.Jump_if_false pc) small;
-      map (fun b -> Isa.Ret b) bool;
-      return Isa.Throw_instr;
-    ]
-
-let gen_compiled =
-  let open QCheck.Gen in
-  int_range 0 32 >>= fun n ->
-  array_repeat n gen_instr >>= fun instrs ->
-  array_repeat n (int_range 0 500) >>= fun costs ->
-  int_range 1 8 >>= fun nblocks ->
-  array_repeat n (int_range 0 (nblocks - 1)) >>= fun block_of_pc ->
-  array_repeat nblocks (int_range 0 n) >>= fun block_start ->
-  array_repeat nblocks (int_range (-1) 6) >>= fun handler_of_block ->
-  int_range 0 6 >>= fun nlocals ->
-  array_repeat nlocals gen_ty >>= fun local_types ->
-  gen_ty >>= fun ret ->
-  int_range 0 4 >>= fun nargs ->
-  bool >>= fun sync_method ->
-  oneofl [ Cost.Q_base; Cost.Q_regalloc; Cost.Q_full ] >>= fun quality ->
-  string_size ~gen:printable (int_range 1 12) >>= fun method_name ->
-  return
-    {
-      Isa.method_name;
-      instrs;
-      costs;
-      block_of_pc;
-      block_start;
-      handler_of_block;
-      local_types;
-      ret;
-      nargs;
-      sync_method;
-      quality;
-      code_size = n;
-    }
-
-let arb_compiled =
-  QCheck.make ~print:(fun c -> Format.asprintf "%a" Isa.pp c) gen_compiled
-
-let gen_entry =
-  let open QCheck.Gen in
-  gen_compiled >>= fun code ->
-  oneofl (Array.to_list Plan.levels) >>= fun level ->
-  map (fun i -> Modifier.of_bits (Int64.of_int i)) (int_range 0 0xFFFF)
-  >>= fun modifier ->
-  int_range 0 1_000_000 >>= fun compile_cycles ->
-  int_range 0 5_000 >>= fun optimized_nodes ->
-  int_range 0 5_000 >>= fun original_nodes ->
-  return
-    {
-      Codecache.code;
-      level;
-      modifier;
-      compile_cycles;
-      optimized_nodes;
-      original_nodes;
-    }
+(* structurally equal, the pool compared by bits *)
+let same_code (a : Prog.t) (b : Prog.t) =
+  { a with Prog.pool = [||] } = { b with Prog.pool = [||] }
+  && Array.length a.Prog.pool = Array.length b.Prog.pool
+  && Array.for_all2 same_bits a.Prog.pool b.Prog.pool
 
 let entry_equal (a : Codecache.entry) (b : Codecache.entry) =
-  a.Codecache.code = b.Codecache.code
+  same_code a.Codecache.code b.Codecache.code
   && a.Codecache.level = b.Codecache.level
   && Modifier.equal a.Codecache.modifier b.Codecache.modifier
   && a.Codecache.compile_cycles = b.Codecache.compile_cycles
   && a.Codecache.optimized_nodes = b.Codecache.optimized_nodes
   && a.Codecache.original_nodes = b.Codecache.original_nodes
 
-(* ------------------------------------------------------------------ *)
-(* Codec round-trips (qcheck)                                           *)
-(* ------------------------------------------------------------------ *)
+let roundtrip e = Codecache.decode_entry (Codecache.encode_entry e)
 
-let test_isa_roundtrip () =
-  QCheck.Test.make ~count:200 ~name:"isa codec: decode (encode c) = c"
-    arb_compiled (fun c ->
-      Isa_codec.of_string (Isa_codec.to_string c) = c)
+(* the compiled code of every suite method at every level *)
+let test_code_roundtrip () =
+  List.iter
+    (fun (b : Suites.bench) ->
+      let program = Generate.program b.Suites.profile in
+      Array.iter
+        (fun m ->
+          Array.iter
+            (fun level ->
+              let c = Compiler.compile ~program ~level m in
+              if not (same_code c.Compiler.code (roundtrip c).Codecache.code)
+              then
+                Alcotest.failf "%s at %s does not round-trip" m.Meth.name
+                  (Plan.level_name level))
+            Plan.levels)
+        program.Program.methods)
+    Suites.all
 
-let test_isa_fixpoint () =
-  QCheck.Test.make ~count:200
-    ~name:"isa codec: encode is a fixpoint of decode ∘ encode" arb_compiled
-    (fun c ->
-      let s = Isa_codec.to_string c in
-      String.equal s (Isa_codec.to_string (Isa_codec.of_string s)))
+(* a method of a generated program, compiled at a random level under a
+   random modifier *)
+let gen_entry =
+  let open QCheck.Gen in
+  int_range 0 10_000 >>= fun seed ->
+  nat >>= fun pick ->
+  oneofl (Array.to_list Plan.levels) >>= fun level ->
+  map Modifier.of_bits ui64 >>= fun modifier ->
+  let program = Helpers.gen_program (Int64.of_int seed) in
+  let methods = program.Program.methods in
+  return
+    (Compiler.compile ~modifier ~program ~level
+       methods.(pick mod Array.length methods))
 
 let test_entry_roundtrip () =
   QCheck.Test.make ~count:100 ~name:"entry codec: decode (encode e) = e"
     (QCheck.make gen_entry)
-    (fun e -> entry_equal e (Codecache.decode_entry (Codecache.encode_entry e)))
+    (fun e -> entry_equal e (roundtrip e))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                         *)
@@ -547,11 +469,17 @@ let old_key =
   Codecache.fingerprint ~target:Target.zircon ~level:Plan.Cold
     ~modifier:Modifier.null old_meth
 
+(* The code of [old_meth] as the older layouts stored it: a stack-machine
+   form (name, argument count, return type, synchronized flag, quality,
+   local types, then [const.int 7; ret.v] with their costs and tables),
+   frozen as the last binary that wrote it encoded it. *)
+let old_code_bytes =
+  "\x08\x4f\x6c\x64\x2e\x6f\x28\x29\x49\x00\x03\x00\x00\x00\x02\x00\x03\x07\x00\x00\x00\x00\x00\x00\x00\x1a\x01\x01\x02\x00\x00\x01\x00\x01\x00"
+
 (* An entry of an older layout for [old_meth] at the cold level: the
    fields after the level byte, with [features] written as a count and
    that many varints, when given. *)
 let old_entry_bytes ?schema ?features () =
-  let module Codec = Tessera_util.Codec in
   let buf = Buffer.create 256 in
   Option.iter (Codec.write_varint buf) schema;
   Codec.write_u8 buf (Plan.level_index Plan.Cold);
@@ -565,7 +493,7 @@ let old_entry_bytes ?schema ?features () =
   Codec.write_varint buf 123;
   Codec.write_varint buf 4;
   Codec.write_varint buf 5;
-  Isa_codec.encode buf (Tessera_codegen.Lower.compile old_meth);
+  Buffer.add_string buf old_code_bytes;
   Buffer.contents buf
 
 (* write the frame the way an old binary would have: through the store,
@@ -601,17 +529,14 @@ let test_pre_schema_entry_stale () =
   Alcotest.(check int) "entry dropped" 0 (Codecache.entry_count cache);
   Codecache.close cache
 
-(* An entry of the second layout — the feature dimension 76 as a schema
-   varint, then the vector itself — is a stale miss too.  The engine
-   recompiles the method, the new entry supersedes the old one, and the
-   next open serves it. *)
-let test_feature_schema_entry_stale () =
-  let program = Program.make ~name:"old" ~entry:0 [| old_meth |] in
+let old_program = Program.make ~name:"old" ~entry:0 [| old_meth |]
+
+(* An old entry is a stale miss: the engine recompiles the method, the
+   new entry supersedes the old one, and the next open serves it. *)
+let check_superseded bytes =
+  let program = old_program in
   with_store_dir @@ fun dir ->
-  write_old_entry dir
-    (old_entry_bytes ~schema:Features.dim
-       ~features:(Features.extract ~program old_meth)
-       ());
+  write_old_entry dir bytes;
   let run () =
     let cache = Codecache.create ~dir () in
     let engine =
@@ -638,6 +563,151 @@ let test_feature_schema_entry_stale () =
   Alcotest.(check int) "one AOT load" 1 (Engine.cache_hits engine);
   check_counters "second open" c ~hits:1 ~misses:0 ~stale:0
 
+(* the second layout: the feature dimension 76 as a schema varint, then
+   the vector itself *)
+let test_feature_schema_entry_stale () =
+  check_superseded
+    (old_entry_bytes ~schema:Features.dim
+       ~features:(Features.extract ~program:old_program old_meth)
+       ())
+
+(* the third layout: 5, then the fields and the stack-machine code *)
+let test_layout5_entry_stale () = check_superseded (old_entry_bytes ~schema:5 ())
+
+(* An entry whose CRC and framing are valid and whose bytes decode, but
+   whose program fails the verifier (its constant replaced by a load of
+   a local the method does not have), is a corrupt miss: the method is
+   recompiled and runs exactly as on an empty cache. *)
+let test_unverifiable_entry () =
+  let meth =
+    Meth.make ~name:"C.c()I" ~params:[||] ~ret:Types.Int ~symbols:[||]
+      [|
+        Tessera_il.Block.make 0 []
+          (Tessera_il.Block.Return (Some (Node.iconst Types.Int 7L)));
+      |]
+  in
+  let program = Program.make ~name:"c" ~entry:0 [| meth |] in
+  let run ?entry () =
+    with_store_dir @@ fun dir ->
+    Option.iter
+      (fun bytes ->
+        let s =
+          Store.open_
+            ~path:(Filename.concat dir Codecache.file_name)
+            ~capacity_bytes:1_000_000 ~readonly:false
+        in
+        Store.add s
+          (Codecache.fingerprint ~target:Target.zircon ~level:Plan.Cold
+             ~modifier:Modifier.null meth)
+          bytes;
+        Store.close s)
+      entry;
+    let cache = Codecache.create ~dir () in
+    let engine =
+      Engine.create
+        ~config:
+          {
+            Engine.default_config with
+            Engine.adaptive = false;
+            code_cache = Some cache;
+          }
+        program
+    in
+    Engine.request_compile engine ~meth_id:0 ~level:Plan.Cold
+      ~modifier:Modifier.null ();
+    let outcome = Engine.invoke_entry engine [||] in
+    Codecache.close cache;
+    (outcome, Engine.app_cycles engine, Codecache.counters cache)
+  in
+  let cold_outcome, cold_cycles, _ = run () in
+  let c = Compiler.compile ~program ~level:Plan.Cold meth in
+  let bad =
+    Array.map
+      (function Prog.Const (cost, _) -> Prog.Load_local (cost, 5) | i -> i)
+      c.Compiler.code.Prog.instrs
+  in
+  let entry =
+    Codecache.encode_entry
+      { c with Compiler.code = { c.Compiler.code with Prog.instrs = bad } }
+  in
+  let outcome, cycles, c = run ~entry () in
+  Alcotest.(check (list int))
+    "hits, misses, corrupt" [ 0; 1; 1 ]
+    [ c.Store.hits; c.Store.misses; c.Store.corrupt_entries ];
+  Alcotest.check Helpers.outcome_testable "outcome" cold_outcome outcome;
+  Alcotest.(check int64) "app cycles" cold_cycles cycles
+
+(* An entry in today's layout for [old_meth] at the cold level, written
+   by hand: a program with no locals and no constants that claims
+   [count] instructions, then the bytes [rest]. *)
+let crafted_entry ~count rest =
+  let buf = Buffer.create 64 in
+  Codec.write_varint buf Codecache.entry_layout;
+  Codec.write_u8 buf (Plan.level_index Plan.Cold);
+  Codec.write_i64 buf (Modifier.to_bits Modifier.null);
+  List.iter (Codec.write_varint buf) [ 1; 1; 1 ] (* cycles, node counts *);
+  Codec.write_string buf "Old.o()I";
+  Codec.write_u8 buf (Types.index Types.Int);
+  List.iter (Codec.write_varint buf) [ 5; 0; 0 ] (* sync charge, locals, pool *);
+  Codec.write_varint buf count;
+  Buffer.add_string buf rest;
+  Buffer.contents buf
+
+(* tag and cost of [ret], then one block at pc 0 without a handler *)
+let ret_void = "\x48\x02"
+let one_block = "\x01\x00\x00"
+
+(* Only the opcodes compiled code holds decode: an interpreted opcode's
+   tag, or a binop carrying an opcode that is not binary, is malformed. *)
+let test_compiled_opcodes_only () =
+  Alcotest.(check int) "ret_void's tag" (Char.code ret_void.[0])
+    (Prog.kind (Prog.C_ret_void 2));
+  let code bytes = (Codecache.decode_entry bytes).Codecache.code in
+  Alcotest.(check int) "the well-formed entry decodes" 1
+    (Prog.code_size (code (crafted_entry ~count:1 (ret_void ^ one_block))));
+  List.iter
+    (fun (what, bytes) ->
+      match code bytes with
+      | _ -> Alcotest.failf "%s decoded" what
+      | exception _ -> ())
+    [
+      ( "interpreted ret_void",
+        crafted_entry ~count:1
+          (String.make 1 (Char.chr (Prog.kind Prog.Ret_void)) ^ "\x02" ^ one_block) );
+      ( "enter",
+        crafted_entry ~count:2 ("\x00\x00" ^ ret_void ^ one_block) );
+      (* two objects, their "load", popped: it would verify *)
+      ( "binop load",
+        let tag i = String.make 1 (Char.chr (Prog.kind i)) in
+        let new_obj = tag (Prog.New_obj (1, 0)) ^ "\x01\x00" in
+        crafted_entry ~count:5
+          (new_obj ^ new_obj
+          ^ tag (Prog.C_binop (1, Tessera_il.Opcode.Add, Types.Int))
+          ^ "\x01\x04load"
+          ^ String.make 1 (Char.chr (Types.index Types.Int))
+          ^ tag (Prog.C_pop 0) ^ "\x00" ^ ret_void ^ one_block) );
+    ]
+
+(* An entry claiming a million instructions in a few bytes is rejected
+   before the decoder allocates for them. *)
+let test_oversized_count () =
+  with_store_dir @@ fun dir ->
+  write_old_entry dir (crafted_entry ~count:1_000_000 ret_void);
+  let cache = Codecache.create ~dir () in
+  let before = Gc.allocated_bytes () in
+  let found =
+    Codecache.lookup cache ~key:old_key ~level:Plan.Cold ~modifier:Modifier.null
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  let c = Codecache.counters cache in
+  Codecache.close cache;
+  Alcotest.(check bool) "rejected" true (Option.is_none found);
+  Alcotest.(check (list int))
+    "hits, misses, corrupt" [ 0; 1; 1 ]
+    [ c.Store.hits; c.Store.misses; c.Store.corrupt_entries ];
+  if allocated >= 1_048_576. then
+    Alcotest.failf "the lookup allocated %.0f bytes" allocated
+
 (* The bytes of entries in today's layout: every method of a generated
    program compiled at each level under two modifiers. *)
 let test_entry_known_answers () =
@@ -649,31 +719,22 @@ let test_entry_known_answers () =
         (fun level ->
           List.iter
             (fun modifier ->
-              let c =
-                Tessera_jit.Compiler.compile ~modifier ~program ~level m
-              in
               Buffer.add_string buf
                 (Codecache.encode_entry
-                   {
-                     Codecache.code = c.Tessera_jit.Compiler.code;
-                     level;
-                     modifier;
-                     compile_cycles = c.Tessera_jit.Compiler.compile_cycles;
-                     optimized_nodes = c.Tessera_jit.Compiler.optimized_nodes;
-                     original_nodes = c.Tessera_jit.Compiler.original_nodes;
-                   }))
+                   (Compiler.compile ~modifier ~program ~level m)))
             [ Modifier.null; Modifier.of_disabled [ 3; 17; 40 ] ])
         Plan.levels)
     program.Program.methods;
-  Alcotest.(check string) "entry bytes md5" "342cb5d410c28888a2fa39a763148247"
+  Alcotest.(check string) "entry bytes md5" "0363eb41bfe5629051ab279859aa5d90"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* ------------------------------------------------------------------ *)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
-    [ test_isa_roundtrip (); test_isa_fixpoint (); test_entry_roundtrip () ]
+  [ QCheck_alcotest.to_alcotest (test_entry_roundtrip ()) ]
   @ [
+      Alcotest.test_case "code codec: decode (encode p) = p" `Quick
+        test_code_roundtrip;
       Alcotest.test_case "fingerprint content-addresses the plan" `Quick
         test_fingerprint;
       Alcotest.test_case "store: add/find/supersede survive reopen" `Quick
@@ -691,6 +752,16 @@ let suite =
       Alcotest.test_case
         "codecache: feature-schema entry reads as stale, then is served"
         `Quick test_feature_schema_entry_stale;
+      Alcotest.test_case
+        "codecache: layout-5 entry reads as stale, then is served" `Quick
+        test_layout5_entry_stale;
+      Alcotest.test_case
+        "codecache: an entry that fails the verifier is a corrupt miss" `Quick
+        test_unverifiable_entry;
+      Alcotest.test_case "codecache: an oversized count allocates nothing"
+        `Quick test_oversized_count;
+      Alcotest.test_case "codecache: only compiled opcodes decode" `Quick
+        test_compiled_opcodes_only;
       Alcotest.test_case "codecache: entry bytes: known answers" `Quick
         test_entry_known_answers;
       Alcotest.test_case "engine: warm start replays without compiling" `Quick

@@ -184,8 +184,7 @@ let test_targets_preserve_semantics () =
                 invoke;
                 fuel;
               }
-              (flat_of_compiled
-                 (Tessera_codegen.Lower.compile ~target methods.(id)))
+              (Tessera_flat.Lower.compile ~target methods.(id))
               args
           in
           let native =

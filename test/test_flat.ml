@@ -8,6 +8,7 @@ module Meth = Tessera_il.Meth
 module Values = Tessera_vm.Values
 module Interp = Tessera_vm.Interp
 module Prog = Tessera_flat.Prog
+module Lower = Tessera_flat.Lower
 module Flat_interp = Tessera_flat.Interp
 module Engine = Tessera_jit.Engine
 module Parser = Tessera_lang.Parser
@@ -43,8 +44,8 @@ let run_tier ?(fuel = 200_000_000) ?(transform = fun _id m -> m) ~tier
   let flats =
     match tier with
     | `Tree -> [||]
-    | `Flat -> Array.map Prog.of_meth methods
-    | `Fused -> Array.map (fun m -> Prog.fuse (Prog.of_meth m)) methods
+    | `Flat -> Array.map Lower.of_meth methods
+    | `Fused -> Array.map (fun m -> Prog.fuse (Lower.of_meth m)) methods
   in
   let cycles = ref 0 in
   let charge n = cycles := !cycles + n in
@@ -255,7 +256,7 @@ method "G.m()I" () returns int {
 
 let flat_of_src src =
   let p = parse src in
-  Prog.of_meth (Program.meth p p.Program.entry)
+  Lower.of_meth (Program.meth p p.Program.entry)
 
 let test_verifier_rejects_corruption () =
   let p = flat_of_src two_block_src in
@@ -274,13 +275,37 @@ let test_verifier_rejects_corruption () =
   (match Prog.verify bad_jump with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt jump target accepted");
-  (* truncation desynchronizes the block tables *)
-  let truncated =
-    { p with Prog.instrs = Array.sub p.Prog.instrs 0 (Prog.code_size p - 1) }
+  (* execution starts at pc 0: code before block 0's entry, or code in
+     no block at all, would be checked by nothing *)
+  let leaf =
+    Lower.of_meth
+      (Meth.make ~name:"L.l()I" ~params:[||] ~ret:Tessera_il.Types.Int
+         ~symbols:[||]
+         [|
+           Tessera_il.Block.make 0 []
+             (Tessera_il.Block.Return
+                (Some (Tessera_il.Node.iconst Tessera_il.Types.Int 1L)));
+         |])
   in
-  match Prog.verify truncated with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated code accepted"
+  List.iter
+    (fun (what, q) ->
+      match Prog.verify q with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      (* truncation desynchronizes the block tables *)
+      ( "truncated code",
+        { p with Prog.instrs = Array.sub p.Prog.instrs 0 (Prog.code_size p - 1) }
+      );
+      ( "code before block 0",
+        {
+          leaf with
+          Prog.instrs = Array.append [| Prog.Pop |] leaf.Prog.instrs;
+          block_of_pc = Array.append [| 0 |] leaf.Prog.block_of_pc;
+          block_entry = [| 1 |];
+        } );
+      ("code in no block", { leaf with Prog.block_entry = [||]; handler_of_block = [||] });
+    ]
 
 (* ---- profiler attribution ----------------------------------------- *)
 
@@ -392,15 +417,13 @@ let clock_read_digest () =
       let program = Tessera_workloads.Generate.program b.Suites.profile in
       let forms =
         ( "interpreted",
-          Array.map (fun m -> Prog.fuse (Prog.of_meth m)) program.Program.methods
+          Array.map (fun m -> Prog.fuse (Lower.of_meth m)) program.Program.methods
         )
         :: List.map
              (fun level ->
                ( Plan.level_name level,
                  Array.map
-                   (fun m ->
-                     Helpers.flat_of_compiled
-                       (Compiler.compile ~program ~level m).Compiler.code)
+                   (fun m -> (Compiler.compile ~program ~level m).Compiler.code)
                    program.Program.methods ))
              (Array.to_list Plan.levels)
       in
@@ -419,57 +442,74 @@ let test_clock_read_known_answers () =
   Alcotest.(check string) "clock reads" "8212db383f43d2ad14f4ed8696fc4a50"
     (clock_read_digest ())
 
-(* ---- translation shape -------------------------------------------- *)
+(* ---- compiled-code shape ------------------------------------------ *)
 
-module Isa = Tessera_codegen.Isa
-
-(* Compiled code translates one to one: as many flat instructions as
-   [Isa] instructions, none of them fused, and a [Begin] only where
-   monitor exit has nothing on the stack. *)
-let check_translation (c : Isa.compiled) =
-  let p = Prog.of_compiled c in
-  Alcotest.(check int)
-    (c.Isa.method_name ^ ": one flat instruction per Isa")
-    (Array.length c.Isa.instrs) (Prog.code_size p);
+(* The code generator emits only compiled opcodes, the leaves [Const],
+   [Load_local] and [New_obj], and a [Begin] exactly where monitor exit
+   has nothing on the stack; fused, these make only the superinstructions
+   of a [Begin] or a [Load_local] and a [Begin], [Load_local] or
+   [Const]. *)
+let check_compiled_code ?(meth : Meth.t option) (p : Prog.t) =
   (match Prog.verify p with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "translation does not verify: %s" e);
+  | Error e -> Alcotest.failf "compiled code does not verify: %s" e);
+  let begins = ref 0 in
   Array.iteri
     (fun pc ins ->
-      let is_begin = match ins with Prog.Begin _ -> true | _ -> false in
-      if Prog.is_fused ins || is_begin <> (c.Isa.instrs.(pc) = Isa.Monitor false)
-      then
-        Alcotest.failf "%s: pc %d translates to %s" c.Isa.method_name pc
-          (Prog.kind_name (Prog.kind ins)))
-    p.Prog.instrs
+      match ins with
+      | Prog.Const _ | Load_local _ | New_obj _ | F_load_load _ | F_load_const _
+      | F_load_begin _ ->
+          ()
+      | Begin _ | F_begin_begin _ | F_begin_load _ | F_begin_const _ -> incr begins
+      | i when Prog.is_compiled_op i -> ()
+      | i ->
+          Alcotest.failf "%s: pc %d holds %s" p.Prog.method_name pc
+            (Prog.kind_name (Prog.kind i)))
+    p.Prog.instrs;
+  Option.iter
+    (fun m ->
+      let exits =
+        Meth.fold_nodes
+          (fun k (n : Tessera_il.Node.t) ->
+            match n.op with
+            | Tessera_il.Opcode.Synchronization _ when Array.length n.args = 0 ->
+                k + 1
+            | _ -> k)
+          0 m
+      in
+      Alcotest.(check int)
+        (p.Prog.method_name ^ ": a Begin per monitor exit without an object")
+        exits !begins)
+    meth
 
-let test_translation_shape () =
+let test_compiled_code_shape () =
   List.iter
     (fun (b : Suites.bench) ->
       let program = Tessera_workloads.Generate.program b.Suites.profile in
       Array.iter
-        (fun level ->
+        (fun m ->
+          check_compiled_code ~meth:m (Lower.compile m);
           Array.iter
-            (fun m ->
-              check_translation (Compiler.compile ~program ~level m).Compiler.code)
-            program.Program.methods)
-        Plan.levels)
+            (fun level ->
+              check_compiled_code (Compiler.compile ~program ~level m).Compiler.code)
+            Plan.levels)
+        program.Program.methods)
     Suites.all;
   for seed = 0 to 119 do
     let program = Helpers.gen_program (Int64.of_int (seed + 5)) in
     let level = Plan.levels.(seed mod Array.length Plan.levels) in
     Array.iter
       (fun m ->
-        check_translation (Compiler.compile ~program ~level m).Compiler.code)
+        check_compiled_code ~meth:m (Lower.compile m);
+        check_compiled_code (Compiler.compile ~program ~level m).Compiler.code)
       program.Program.methods
   done;
   (* the pair census runs interpreted, unfused code only *)
   let program = Helpers.gen_program 5L in
   let compiled =
-    Prog.of_compiled
-      (Compiler.compile ~program ~level:Plan.Hot
-         (Program.meth program program.Program.entry))
-        .Compiler.code
+    (Compiler.compile ~program ~level:Plan.Hot
+       (Program.meth program program.Program.entry))
+      .Compiler.code
   in
   let ctx =
     {
@@ -563,8 +603,8 @@ let suite =
     Alcotest.test_case "fuel boundary (tree)" `Quick test_fuel_boundary;
     Alcotest.test_case "clock reads: known answers" `Quick
       test_clock_read_known_answers;
-    Alcotest.test_case "translation: one flat instruction per Isa" `Quick
-      test_translation_shape;
+    Alcotest.test_case "compiled code: compiled opcodes and leaves only" `Quick
+      test_compiled_code_shape;
     Alcotest.test_case "newmultiarray: each dimension bounded" `Quick
       test_multiarray_bounds;
     Alcotest.test_case "array lengths and indices: compared as int64" `Quick

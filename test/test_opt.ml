@@ -498,10 +498,14 @@ let suite =
    One md5 over [Manager.optimize] then [Lower.compile] of every method
    of the 20 suite programs (method counts scaled down), at every level,
    under the null modifier and two seeded random ones: the optimized
-   method's fingerprint, the compiled bytes, the opt/front/back cycles,
-   the quality tier and the applied/skipped/disabled lists.  Recorded
-   before the optimizer learned to hand back unchanged methods, so
-   sharing may move no answer. *)
+   method's fingerprint, the compiled program (its md5 over
+   [Helpers.render_code]), the opt/front/back cycles, the quality tier
+   and the applied/skipped/disabled lists.  Its first digest was
+   recorded before the optimizer learned to hand back unchanged
+   methods, so sharing may move no answer; this one, with the rendering
+   in place of the bytes of the stack-machine code compiled code used
+   to be, was recorded while that code was still translated to the
+   rendered program at its first run. *)
 
 module Program = Tessera_il.Program
 module Suites = Tessera_workloads.Suites
@@ -516,14 +520,6 @@ let known_answer_programs () =
         { p with Profile.methods = max 2 (p.Profile.methods / 3) })
     Suites.all
 
-let known_answer_modifiers () =
-  let rng = Tessera_util.Prng.create 20L in
-  [
-    Modifier.null;
-    Modifier.random rng ~density:0.25;
-    Modifier.random rng ~density:0.5;
-  ]
-
 let quality_floor_of level =
   match level with
   | Plan.Cold | Plan.Warm -> Tessera_vm.Cost.Q_base
@@ -532,7 +528,7 @@ let quality_floor_of level =
 let optimizer_digest () =
   let buf = Buffer.create (1 lsl 20) in
   let ints l = String.concat "," (List.map string_of_int l) in
-  let modifiers = known_answer_modifiers () in
+  let modifiers = Helpers.known_answer_modifiers () in
   List.iter
     (fun (program : Program.t) ->
       Array.iteri
@@ -548,7 +544,7 @@ let optimizer_digest () =
                       ~plan:(Plan.plan level) m
                   in
                   let code =
-                    Tessera_codegen.Lower.compile ~quality:r.Manager.quality
+                    Tessera_flat.Lower.compile ~quality:r.Manager.quality
                       r.Manager.meth
                   in
                   Printf.bprintf buf
@@ -561,9 +557,7 @@ let optimizer_digest () =
                     (ints r.Manager.applied)
                     (ints r.Manager.skipped_inapplicable)
                     (ints r.Manager.disabled)
-                    (Digest.to_hex
-                       (Digest.string
-                          (Tessera_codegen.Isa_codec.to_string code))))
+                    (Digest.to_hex (Digest.string (Helpers.render_code code))))
                 modifiers)
             Plan.levels)
         program.Program.methods)
@@ -572,7 +566,7 @@ let optimizer_digest () =
 
 let test_optimizer_known_answers () =
   Alcotest.(check string) "md5 over every optimized and lowered suite method"
-    "16e44d146cb52e45cfc4bd6feac6700c" (optimizer_digest ())
+    "039202866826e20732a82b438bfb3fa5" (optimizer_digest ())
 
 let suite =
   suite
@@ -727,7 +721,7 @@ let test_traits_oracle_and_sharing () =
       program.Program.methods
   in
   List.iter
-    (fun (p : Program.t) -> sweep p.Program.name p (known_answer_modifiers ()))
+    (fun (p : Program.t) -> sweep p.Program.name p (Helpers.known_answer_modifiers ()))
     (known_answer_programs ());
   for i = 0 to 99 do
     sweep

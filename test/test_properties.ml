@@ -135,7 +135,7 @@ let test_single_method_differential () =
       in
       let native_outcome =
         let fuel = ref 50_000_000 in
-        let code = flat_of_compiled (Tessera_codegen.Lower.compile m) in
+        let code = Tessera_flat.Lower.compile m in
         match
           Tessera_flat.Interp.run
             {
