@@ -1025,34 +1025,34 @@ let run_flat ~jobs cfg =
         let fused_sites =
           Array.fold_left (fun a p -> a + p.Flat_prog.fused_pairs) 0 fused
         in
-        (* opcode-pair census over the unfused programs: the data the
-           compile-time fusion table was derived from *)
-        let pairs = Array.make (Flat_prog.kind_count * Flat_prog.kind_count) 0 in
-        let () =
+        (* opcode-pair censuses at the loop's dispatch head, over
+           unfused code: the data the two fusion tables were chosen
+           from.  The interpreted one goes to BENCH_flat.json; the one
+           of compiled code at the hot level is printed. *)
+        let census flats =
+          let pairs =
+            Array.make (Flat_prog.kind_count * Flat_prog.kind_count) 0
+          in
           let fuel = ref 0 in
           let rec ctx =
             {
               Interp.classes = program.Il_program.classes;
               charge = (fun _ -> ());
-              invoke =
-                (fun id args -> Flat_interp.run_counted ~pairs ctx base.(id) args);
+              invoke = (fun id args -> Flat_interp.run ctx flats.(id) args);
               fuel;
             }
           in
-          for j = 0 to bench.Suites.iteration_invocations - 1 do
-            fuel := fuel_budget;
-            try
-              ignore
-                (Flat_interp.run_counted ~pairs ctx base.(program.Il_program.entry)
-                   [| Values.Int_v (Int64.of_int j) |])
-            with Values.Trap _ -> ()
-          done
-        in
-        let top_pairs =
+          Flat_interp.census pairs (fun () ->
+              for j = 0 to bench.Suites.iteration_invocations - 1 do
+                fuel := fuel_budget;
+                try
+                  ignore
+                    (Flat_interp.run ctx flats.(program.Il_program.entry)
+                       [| Values.Int_v (Int64.of_int j) |])
+                with Values.Trap _ -> ()
+              done);
           let all = ref [] in
-          Array.iteri
-            (fun i c -> if c > 0 then all := (i, c) :: !all)
-            pairs;
+          Array.iteri (fun i c -> if c > 0 then all := (i, c) :: !all) pairs;
           List.filteri
             (fun i _ -> i < 8)
             (List.sort (fun (_, a) (_, b) -> compare b a) !all)
@@ -1060,6 +1060,22 @@ let run_flat ~jobs cfg =
                  ( Flat_prog.kind_name (i / Flat_prog.kind_count),
                    Flat_prog.kind_name (i mod Flat_prog.kind_count),
                    c ))
+        in
+        let top_pairs = census base in
+        let compiled_pairs =
+          census
+            (Array.map
+               (fun m ->
+                 let code =
+                   (Tessera_jit.Compiler.compile ~program ~level:Plan.Hot m)
+                     .Tessera_jit.Compiler.code
+                 in
+                 {
+                   code with
+                   Flat_prog.instrs =
+                     Array.map Flat_prog.first_half code.Flat_prog.instrs;
+                 })
+               program.Il_program.methods)
         in
         Format.fprintf fmt
           "%-10s %8.2fM cycles/iter | tree %7.2f Mcyc/s | flat %7.2f \
@@ -1071,6 +1087,11 @@ let run_flat ~jobs cfg =
           (tree_s /. flat_s)
           (Int64.to_float tree_cycles /. super_s /. 1e6)
           (tree_s /. super_s) fused_sites;
+        Format.fprintf fmt "%-10s compiled (hot, unfused) top pairs: %s@." ""
+          (String.concat ", "
+             (List.map
+                (fun (a, b, c) -> Printf.sprintf "%s>%s %d" a b c)
+                compiled_pairs));
         (name, tree_cycles, tree_s, flat_s, super_s, fused_sites, top_pairs))
       [ "compress"; "db"; "jack" ]
   in
@@ -1140,11 +1161,12 @@ module Profile = Tessera_obs.Profile
    - determinism: two same-seed runs must serialize to byte-identical
      canonical profiles (the virtual clock is the sampling trigger, so
      host speed cannot move a sample);
-   - off-state cost: with the profiler off the interpreters select the
-     unwrapped charge closure, so the off state must be
-     indistinguishable — within the <3% observability budget, which
-     here bounds pure measurement noise — from a pristine run made
-     before the profiler was ever enabled in the process. *)
+   - off-state cost: with the profiler off, the flat loop's runs have
+     no observer (chosen once per run) and the profiler is never
+     called, so the off state must be indistinguishable — within
+     the <3% observability budget, which here bounds pure measurement
+     noise — from a pristine run made before the profiler was ever
+     enabled in the process. *)
 let run_profile ~jobs cfg =
   section "Sampling profiler: determinism, off-state cost";
   let bench =
@@ -1183,7 +1205,7 @@ let run_profile ~jobs cfg =
      slow drift of the host (GC heap growth, frequency scaling) cannot
      masquerade as overhead: pristine (the profiler has never been
      enabled in this process), off (after an enable/disable cycle — the
-     same unwrapped charge closure, so any measured difference is the
+     same loop with no observer, so any measured difference is the
      off-state cost plus noise), then on *)
   let timed_leg f =
     Gc.major ();
@@ -1887,6 +1909,10 @@ let run_micro ~jobs cfg =
     for _ = 1 to runs do f () done;
     (Gc.minor_words () -. w0) /. float_of_int runs
   in
+  (* every row once, untimed, before the first timed row: the first row
+     would otherwise also pay for bringing its code and data into the
+     caches *)
+  List.iter (fun (_, f) -> f ()) tests;
   Format.fprintf fmt "%-44s %14s %16s@." "" "ns/op" "minor words/op";
   List.iter
     (fun (name, f) ->

@@ -4,6 +4,7 @@ module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
 module Meth = Tessera_il.Meth
 module Values = Tessera_vm.Values
+module Semantics = Tessera_vm.Semantics
 module Prog = Tessera_flat.Prog
 module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
@@ -50,8 +51,9 @@ let fingerprint ~target ~level ~modifier m =
 
 (* -- program codec ----------------------------------------------------
    An entry holds the unfused program: a superinstruction is written as
-   its first half (its second half is the next slot already), and the
-   decoder fuses again, so the bytes do not depend on the fusion table.
+   its first half ([Prog.first_half]; its other halves are the next
+   slots already), and the decoder fuses again, so the bytes do not
+   depend on the fusion tables.
    An instruction is its [Prog.kind] as the tag, its static cost, then
    its operands; the decoder knows only the kinds compiled code holds.
    [block_of_pc] is implied by the block entries, which the verifier
@@ -83,7 +85,8 @@ let head buf i c =
   Codec.write_u8 buf (Prog.kind i);
   Codec.write_varint buf c
 
-let rec write_instr buf (i : Prog.instr) =
+let write_instr buf (i : Prog.instr) =
+  let i = Prog.first_half i in
   match i with
   | Prog.Begin c | C_elem_load c | C_elem_store c | C_monitor c
   | C_bounds_chk c | C_arr_copy c | C_arr_cmp c | C_arr_len c | C_pop c
@@ -103,10 +106,10 @@ let rec write_instr buf (i : Prog.instr) =
       head buf i c;
       Codec.write_varint buf s;
       write_ty buf ty
-  | C_binop (c, op, ty) ->
+  | C_binop (c, k) ->
       head buf i c;
-      Codec.write_string buf (Opcode.name op);
-      write_ty buf ty
+      Codec.write_string buf (Opcode.name (Semantics.kernel_op k));
+      write_ty buf (Semantics.kernel_ty k)
   | C_cast_to (c, k, ty) ->
       head buf i c;
       Codec.write_string buf (Opcode.name (Opcode.Cast k));
@@ -124,12 +127,7 @@ let rec write_instr buf (i : Prog.instr) =
       Codec.write_varint buf argc;
       write_ty buf ty;
       write_bool buf pushes
-  | F_begin_begin (c, _) | F_begin_load (c, _, _) | F_begin_const (c, _, _) ->
-      write_instr buf (Begin c)
-  | F_load_load (c, s, _, _) | F_load_const (c, s, _, _) | F_load_begin (c, s, _)
-    ->
-      write_instr buf (Load_local (c, s))
-  | _ -> invalid_arg ("Codecache: not compiled code: " ^ Prog.kind_name (Prog.kind i))
+  | i -> invalid_arg ("Codecache: not compiled code: " ^ Prog.kind_name (Prog.kind i))
 
 let operand r = Codec.read_varint ~what:"operand" r
 
@@ -153,11 +151,11 @@ let read_instr r : Prog.instr =
   | 53 -> C_elem_load c
   | 54 -> C_elem_store c
   | 55 -> (
-      match read_op r with
-      | ( Opcode.Add | Sub | Mul | Div | Rem | Or | And | Xor | Shift _
-        | Compare _ ) as op ->
-          C_binop (c, op, read_ty r)
-      | _ -> fail "binop: not a binary opcode")
+      let op = read_op r in
+      let ty = read_ty r in
+      match Semantics.kernel op ty with
+      | Some k -> C_binop (c, k)
+      | None -> fail "binop: not a binary opcode")
   | 56 -> C_negate (c, read_ty r)
   | 57 -> (
       match read_op r with
@@ -268,7 +266,7 @@ let read_program r : Prog.t =
     }
   in
   match Prog.verify p with
-  | Ok max_stack -> Prog.fuse { p with max_stack }
+  | Ok max_stack -> Prog.fuse_in_place { p with max_stack }
   | Error e -> fail e
 
 (* -- entries ---------------------------------------------------------- *)
@@ -299,7 +297,17 @@ let decode_entry s =
   if not (Codec.at_end r) then fail "entry: trailing bytes";
   { code; level; modifier; compile_cycles; optimized_nodes; original_nodes }
 
-let lookup t ~key ~level ~modifier =
+(* every call names one of the program's methods: the verifier checks
+   the program's structure, not the engine's method table (and a varint
+   of nine bytes can decode to a negative callee) *)
+let calls_within ~methods (p : Prog.t) =
+  Array.for_all
+    (function
+      | Prog.C_invoke (_, callee, _, _) -> 0 <= callee && callee < methods
+      | _ -> true)
+    p.instrs
+
+let lookup t ~key ~level ~modifier ~methods =
   Store.find t key (fun bytes ->
       match decode_entry bytes with
       | exception Stale_schema ->
@@ -310,6 +318,7 @@ let lookup t ~key ~level ~modifier =
           (* CRC-clean but undecodable or unverifiable: treat exactly
              like disk damage *)
           Error `Corrupt
+      | e when not (calls_within ~methods e.code) -> Error `Corrupt
       | e ->
           if e.level = level && Modifier.equal e.modifier modifier then Ok e
           else

@@ -72,12 +72,19 @@ val fingerprint :
 (** Stable across processes; includes {!format_version}. *)
 
 val lookup :
-  t -> key:int64 -> level:Plan.level -> modifier:Modifier.t -> entry option
+  t ->
+  key:int64 ->
+  level:Plan.level ->
+  modifier:Modifier.t ->
+  methods:int ->
+  entry option
 (** Decode-and-verify: a hit's program has passed
-    {!Tessera_flat.Prog.verify}.  Corrupt payloads, programs that fail
-    the verifier, other entry layouts and metadata mismatches return
-    [None] (dropped, counted [corrupt] or [stale], and counted as a
-    miss, not a hit); never raises. *)
+    {!Tessera_flat.Prog.verify}, and every call in it names a method id
+    below [methods] (the engine's program's method count).  Corrupt
+    payloads, programs that fail the verifier or call outside the
+    program, other entry layouts and metadata mismatches return [None]
+    (dropped, counted [corrupt] or [stale], and counted as a miss, not a
+    hit); never raises. *)
 
 val store : t -> key:int64 -> entry -> unit
 (** Write-back after a successful compilation; no-op when read-only. *)

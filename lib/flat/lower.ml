@@ -25,6 +25,7 @@ module Block = Tessera_il.Block
 module Meth = Tessera_il.Meth
 module Symbol = Tessera_il.Symbol
 module Values = Tessera_vm.Values
+module Semantics = Tessera_vm.Semantics
 module Cost = Tessera_vm.Cost
 module Target = Tessera_vm.Target
 open Prog
@@ -126,6 +127,12 @@ let monitor_enter_charge =
 
 let sym_ty (m : Meth.t) s = m.Meth.symbols.(s).Symbol.ty
 
+(* a binary operator, resolved once to the kernel that runs it *)
+let kernel (n : Node.t) =
+  match Semantics.kernel n.op n.ty with
+  | Some k -> k
+  | None -> invalid_arg ("Flat.Lower: not a binary operator: " ^ Opcode.name n.op)
+
 (* -- interpreted code ------------------------------------------------- *)
 
 let node_charge (n : Node.t) = Cost.interp_dispatch + Cost.op_base n.op n.ty
@@ -153,7 +160,7 @@ let action m (n : Node.t) =
   | Opcode.Arrayop Opcode.Array_cmp -> Arr_cmp
   | Opcode.Arrayop Opcode.Array_length -> Arr_len
   | Opcode.Mixedop -> Mixed (Array.length n.args, n.ty)
-  | _ -> Binop (n.op, n.ty)
+  | _ -> Binop (kernel n)
 
 (* A leaf is one instruction.  An interior node is a [Begin] prologue
    with its fuel and charge, its children, then its action; a field
@@ -230,7 +237,7 @@ let of_meth (m : Meth.t) =
 let pushes ty = not (Types.equal ty Types.Void)
 
 let code_of e m target ~local (n : Node.t) =
-  let c = max 0 (Target.op_cost target n.op n.ty - Target.flag_discount target n) in
+  let c = Target.node_cost target n in
   let argc = Array.length n.args in
   match n.op with
   | Opcode.Loadconst -> Const (c, const_idx e n.ty n.const)
@@ -256,7 +263,7 @@ let code_of e m target ~local (n : Node.t) =
   | Opcode.Arrayop Opcode.Array_cmp -> C_arr_cmp c
   | Opcode.Arrayop Opcode.Array_length -> C_arr_len c
   | Opcode.Mixedop -> C_mixed (c, argc, n.ty, pushes n.ty)
-  | _ -> C_binop (c, n.op, n.ty)
+  | _ -> C_binop (c, kernel n)
 
 let compile ?(quality = Cost.Q_base) ?(target = Target.zircon) (m : Meth.t) =
   let e = emitter m in
@@ -291,7 +298,8 @@ let compile ?(quality = Cost.Q_base) ?(target = Target.zircon) (m : Meth.t) =
           emit e (C_raise (Target.op_cost target Opcode.Throw_op Types.Void)))
     m.Meth.blocks;
   let nargs = Meth.arg_count m in
-  fuse
+  (* [finish] built the array: no one else holds it *)
+  fuse_in_place
     (finish e m
        ~local_is_arg:(Array.mapi (fun i _ -> i < nargs) m.Meth.symbols)
        ~sync_charge:

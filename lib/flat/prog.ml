@@ -7,6 +7,7 @@
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
 module Values = Tessera_vm.Values
+module Semantics = Tessera_vm.Semantics
 
 type instr =
   (* fuel-event carriers: each mirrors exactly one fuel decrement of the
@@ -27,7 +28,7 @@ type instr =
   | Field_store of int
   | Elem_load
   | Elem_store
-  | Binop of Opcode.t * Types.t
+  | Binop of Semantics.kernel  (** the operator resolved with its type *)
   | Negate of Types.t
   | Cast_to of Opcode.cast_kind * Types.t
   | Checkcast of int
@@ -49,26 +50,27 @@ type instr =
   | Ret_void
   | Ret_val
   | Raise_user
-  (* superinstructions: each executes the exact observable sequence of
-     its two halves in one dispatch.  The fused instruction replaces the
-     first slot; the second slot stays in place (never executed, never a
-     jump target) so offsets need no relocation.  The pair selection is
-     the static fusion table measured by [bench flat] — see [fuse]. *)
+  (* interpreted code's superinstructions: each executes the exact
+     observable sequence of its two halves in one dispatch.  The fused
+     instruction replaces the first slot; the second slot stays in place
+     (never executed, never a jump target) so offsets need no
+     relocation.  The pair selection is the static fusion table measured
+     by [bench flat] — see [fuse]. *)
   | F_enter_begin of int
   | F_begin_begin of int * int
   | F_begin_load of int * int * int
   | F_begin_const of int * int * int
   | F_load_load of int * int * int * int
-  | F_load_binop of int * int * Opcode.t * Types.t
-  | F_const_binop of int * int * Opcode.t * Types.t
+  | F_load_binop of int * int * Semantics.kernel
+  | F_const_binop of int * int * Semantics.kernel
   | F_load_store of int * int * int * Types.t
-  | F_binop_store of Opcode.t * Types.t * int * Types.t
+  | F_binop_store of Semantics.kernel * int * Types.t
   | F_store_pop of int * Types.t
   | F_inc_pop of int * int * int64 * Types.t
   | F_pop_begin of int
   | F_load_const of int * int * int * int
   | F_load_begin of int * int * int
-  | F_binop_binop of Opcode.t * Types.t * Opcode.t * Types.t
+  | F_binop_binop of Semantics.kernel * Semantics.kernel
   (* compiled code: one instruction per IL node, each one fuel event
      and one charge of its static cost (the first operand), then the
      action of its interpreted namesake, without the Void a statement
@@ -80,7 +82,7 @@ type instr =
   | C_field_store of int * int
   | C_elem_load of int
   | C_elem_store of int
-  | C_binop of int * Opcode.t * Types.t
+  | C_binop of int * Semantics.kernel
   | C_negate of int * Types.t
   | C_cast_to of int * Opcode.cast_kind * Types.t
   | C_checkcast of int * int
@@ -100,6 +102,17 @@ type instr =
   | C_ret_void of int
   | C_ret_val of int
   | C_raise of int
+  (* compiled code's superinstructions, [fuse]'s table for compiled
+     code: runs of compiled opcodes in one dispatch, each keeping its
+     halves' fuel events, charges and trap points in order; the slots
+     after the first keep the original instructions, as above. *)
+  | K_cmp_br of int * Semantics.kernel * int * int * int * int
+      (** compare, [C_br_false], [C_jmp]: charge, kernel, branch charge
+          and false target, jump charge and true target *)
+  | K_load_const_binop of int * int * int * int * int * Semantics.kernel
+      (** [Load_local], [Const], [C_binop]: charge and slot, charge and
+          pool index, charge and kernel *)
+  | K_binop_binop of int * Semantics.kernel * int * Semantics.kernel
 
 type t = {
   method_name : string;
@@ -196,8 +209,11 @@ let kind = function
   | C_ret_void _ -> 72
   | C_ret_val _ -> 73
   | C_raise _ -> 74
+  | K_cmp_br _ -> 75
+  | K_load_const_binop _ -> 76
+  | K_binop_binop _ -> 77
 
-let kind_count = 75
+let kind_count = 78
 
 let kind_name = function
   | 0 -> "enter"
@@ -276,17 +292,45 @@ let kind_name = function
   | 72 -> "ret_void"
   | 73 -> "ret_val"
   | 74 -> "raise_user"
+  | 75 -> "k_cmp_br"
+  | 76 -> "k_load_const_binop"
+  | 77 -> "k_binop_binop"
   | _ -> "?"
 
 let is_fused i =
   let k = kind i in
-  k >= 34 && k < 49
+  (k >= 34 && k < 49) || k >= 75
 
-let is_compiled_op i = kind i >= 49
+let is_compiled_op i =
+  let k = kind i in
+  k >= 49 && k < 75
 
-(* Superinstructions occupy two slots: the fused op plus the dead slot
-   of its second half, skipped at execution and verification time. *)
-let width i = if is_fused i then 2 else 1
+(* A superinstruction occupies the slots of the instructions it fuses:
+   the fused op, then the dead slots of its other halves, skipped at
+   execution and verification time. *)
+let width = function
+  | K_cmp_br _ | K_load_const_binop _ -> 3
+  | i -> if is_fused i then 2 else 1
+
+(* the instruction a superinstruction's first slot held before [fuse] *)
+let first_half = function
+  | F_enter_begin _ -> Enter
+  | F_begin_begin (c, _) | F_begin_load (c, _, _) | F_begin_const (c, _, _) ->
+      Begin c
+  | F_load_load (c, s, _, _)
+  | F_load_const (c, s, _, _)
+  | F_load_begin (c, s, _)
+  | F_load_binop (c, s, _)
+  | F_load_store (c, s, _, _)
+  | K_load_const_binop (c, s, _, _, _, _) ->
+      Load_local (c, s)
+  | F_const_binop (c, k, _) -> Const (c, k)
+  | F_binop_store (k, _, _) | F_binop_binop (k, _) -> Binop k
+  | F_store_pop (s, ty) -> Store_local (s, ty)
+  | F_inc_pop (c, s, d, ty) -> Inc_local (c, s, d, ty)
+  | F_pop_begin _ -> Pop
+  | K_cmp_br (c, k, _, _, _, _) | K_binop_binop (c, k, _, _) -> C_binop (c, k)
+  | i -> i
 
 (* [block_of_pc] of blocks laid out in order from pc 0: each pc belongs
    to the last block entered at or before it (-1 before any) *)
@@ -342,10 +386,13 @@ let stack_io = function
   | C_elem_store _ | C_arr_copy _ -> (3, 0)
   | C_invoke (_, _, argc, pushes) | C_mixed (_, argc, _, pushes) ->
       (argc, if pushes then 1 else 0)
+  | K_cmp_br _ -> (2, 0)
+  | K_load_const_binop _ -> (0, 1)
+  | K_binop_binop _ -> (3, 1)
 
 let is_terminator = function
   | Jmp _ | Cond_br _ | Ret_void | Ret_val | Raise_user | C_jmp _
-  | C_ret_void _ | C_ret_val _ | C_raise _ ->
+  | C_ret_void _ | C_ret_val _ | C_raise _ | K_cmp_br _ ->
       true
   | _ -> false
 
@@ -389,22 +436,22 @@ let verify p =
       | Const (_, k) | F_begin_const (_, _, k) -> check_pool k
       | Load_local (_, s) | Inc_local (_, s, _, _) | Store_local (s, _)
       | F_store_pop (s, _) | F_inc_pop (_, s, _, _) | F_begin_load (_, _, s)
-      | F_load_binop (_, s, _, _) | F_load_begin (_, s, _)
+      | F_load_binop (_, s, _) | F_load_begin (_, s, _)
       | C_inc_local (_, s, _, _) | C_store_local (_, s, _) ->
           check_slot "local" s
-      | F_load_const (_, s, _, k) ->
+      | F_load_const (_, s, _, k) | K_load_const_binop (_, s, _, k, _, _) ->
           check_slot "local" s;
           check_pool k
       | F_load_load (_, s1, _, s2) | F_load_store (_, s1, s2, _) ->
           check_slot "local" s1;
           check_slot "local" s2
-      | F_binop_store (_, _, s, _) -> check_slot "local" s
-      | F_const_binop (_, k, _, _) -> check_pool k
+      | F_binop_store (_, s, _) -> check_slot "local" s
+      | F_const_binop (_, k, _) -> check_pool k
       | Invoke (_, argc) | Mixed (argc, _) | C_invoke (_, _, argc, _)
       | C_mixed (_, argc, _, _) ->
           if argc < 0 then bad "negative arity"
       | Jmp t | C_jmp (_, t) | C_br_false (_, t) -> check_target t
-      | Cond_br (t, f) ->
+      | Cond_br (t, f) | K_cmp_br (_, _, _, f, _, t) ->
           check_target t;
           check_target f
       | _ -> ()
@@ -442,52 +489,76 @@ let verify p =
   with Bad s -> err "%s" s
 
 (* -- superinstruction fusion ----------------------------------------
-   The pair table below is static but measured: `bench flat` counts
-   dynamically executed (kind, next kind) pairs over the standard
-   workload mix via [Interp.run_counted], and these fifteen are the
-   hottest pairs of that census (see DESIGN.md §12).  Fusion requires
-   the second slot not to be a jump target; since every branch in a
-   flat program lands on a block entry, and blocks are laid out in
-   order, a pair within one block suffices. *)
+   Two static tables, each measured: `bench flat` counts the executed
+   (kind, next kind) pairs at the loop's dispatch head ([Interp.census])
+   over the standard workload mix.  The interpreted table is the
+   fifteen hottest pairs of unfused interpreted code; the compiled table
+   comes from the census of unfused compiled code at the hot level,
+   where a [C_binop] is a quarter of all dispatches (nearly all of them
+   integer) and a comparison, [C_br_false] and [C_jmp] end most blocks
+   (see DESIGN.md §12).  A superinstruction lies within one block, so no
+   jump lands on one of its dead slots: every branch lands on a block
+   entry, and blocks are laid out in order.  The pass looks at each pair
+   once and at a third slot only after a pair that begins a triple, and
+   rewrites the array as it goes: it writes only the slot it has just
+   read, so it never reads a slot it has rewritten.  It allocates only
+   the superinstructions it writes ([Enter], which no table entry
+   produces, stands for none). *)
 
-let fuse p =
-  let n = Array.length p.instrs in
-  let out = Array.copy p.instrs in
+let is_compare k =
+  match Semantics.kernel_op k with Opcode.Compare _ -> true | _ -> false
+
+let fuse_in_place p =
+  let code = p.instrs and owner = p.block_of_pc in
+  let n = Array.length code in
+  (* the instruction two slots after [pc] if it lies in [pc]'s block *)
+  let third pc =
+    if pc + 2 < n && owner.(pc + 2) = owner.(pc) then code.(pc + 2) else Enter
+  in
   let fused = ref 0 in
-  let i = ref 0 in
-  while !i < n - 1 do
-    let next = !i + 1 in
-    let pair =
-      if p.block_of_pc.(next) <> p.block_of_pc.(!i) then None
+  let pc = ref 0 in
+  while !pc < n - 1 do
+    let i = !pc in
+    let super =
+      if owner.(i + 1) <> owner.(i) then Enter
       else
-        match (p.instrs.(!i), p.instrs.(next)) with
-        | Enter, Begin c -> Some (F_enter_begin c)
-        | Begin c1, Begin c2 -> Some (F_begin_begin (c1, c2))
-        | Begin c1, Load_local (c2, s) -> Some (F_begin_load (c1, c2, s))
-        | Begin c1, Const (c2, k) -> Some (F_begin_const (c1, c2, k))
-        | Load_local (c1, s1), Load_local (c2, s2) ->
-            Some (F_load_load (c1, s1, c2, s2))
-        | Load_local (c, s), Binop (op, ty) -> Some (F_load_binop (c, s, op, ty))
-        | Const (c, k), Binop (op, ty) -> Some (F_const_binop (c, k, op, ty))
-        | Load_local (c, src), Store_local (dst, dty) ->
-            Some (F_load_store (c, src, dst, dty))
-        | Binop (op, ty), Store_local (dst, dty) ->
-            Some (F_binop_store (op, ty, dst, dty))
-        | Store_local (s, ty), Pop -> Some (F_store_pop (s, ty))
-        | Inc_local (c, s, d, ty), Pop -> Some (F_inc_pop (c, s, d, ty))
-        | Pop, Begin c -> Some (F_pop_begin c)
-        | Load_local (c1, s), Const (c2, k) -> Some (F_load_const (c1, s, c2, k))
-        | Load_local (c1, s), Begin c2 -> Some (F_load_begin (c1, s, c2))
-        | Binop (op1, ty1), Binop (op2, ty2) ->
-            Some (F_binop_binop (op1, ty1, op2, ty2))
-        | _ -> None
+        match (code.(i), code.(i + 1)) with
+        (* compiled code *)
+        | C_binop (c1, k), C_br_false (c2, f) when is_compare k -> (
+            match third i with
+            | C_jmp (c3, t) -> K_cmp_br (c1, k, c2, f, c3, t)
+            | _ -> Enter)
+        | C_binop (c1, k1), C_binop (c2, k2) -> K_binop_binop (c1, k1, c2, k2)
+        | Load_local (c1, s), Const (c2, kk) -> (
+            match third i with
+            (* a comparison is left to [K_cmp_br], which builds no boolean *)
+            | C_binop (c3, k) when not (is_compare k) ->
+                K_load_const_binop (c1, s, c2, kk, c3, k)
+            | _ -> F_load_const (c1, s, c2, kk))
+        (* interpreted code *)
+        | Enter, Begin c -> F_enter_begin c
+        | Begin c1, Begin c2 -> F_begin_begin (c1, c2)
+        | Begin c1, Load_local (c2, s) -> F_begin_load (c1, c2, s)
+        | Begin c1, Const (c2, k) -> F_begin_const (c1, c2, k)
+        | Load_local (c1, s1), Load_local (c2, s2) -> F_load_load (c1, s1, c2, s2)
+        | Load_local (c, s), Binop k -> F_load_binop (c, s, k)
+        | Const (c, kk), Binop k -> F_const_binop (c, kk, k)
+        | Load_local (c, src), Store_local (dst, dty) -> F_load_store (c, src, dst, dty)
+        | Binop k, Store_local (dst, dty) -> F_binop_store (k, dst, dty)
+        | Store_local (s, ty), Pop -> F_store_pop (s, ty)
+        | Inc_local (c, s, d, ty), Pop -> F_inc_pop (c, s, d, ty)
+        | Pop, Begin c -> F_pop_begin c
+        | Load_local (c1, s), Begin c2 -> F_load_begin (c1, s, c2)
+        | Binop k1, Binop k2 -> F_binop_binop (k1, k2)
+        | _ -> Enter
     in
-    match pair with
-    | Some f ->
-        out.(!i) <- f;
+    match super with
+    | Enter -> incr pc
+    | super ->
+        code.(i) <- super;
         incr fused;
-        i := !i + 2
-    | None -> incr i
+        pc := i + width super
   done;
-  { p with instrs = out; fused_pairs = p.fused_pairs + !fused }
+  { p with fused_pairs = p.fused_pairs + !fused }
 
+let fuse p = fuse_in_place { p with instrs = Array.copy p.instrs }

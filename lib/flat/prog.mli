@@ -4,10 +4,12 @@
     interpreted methods to it, with a fuel/charge event sequence
     bit-identical to the tree walker [Vm.Interp.run]; {!Lower.compile},
     the code generator, emits compiled code in it, and the code cache
-    stores that program.  [fuse] rewrites the hottest instruction pairs
-    (a static table measured by [bench flat]) into superinstructions
-    that keep the exact observable sequence while halving dispatch
-    overhead on those pairs. *)
+    stores that program.  [fuse] rewrites the hottest runs of
+    instructions (two static tables, one for interpreted and one for
+    compiled code, chosen from [bench flat]'s census) into
+    superinstructions that keep the exact observable sequence in fewer
+    dispatches.  Every binary operator in it is resolved to its
+    {!Tessera_vm.Semantics.kernel}. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
@@ -27,7 +29,7 @@ type instr =
   | Field_store of int
   | Elem_load
   | Elem_store
-  | Binop of Opcode.t * Types.t
+  | Binop of Tessera_vm.Semantics.kernel
   | Negate of Types.t
   | Cast_to of Opcode.cast_kind * Types.t
   | Checkcast of int
@@ -53,23 +55,23 @@ type instr =
   | F_begin_load of int * int * int
   | F_begin_const of int * int * int
   | F_load_load of int * int * int * int
-  | F_load_binop of int * int * Opcode.t * Types.t
-  | F_const_binop of int * int * Opcode.t * Types.t
+  | F_load_binop of int * int * Tessera_vm.Semantics.kernel
+  | F_const_binop of int * int * Tessera_vm.Semantics.kernel
   | F_load_store of int * int * int * Types.t
-  | F_binop_store of Opcode.t * Types.t * int * Types.t
+  | F_binop_store of Tessera_vm.Semantics.kernel * int * Types.t
   | F_store_pop of int * Types.t
   | F_inc_pop of int * int * int64 * Types.t
   | F_pop_begin of int
   | F_load_const of int * int * int * int
   | F_load_begin of int * int * int
-  | F_binop_binop of Opcode.t * Types.t * Opcode.t * Types.t
+  | F_binop_binop of Tessera_vm.Semantics.kernel * Tessera_vm.Semantics.kernel
   | C_inc_local of int * int * int64 * Types.t
   | C_store_local of int * int * Types.t
   | C_field_load of int * int
   | C_field_store of int * int
   | C_elem_load of int
   | C_elem_store of int
-  | C_binop of int * Opcode.t * Types.t
+  | C_binop of int * Tessera_vm.Semantics.kernel
   | C_negate of int * Types.t
   | C_cast_to of int * Opcode.cast_kind * Types.t
   | C_checkcast of int * int
@@ -93,7 +95,19 @@ type instr =
           is the static cost, charged after one fuel event and before
           the action of the interpreted namesake; none pushes a
           statement's Void.  [C_invoke] and [C_mixed] push their result
-          only when the flag is set. *)
+          only when the flag is set.  A binary operator, interpreted
+          ([Binop] and its superinstructions) or compiled, carries its
+          {!Tessera_vm.Semantics.kernel}, resolved when the program is
+          built. *)
+  | K_cmp_br of int * Tessera_vm.Semantics.kernel * int * int * int * int
+  | K_load_const_binop of int * int * int * int * int * Tessera_vm.Semantics.kernel
+  | K_binop_binop of
+      int * Tessera_vm.Semantics.kernel * int * Tessera_vm.Semantics.kernel
+      (** Compiled code's superinstructions ({!fuse}): [K_cmp_br] is a
+          comparison, [C_br_false] and [C_jmp] (charge, kernel, branch
+          charge and false target, jump charge and true target), which
+          builds no boolean; [K_load_const_binop] and [K_binop_binop]
+          are what they name, each half's operands in order. *)
 
 type t = {
   method_name : string;
@@ -117,10 +131,27 @@ val owner_blocks : code_size:int -> int array -> int array
     of range are ignored; {!verify} rejects what this cannot express. *)
 
 val fuse : t -> t
-(** Apply the superinstruction pass to a verified program.  Only pairs
-    within one block fuse, so no jump lands on a second slot; fused
-    pairs keep their two slots (the second becomes dead padding) so no
-    offsets move; [fused_pairs] counts the rewritten sites. *)
+(** Apply the superinstruction pass to a verified program: the
+    interpreted table (pairs) and the compiled table (pairs and
+    triples).  Only instructions within one block fuse, so no
+    jump lands on a dead slot; a superinstruction keeps the slots of
+    the instructions it replaces (the ones after the first become dead
+    padding, holding their original instructions) so no offsets move;
+    [fused_pairs] counts the rewritten sites.  Allocates the copy of the
+    array and the superinstructions it writes, nothing per instruction
+    scanned. *)
+
+val fuse_in_place : t -> t
+(** {!fuse} without the copy: rewrites the program's own instruction
+    array, so only for a program that nothing else holds (one just
+    lowered or decoded). *)
+
+val first_half : instr -> instr
+(** The instruction a superinstruction's first slot held before {!fuse}
+    (any other instruction is itself): mapped over a fused program's
+    slots, it gives back the unfused program.  The code cache writes
+    programs through it, so an entry's bytes do not depend on the
+    fusion tables. *)
 
 val verify : t -> (int, string) result
 (** Structural soundness: block 0 starts at pc 0 and the blocks' entries
@@ -128,12 +159,14 @@ val verify : t -> (int, string) result
     are in range, every block ends in a terminator, and the operand
     stack never underflows and is empty at block boundaries and after a
     [C_br_false].  Returns the maximum operand-stack depth on success.
-    A superinstruction's second slot (dead padding) is not looked at. *)
+    A superinstruction's dead slots are not looked at. *)
 
 val code_size : t -> int
 
 val width : instr -> int
-(** 2 for superinstructions (their second slot is dead padding), else 1. *)
+(** The slots an instruction occupies: 2 or 3 for a superinstruction
+    of two or three instructions (the slots after the first are dead
+    padding), else 1. *)
 
 val is_fused : instr -> bool
 (** A superinstruction ({!fuse}). *)
@@ -142,7 +175,8 @@ val is_compiled_op : instr -> bool
 (** One of compiled code's [C_] opcodes. *)
 
 val kind : instr -> int
-(** Dense instruction-kind index, for the dynamic pair census. *)
+(** Dense instruction-kind index, for the dynamic pair census
+    ({!Interp.census}) and the code cache's instruction tags. *)
 
 val kind_count : int
 

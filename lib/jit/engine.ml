@@ -442,7 +442,10 @@ let rec do_compile t ~meth_id ~level ~modifier =
   | Some cache -> (
       (* one key per compilation: the lookup's key is also the store's *)
       let key = cache_key t ~meth_id ~level ~modifier in
-      match Codecache.lookup cache ~key ~level ~modifier with
+      match
+        Codecache.lookup cache ~key ~level ~modifier
+          ~methods:(Program.method_count t.program)
+      with
       | Some entry ->
           (* lookup-before-compile: the cache already holds code for
              exactly this (method IL, target, level, modifier) *)

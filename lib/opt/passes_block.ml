@@ -3,7 +3,7 @@ module Opcode = Tessera_il.Opcode
 module Node = Tessera_il.Node
 module Block = Tessera_il.Block
 module Meth = Tessera_il.Meth
-module Values = Tessera_vm.Values
+module Semantics = Tessera_vm.Semantics
 
 (* ------------------------------------------------------------------ *)
 (* Shared predicates                                                   *)
@@ -463,7 +463,7 @@ let local_const_prop m =
   propagate m ~derive:(fun ~dst_ty _dst (rhs : Node.t) ->
       match rhs.Node.op with
       | Opcode.Loadconst when Types.is_integral dst_ty && Types.is_integral rhs.Node.ty ->
-          Some (Node.iconst dst_ty (Values.truncate dst_ty rhs.Node.const))
+          Some (Node.iconst dst_ty (Semantics.truncate dst_ty rhs.Node.const))
       | Opcode.Loadconst
         when Types.is_floating dst_ty && Types.is_floating rhs.Node.ty ->
           Some (Node.fconst dst_ty (Node.const_float rhs))

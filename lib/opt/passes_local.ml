@@ -206,7 +206,7 @@ let bitop_simplify m =
                 simplify
                   (Node.binop n.Node.op n.Node.ty inner.Node.args.(0)
                      (Node.iconst n.Node.ty
-                        (Values.truncate n.Node.ty (f c1 c2))))
+                        (Semantics.truncate n.Node.ty (f c1 c2))))
             | None -> n)
         | _ -> n)
     | _ -> n
@@ -277,7 +277,7 @@ let sign_ext_elim m =
     (fun (n : Node.t) ->
       match n.Node.op with
       | Opcode.Loadconst when Types.is_integral n.Node.ty ->
-          let t = Values.truncate n.Node.ty n.Node.const in
+          let t = Semantics.truncate n.Node.ty n.Node.const in
           if Int64.equal t n.Node.const then n else Node.iconst n.Node.ty t
       | Opcode.Cast k when k <> Opcode.C_check -> (
           let child = n.Node.args.(0) in

@@ -3,6 +3,22 @@ module Opcode = Tessera_il.Opcode
 module Classdef = Tessera_il.Classdef
 open Values
 
+(* A value already in range comes back as the argument itself, so a
+   caller that cannot inline this allocates no second box for it. *)
+let[@inline] truncate ty v =
+  let r =
+    match ty with
+    | Types.Byte -> Int64.of_int (Int64.to_int v land 0xff - if Int64.to_int v land 0x80 <> 0 then 0x100 else 0)
+    | Types.Char -> Int64.of_int (Int64.to_int v land 0xffff)
+    | Types.Short ->
+        Int64.of_int
+          ((Int64.to_int v land 0xffff) - if Int64.to_int v land 0x8000 <> 0 then 0x10000 else 0)
+    | Types.Int ->
+        Int64.of_int32 (Int64.to_int32 v)
+    | _ -> v
+  in
+  if Int64.equal r v then v else r
+
 (* integer results: one box for the [int64], one for [Int_v], and
    none at all where truncation changes nothing *)
 let store_coerce ty v =
@@ -24,26 +40,6 @@ let fp_binop op a b =
   | Opcode.Rem -> Float.rem a b
   | _ -> invalid_arg "Semantics.fp_binop"
 
-let[@inline] int_binop op (a : int64) (b : int64) =
-  match op with
-  | Opcode.Add -> Int64.add a b
-  | Opcode.Sub -> Int64.sub a b
-  | Opcode.Mul -> Int64.mul a b
-  | Opcode.Div ->
-      if Int64.equal b 0L then raise (Trap Div_by_zero) else Int64.div a b
-  | Opcode.Rem ->
-      if Int64.equal b 0L then raise (Trap Div_by_zero) else Int64.rem a b
-  | Opcode.Or -> Int64.logor a b
-  | Opcode.And -> Int64.logand a b
-  | Opcode.Xor -> Int64.logxor a b
-  | Opcode.Shift d -> (
-      let s = Int64.to_int (Int64.logand b 63L) in
-      match d with
-      | Opcode.Shl -> Int64.shift_left a s
-      | Opcode.Shr -> Int64.shift_right a s
-      | Opcode.Ushr -> Int64.shift_right_logical a s)
-  | _ -> invalid_arg "Semantics.int_binop"
-
 let true_v = Int_v 1L
 let false_v = Int_v 0L
 let[@inline] of_bool r = if r then true_v else false_v
@@ -56,28 +52,123 @@ let compare_values c a b =
     | Arr_v x, Arr_v y -> if x == y then 0 else compare (checksum a) (checksum b)
     | _ -> Int64.compare (as_int a) (as_int b)
   in
-  let r =
-    match c with
-    | Opcode.Eq -> num = 0
-    | Opcode.Ne -> num <> 0
-    | Opcode.Lt -> num < 0
-    | Opcode.Le -> num <= 0
-    | Opcode.Gt -> num > 0
-    | Opcode.Ge -> num >= 0
-  in
-  of_bool r
+  match c with
+  | Opcode.Eq -> num = 0
+  | Opcode.Ne -> num <> 0
+  | Opcode.Lt -> num < 0
+  | Opcode.Le -> num <= 0
+  | Opcode.Gt -> num > 0
+  | Opcode.Ge -> num >= 0
+
+(* -- kernels ------------------------------------------------------------
+   A binary operator resolved once with its result type: [code] numbers
+   the operator (0..10 the arithmetic, 11..16 the comparisons), and
+   [floating] marks arithmetic at a floating type.  Every kernel is
+   built here, at start-up, so looking one up allocates nothing, and
+   [binop] runs on them too: the tree walker and the flat loop share one
+   definition of integer arithmetic. *)
+
+type kernel = { code : int; op : Opcode.t; ty : Types.t; floating : bool }
+
+let ops =
+  Opcode.
+    [|
+      Add; Sub; Mul; Div; Rem; Or; And; Xor; Shift Shl; Shift Shr; Shift Ushr;
+      Compare Eq; Compare Ne; Compare Lt; Compare Le; Compare Gt; Compare Ge;
+    |]
+
+let first_compare = 11
+
+let op_code = function
+  | Opcode.Add -> 0
+  | Opcode.Sub -> 1
+  | Opcode.Mul -> 2
+  | Opcode.Div -> 3
+  | Opcode.Rem -> 4
+  | Opcode.Or -> 5
+  | Opcode.And -> 6
+  | Opcode.Xor -> 7
+  | Opcode.Shift Opcode.Shl -> 8
+  | Opcode.Shift Opcode.Shr -> 9
+  | Opcode.Shift Opcode.Ushr -> 10
+  | Opcode.Compare Opcode.Eq -> 11
+  | Opcode.Compare Opcode.Ne -> 12
+  | Opcode.Compare Opcode.Lt -> 13
+  | Opcode.Compare Opcode.Le -> 14
+  | Opcode.Compare Opcode.Gt -> 15
+  | Opcode.Compare Opcode.Ge -> 16
+  | _ -> -1
+
+let kernels =
+  Array.init
+    (Array.length ops * Types.count)
+    (fun i ->
+      let code = i / Types.count and ty = Types.of_index (i mod Types.count) in
+      Some
+        {
+          code;
+          op = ops.(code);
+          ty;
+          floating = code < first_compare && Types.is_floating ty;
+        })
+
+let kernel op ty =
+  let code = op_code op in
+  if code < 0 then None else kernels.((code * Types.count) + Types.index ty)
+
+let kernel_op k = k.op
+let kernel_ty k = k.ty
+
+(* the arithmetic of codes 0..10, on integers *)
+let[@inline] int_op code (a : int64) (b : int64) =
+  match code with
+  | 0 -> Int64.add a b
+  | 1 -> Int64.sub a b
+  | 2 -> Int64.mul a b
+  | 3 -> if Int64.equal b 0L then raise (Trap Div_by_zero) else Int64.div a b
+  | 4 -> if Int64.equal b 0L then raise (Trap Div_by_zero) else Int64.rem a b
+  | 5 -> Int64.logor a b
+  | 6 -> Int64.logand a b
+  | 7 -> Int64.logxor a b
+  | 8 -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
+  | 9 -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
+  | _ -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
+
+(* the comparisons of codes 11..16, on two integers *)
+let[@inline] int_test code (a : int64) (b : int64) =
+  match code with
+  | 11 -> a = b
+  | 12 -> a <> b
+  | 13 -> a < b
+  | 14 -> a <= b
+  | 15 -> a > b
+  | _ -> a >= b
+
+(* Two integers under an integer kernel take its own code.  Otherwise:
+   floating arithmetic on the operands read as floats, the comparison
+   of [compare_values], or the arithmetic on the operands read as
+   integers. *)
+let apply k a b =
+  match (a, b) with
+  | Int_v x, Int_v y when not k.floating ->
+      if k.code >= first_compare then of_bool (int_test k.code x y)
+      else Int_v (truncate k.ty (int_op k.code x y))
+  | _ -> (
+      if k.floating then Float_v (fp_binop k.op (as_float a) (as_float b))
+      else
+        match k.op with
+        | Opcode.Compare c -> of_bool (compare_values c a b)
+        | _ -> Int_v (truncate k.ty (int_op k.code (as_int a) (as_int b))))
+
+let test k a b =
+  match (a, b) with
+  | Int_v x, Int_v y when k.code >= first_compare -> int_test k.code x y
+  | _ -> is_truthy (apply k a b)
 
 let binop op ty a b =
-  match op with
-  | Opcode.Compare c -> compare_values c a b
-  | _ -> (
-      match (a, b) with
-      | Int_v x, Int_v y when not (Types.is_floating ty) ->
-          Int_v (truncate ty (int_binop op x y))
-      | _ ->
-          if Types.is_floating ty then
-            Float_v (fp_binop op (as_float a) (as_float b))
-          else Int_v (truncate ty (int_binop op (as_int a) (as_int b))))
+  match kernel op ty with
+  | Some k -> apply k a b
+  | None -> invalid_arg "Semantics.binop: not a binary operator"
 
 let neg ty v =
   if Types.is_floating ty then Float_v (-.as_float v)

@@ -2,14 +2,50 @@
     interpreter and the flat dispatch loop (which runs compiled code
     too) so the two cannot diverge: the differential property
     [interp(m) = flat(codegen(m))] reduces to both loops sequencing
-    these primitives identically. *)
+    these primitives identically.  The flat form resolves each binary
+    operator to its {!kernel} when it is built, and [binop] runs on the
+    same kernels. *)
 
 module Types = Tessera_il.Types
 module Opcode = Tessera_il.Opcode
 
+val truncate : Types.t -> int64 -> int64
+(** Wrap an integer into the storage width of an integral type (sign
+    behaviour matches the JVM: byte/short/int sign-extend, char
+    zero-extends; other types keep all 64 bits).  A value already in
+    range comes back as the argument itself. *)
+
 val binop : Opcode.t -> Types.t -> Values.t -> Values.t -> Values.t
 (** Arithmetic/logic/compare.  Integer [Div]/[Rem] by zero raises
-    [Trap Div_by_zero]; results are truncated to the node type. *)
+    [Trap Div_by_zero]; results are truncated to the node type.  Runs
+    the operator's {!kernel}; raises [Invalid_argument] on an opcode
+    that is not binary. *)
+
+(** {1 Kernels}
+
+    A binary operator resolved once with its result type.  The flat
+    form keeps the kernel in its instruction, so the loop does not
+    decide the operator and the type again at each execution, and
+    [binop] runs on the same kernels: both interpreters share one
+    definition of integer arithmetic. *)
+
+type kernel
+
+val kernel : Opcode.t -> Types.t -> kernel option
+(** The kernel of an arithmetic, logic, shift or comparison operator at
+    a type; [None] for opcodes that are not binary.  Allocates nothing:
+    every kernel is built at start-up. *)
+
+val kernel_op : kernel -> Opcode.t
+val kernel_ty : kernel -> Types.t
+
+val apply : kernel -> Values.t -> Values.t -> Values.t
+(** [apply k a b] is [binop (kernel_op k) (kernel_ty k) a b]; two
+    [Int_v] operands of an integer kernel take its own code. *)
+
+val test : kernel -> Values.t -> Values.t -> bool
+(** [test k a b] is [Values.is_truthy (apply k a b)]; a comparison of two
+    [Int_v] builds no value. *)
 
 val neg : Types.t -> Values.t -> Values.t
 

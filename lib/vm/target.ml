@@ -44,7 +44,7 @@ let all = [ zircon; obsidian ]
 
 let find name = List.find_opt (fun t -> String.equal t.name name) all
 
-let category_factor t (op : Opcode.t) ty =
+let[@inline] category_factor t (op : Opcode.t) ty =
   let decimal =
     match ty with
     | Types.Packed_decimal | Types.Zoned_decimal | Types.Long_double ->
@@ -64,11 +64,9 @@ let category_factor t (op : Opcode.t) ty =
 let op_cost t op ty =
   int_of_float (ceil (float_of_int (Cost.op_base op ty) *. category_factor t op ty))
 
-let flag_discount t (n : Node.t) =
-  let scaled =
-    int_of_float
-      (ceil
-         (float_of_int (Cost.flag_discount n)
-         *. category_factor t n.Node.op n.Node.ty))
-  in
-  min scaled (op_cost t n.Node.op n.Node.ty)
+(* the flag discount is scaled by the same factor and never exceeds the
+   cost; the factor is taken once *)
+let node_cost t (n : Node.t) =
+  let f = category_factor t n.Node.op n.Node.ty in
+  let cost = int_of_float (ceil (float_of_int (Cost.op_base n.Node.op n.Node.ty) *. f)) in
+  cost - min (int_of_float (ceil (float_of_int (Cost.flag_discount n) *. f))) cost

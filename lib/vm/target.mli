@@ -37,6 +37,8 @@ val find : string -> t option
 val op_cost : t -> Tessera_il.Opcode.t -> Tessera_il.Types.t -> int
 (** [Cost.op_base] scaled into the target. *)
 
-val flag_discount : t -> Tessera_il.Node.t -> int
-(** Optimization-flag discount, scaled consistently with {!op_cost} and
-    never exceeding it. *)
+val node_cost : t -> Tessera_il.Node.t -> int
+(** The static cost of the node's compiled instruction: {!op_cost} of
+    its operator and type less its optimization-flag discount
+    ([Cost.flag_discount] scaled the same way, never exceeding the
+    cost), so never negative. *)

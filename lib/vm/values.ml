@@ -35,22 +35,6 @@ let default ty =
   | t when Types.is_reference t -> Null_v
   | _ -> Int_v 0L
 
-(* A value already in range comes back as the argument itself, so a
-   caller that cannot inline this allocates no second box for it. *)
-let[@inline] truncate ty v =
-  let r =
-    match ty with
-    | Types.Byte -> Int64.of_int (Int64.to_int v land 0xff - if Int64.to_int v land 0x80 <> 0 then 0x100 else 0)
-    | Types.Char -> Int64.of_int (Int64.to_int v land 0xffff)
-    | Types.Short ->
-        Int64.of_int
-          ((Int64.to_int v land 0xffff) - if Int64.to_int v land 0x8000 <> 0 then 0x10000 else 0)
-    | Types.Int ->
-        Int64.of_int32 (Int64.to_int32 v)
-    | _ -> v
-  in
-  if Int64.equal r v then v else r
-
 let[@inline] as_int = function
   | Int_v v -> v
   | Float_v f -> Int64.of_float f

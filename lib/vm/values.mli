@@ -2,8 +2,8 @@
 
     Integral types (including the BCD decimal types, which Tessera models
     as 64-bit fixed-point integers) are carried as [int64] and truncated
-    to their storage width on stores and casts; floating types are carried
-    as [float]. *)
+    to their storage width on stores and casts ([Semantics.truncate]);
+    floating types are carried as [float]. *)
 
 type obj = { class_id : int; fields : t array }
 
@@ -30,11 +30,6 @@ val trap_name : trap -> string
 
 val default : Tessera_il.Types.t -> t
 (** Zero / null / unit value of a type. *)
-
-val truncate : Tessera_il.Types.t -> int64 -> int64
-(** Wrap an integer into the storage width of an integral type (sign
-    behaviour matches the JVM: byte/short/int sign-extend, char
-    zero-extends). *)
 
 val as_int : t -> int64
 (** Coerces; [Null_v] reads as [0L] so comparisons against null work.

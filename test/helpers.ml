@@ -152,10 +152,13 @@ let known_answer_modifiers () =
     Modifier.random rng ~density:0.5;
   ]
 
-(* A canonical rendering of compiled code as the engine runs it: each
-   instruction slot's kind name and operands, the pool by bits, and
-   every table the loop reads.  Only the forms compiled code can hold
-   render; anything else fails. *)
+(* A canonical rendering of compiled code as the code generator emits
+   it: each instruction slot's kind name and operands, a
+   superinstruction as its first half ([Prog.first_half], as the code
+   cache writes it), so the rendering pins the code generator and not
+   the fusion tables; then the pool by bits, and every table the loop
+   reads.  Only the forms compiled code can hold render; anything else
+   fails. *)
 let render_code (p : Flat_prog.t) =
   let module Types = Tessera_il.Types in
   let module Opcode = Tessera_il.Opcode in
@@ -172,12 +175,17 @@ let render_code (p : Flat_prog.t) =
         [ string_of_int c ]
     | Const (c, k) | Load_local (c, k) | New_obj (c, k) | C_field_load (c, k)
     | C_field_store (c, k) | C_checkcast (c, k) | C_instance_of (c, k)
-    | C_jmp (c, k) | C_br_false (c, k) | F_begin_begin (c, k) ->
+    | C_jmp (c, k) | C_br_false (c, k) ->
         [ string_of_int c; string_of_int k ]
     | C_inc_local (c, s, d, t) ->
         [ string_of_int c; string_of_int s; Int64.to_string d; ty t ]
     | C_store_local (c, s, t) -> [ string_of_int c; string_of_int s; ty t ]
-    | C_binop (c, o, t) -> [ string_of_int c; op o; ty t ]
+    | C_binop (c, k) ->
+        [
+          string_of_int c;
+          op (Tessera_vm.Semantics.kernel_op k);
+          ty (Tessera_vm.Semantics.kernel_ty k);
+        ]
     | C_negate (c, t) | C_new_arr (c, t) | C_new_multi (c, t) ->
         [ string_of_int c; ty t ]
     | C_cast_to (c, k, t) -> [ string_of_int c; cast k; ty t ]
@@ -185,11 +193,6 @@ let render_code (p : Flat_prog.t) =
         [ string_of_int c; string_of_int callee; string_of_int argc; bit pushes ]
     | C_mixed (c, argc, t, pushes) ->
         [ string_of_int c; string_of_int argc; ty t; bit pushes ]
-    | F_begin_load (a, b, c) | F_begin_const (a, b, c) | F_load_begin (a, b, c)
-      ->
-        List.map string_of_int [ a; b; c ]
-    | F_load_load (a, b, c, d) | F_load_const (a, b, c, d) ->
-        List.map string_of_int [ a; b; c; d ]
     | i ->
         failwith
           ("render_code: not compiled code: "
@@ -197,6 +200,7 @@ let render_code (p : Flat_prog.t) =
   in
   Array.iter
     (fun i ->
+      let i = Flat_prog.first_half i in
       Printf.bprintf buf "%s(%s) "
         (Flat_prog.kind_name (Flat_prog.kind i))
         (String.concat "," (operands i)))

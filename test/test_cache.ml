@@ -523,7 +523,7 @@ let test_pre_schema_entry_stale () =
   Alcotest.(check bool) "pre-schema entry is a miss" true
     (Option.is_none
        (Codecache.lookup cache ~key:old_key ~level:Plan.Cold
-          ~modifier:Modifier.null));
+          ~modifier:Modifier.null ~methods:1));
   check_counters "lookup" (Codecache.counters cache) ~hits:0 ~misses:1
     ~stale:1;
   Alcotest.(check int) "entry dropped" 0 (Codecache.entry_count cache);
@@ -574,68 +574,118 @@ let test_feature_schema_entry_stale () =
 (* the third layout: 5, then the fields and the stack-machine code *)
 let test_layout5_entry_stale () = check_superseded (old_entry_bytes ~schema:5 ())
 
-(* An entry whose CRC and framing are valid and whose bytes decode, but
-   whose program fails the verifier (its constant replaced by a load of
-   a local the method does not have), is a corrupt miss: the method is
-   recompiled and runs exactly as on an empty cache. *)
-let test_unverifiable_entry () =
-  let meth =
-    Meth.make ~name:"C.c()I" ~params:[||] ~ret:Types.Int ~symbols:[||]
-      [|
-        Tessera_il.Block.make 0 []
-          (Tessera_il.Block.Return (Some (Node.iconst Types.Int 7L)));
-      |]
+(* A one-method program returning a constant, and its run through an
+   engine whose code cache holds [entry] (if any) under the method's
+   cold-level key: the outcome, application cycles and cache counters. *)
+let const_meth =
+  Meth.make ~name:"C.c()I" ~params:[||] ~ret:Types.Int ~symbols:[||]
+    [|
+      Tessera_il.Block.make 0 []
+        (Tessera_il.Block.Return (Some (Node.iconst Types.Int 7L)));
+    |]
+
+let const_program = Program.make ~name:"c" ~entry:0 [| const_meth |]
+
+let run_on_cache ?entry () =
+  with_store_dir @@ fun dir ->
+  Option.iter
+    (fun bytes ->
+      let s =
+        Store.open_
+          ~path:(Filename.concat dir Codecache.file_name)
+          ~capacity_bytes:1_000_000 ~readonly:false
+      in
+      Store.add s
+        (Codecache.fingerprint ~target:Target.zircon ~level:Plan.Cold
+           ~modifier:Modifier.null const_meth)
+        bytes;
+      Store.close s)
+    entry;
+  let cache = Codecache.create ~dir () in
+  let engine =
+    Engine.create
+      ~config:
+        {
+          Engine.default_config with
+          Engine.adaptive = false;
+          code_cache = Some cache;
+        }
+      const_program
   in
-  let program = Program.make ~name:"c" ~entry:0 [| meth |] in
-  let run ?entry () =
-    with_store_dir @@ fun dir ->
-    Option.iter
-      (fun bytes ->
-        let s =
-          Store.open_
-            ~path:(Filename.concat dir Codecache.file_name)
-            ~capacity_bytes:1_000_000 ~readonly:false
-        in
-        Store.add s
-          (Codecache.fingerprint ~target:Target.zircon ~level:Plan.Cold
-             ~modifier:Modifier.null meth)
-          bytes;
-        Store.close s)
-      entry;
-    let cache = Codecache.create ~dir () in
-    let engine =
-      Engine.create
-        ~config:
-          {
-            Engine.default_config with
-            Engine.adaptive = false;
-            code_cache = Some cache;
-          }
-        program
-    in
-    Engine.request_compile engine ~meth_id:0 ~level:Plan.Cold
-      ~modifier:Modifier.null ();
-    let outcome = Engine.invoke_entry engine [||] in
-    Codecache.close cache;
-    (outcome, Engine.app_cycles engine, Codecache.counters cache)
-  in
-  let cold_outcome, cold_cycles, _ = run () in
-  let c = Compiler.compile ~program ~level:Plan.Cold meth in
+  Engine.request_compile engine ~meth_id:0 ~level:Plan.Cold
+    ~modifier:Modifier.null ();
+  let outcome = Engine.invoke_entry engine [||] in
+  Codecache.close cache;
+  (outcome, Engine.app_cycles engine, Codecache.counters cache)
+
+(* the constant's compiled code with its [Const] replaced by [by], as a
+   CRC-clean entry whose bytes [patch] may then edit (given the
+   replaced constant's cost): a corrupt miss, after which the method is
+   recompiled and runs exactly as on an empty cache *)
+let check_corrupt_miss ?(patch = fun _ bytes -> bytes) by =
+  let cold_outcome, cold_cycles, _ = run_on_cache () in
+  let c = Compiler.compile ~program:const_program ~level:Plan.Cold const_meth in
+  let cost = ref 0 in
   let bad =
     Array.map
-      (function Prog.Const (cost, _) -> Prog.Load_local (cost, 5) | i -> i)
+      (function
+        | Prog.Const (charge, _) ->
+            cost := charge;
+            by charge
+        | i -> i)
       c.Compiler.code.Prog.instrs
   in
   let entry =
-    Codecache.encode_entry
-      { c with Compiler.code = { c.Compiler.code with Prog.instrs = bad } }
+    patch !cost
+      (Codecache.encode_entry
+         { c with Compiler.code = { c.Compiler.code with Prog.instrs = bad } })
   in
-  let outcome, cycles, c = run ~entry () in
+  let outcome, cycles, c = run_on_cache ~entry () in
   Alcotest.(check (list int))
     "hits, misses, corrupt" [ 0; 1; 1 ]
     [ c.Store.hits; c.Store.misses; c.Store.corrupt_entries ];
   Alcotest.check Helpers.outcome_testable "outcome" cold_outcome outcome;
   Alcotest.(check int64) "app cycles" cold_cycles cycles
+
+(* An entry whose bytes decode but whose program fails the verifier: its
+   constant replaced by a load of a local the method does not have. *)
+let test_unverifiable_entry () =
+  check_corrupt_miss (fun cost -> Prog.Load_local (cost, 5))
+
+(* An entry whose program verifies but calls a method the program does
+   not have: the verifier checks structure, not the engine's method
+   table, so the lookup checks every callee. *)
+let test_call_outside_program () =
+  check_corrupt_miss (fun cost -> Prog.C_invoke (cost, 99, 0, true))
+
+(* [s] with its one occurrence of [sub] replaced by [by] *)
+let replace_once s ~sub ~by =
+  let n = String.length sub in
+  let at =
+    List.filter
+      (fun i -> String.sub s i n = sub)
+      (List.init (String.length s - n + 1) Fun.id)
+  in
+  match at with
+  | [ i ] -> String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  | _ -> Alcotest.failf "%d occurrences of the pattern" (List.length at)
+
+(* The same call with a callee that decodes below 0: the writer refuses
+   a negative varint, so the entry's callee 99 (the one byte 0x63) is
+   replaced by nine bytes that decode to [min_int]. *)
+let test_negative_callee () =
+  let varint v =
+    let buf = Buffer.create 9 in
+    Codec.write_varint buf v;
+    Buffer.contents buf
+  in
+  let tag = String.make 1 (Char.chr (Prog.kind (Prog.C_invoke (0, 0, 0, true)))) in
+  check_corrupt_miss
+    ~patch:(fun cost bytes ->
+      replace_once bytes
+        ~sub:(tag ^ varint cost ^ varint 99)
+        ~by:(tag ^ varint cost ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x40"))
+    (fun cost -> Prog.C_invoke (cost, 99, 0, true))
 
 (* An entry in today's layout for [old_meth] at the cold level, written
    by hand: a program with no locals and no constants that claims
@@ -682,7 +732,9 @@ let test_compiled_opcodes_only () =
         let new_obj = tag (Prog.New_obj (1, 0)) ^ "\x01\x00" in
         crafted_entry ~count:5
           (new_obj ^ new_obj
-          ^ tag (Prog.C_binop (1, Tessera_il.Opcode.Add, Types.Int))
+          ^ tag
+              (Prog.C_binop
+                 (1, Option.get (Tessera_vm.Semantics.kernel Tessera_il.Opcode.Add Types.Int)))
           ^ "\x01\x04load"
           ^ String.make 1 (Char.chr (Types.index Types.Int))
           ^ tag (Prog.C_pop 0) ^ "\x00" ^ ret_void ^ one_block) );
@@ -697,6 +749,7 @@ let test_oversized_count () =
   let before = Gc.allocated_bytes () in
   let found =
     Codecache.lookup cache ~key:old_key ~level:Plan.Cold ~modifier:Modifier.null
+      ~methods:1
   in
   let allocated = Gc.allocated_bytes () -. before in
   let c = Codecache.counters cache in
@@ -758,6 +811,12 @@ let suite =
       Alcotest.test_case
         "codecache: an entry that fails the verifier is a corrupt miss" `Quick
         test_unverifiable_entry;
+      Alcotest.test_case
+        "codecache: an entry that calls outside the program is a corrupt miss"
+        `Quick test_call_outside_program;
+      Alcotest.test_case
+        "codecache: an entry that calls a negative method id is a corrupt miss"
+        `Quick test_negative_callee;
       Alcotest.test_case "codecache: an oversized count allocates nothing"
         `Quick test_oversized_count;
       Alcotest.test_case "codecache: only compiled opcodes decode" `Quick

@@ -337,6 +337,35 @@ let test_profile_attribution () =
     Suites.all;
   Profile.reset ()
 
+(* ---- known answer of the profile ---------------------------------
+
+   One md5 over [Profile.to_canonical_string] after each of the 20 suite
+   programs (scale 0.05, entry argument 0) runs interpreted on the loop,
+   unfused and fused, sampled every 97 cycles: every sample's site and
+   weight.  Recorded when the loop gave the profiler each charge on its
+   own; it pins that one sum per instruction at the dispatch head moves
+   no sample. *)
+let profile_digest () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (b : Suites.bench) ->
+      let b = Suites.scale_bench b 0.05 in
+      let program = Tessera_workloads.Generate.program b.Suites.profile in
+      List.iter
+        (fun tier ->
+          Profile.enable ~period:97 ();
+          Fun.protect ~finally:Profile.disable (fun () ->
+              ignore (run_tier ~tier program (Helpers.entry_args 0)));
+          Buffer.add_string buf (Profile.to_canonical_string ()))
+        [ `Flat; `Fused ])
+    Suites.all;
+  Profile.reset ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_profile_known_answers () =
+  Alcotest.(check string) "profile" "ef842d9fd8a56318f5178e2a35ab66ca"
+    (profile_digest ())
+
 (* ---- engine-level parity ------------------------------------------ *)
 
 (* A non-adaptive engine never compiles, so every invocation runs its
@@ -379,7 +408,7 @@ let clock_read_fuel = 200_000_000
 
 (* One run's log: [>] callee, cycles and fuel as a call leaves the
    loop; [<] or [!] as it returns or raises; then the outcome. *)
-let clock_reads ~fuel (program : Program.t) (flats : Prog.t array) =
+let clock_reads ?(arg = 0) ~fuel (program : Program.t) (flats : Prog.t array) =
   let buf = Buffer.create 4096 in
   let cycles = ref 0 in
   let fuel_ref = ref fuel in
@@ -402,7 +431,7 @@ let clock_reads ~fuel (program : Program.t) (flats : Prog.t array) =
         Printf.bprintf buf "!%d %d\n" !cycles !fuel_ref;
         raise e
   in
-  (match invoke program.Program.entry [| Values.Int_v 0L |] with
+  (match invoke program.Program.entry (Helpers.entry_args arg) with
   | v -> Printf.bprintf buf "ok:%Ld" (Values.checksum v)
   | exception Values.Trap k -> Printf.bprintf buf "trap:%s" (Values.trap_name k)
   | exception Interp.Out_of_fuel -> Buffer.add_string buf "fuel");
@@ -442,13 +471,184 @@ let test_clock_read_known_answers () =
   Alcotest.(check string) "clock reads" "8212db383f43d2ad14f4ed8696fc4a50"
     (clock_read_digest ())
 
+(* ---- fusion oracle: fused = unfused compiled code ------------------
+
+   [Prog.fuse]'s superinstructions keep their halves' fuel events,
+   charges and trap points, so compiled code runs the same fused and
+   unfused (every slot through [Prog.first_half]): the same outcome, the
+   same cycles and fuel at every clock read ([clock_reads]).  Checked on
+   every suite program (scale 0.05) at every level under the three
+   known-answer modifiers, at full fuel and at budgets that stop
+   part-way; on generated programs at every budget up to 300; and on a
+   small program, at every budget until it ends, that runs each of
+   compiled code's superinstructions and traps inside three of them. *)
+
+let unfused (p : Prog.t) =
+  { p with Prog.instrs = Array.map Prog.first_half p.Prog.instrs; fused_pairs = 0 }
+
+let check_fused_as_unfused ?arg ~what ~budgets program flats =
+  let plain = Array.map unfused flats in
+  List.iter
+    (fun fuel ->
+      let fused, _ = clock_reads ?arg ~fuel program flats in
+      let unfused, _ = clock_reads ?arg ~fuel program plain in
+      if fused <> unfused then
+        Alcotest.failf "%s: fused and unfused code differ at fuel %d" what fuel)
+    budgets
+
+(* [Prog.first_half] undoes [Prog.fuse] slot by slot: on every suite
+   method, interpreted and compiled at every level, the first halves of
+   the fused program are the unfused one, and fusing them again gives
+   the fused program back. *)
+let test_first_halves () =
+  let check what (plain : Prog.t) (fused : Prog.t) =
+    if (unfused fused).Prog.instrs <> plain.Prog.instrs then
+      Alcotest.failf "%s: first halves differ from the unfused program" what;
+    if (Prog.fuse plain).Prog.instrs <> fused.Prog.instrs then
+      Alcotest.failf "%s: fusing the first halves differs" what
+  in
+  List.iter
+    (fun (b : Suites.bench) ->
+      let program = Tessera_workloads.Generate.program b.Suites.profile in
+      Array.iter
+        (fun (m : Meth.t) ->
+          let p = Lower.of_meth m in
+          check m.Meth.name p (Prog.fuse p);
+          Array.iter
+            (fun level ->
+              let c = (Compiler.compile ~program ~level m).Compiler.code in
+              check m.Meth.name (unfused c) c)
+            Plan.levels)
+        program.Program.methods)
+    Suites.all
+
+let kernels_src =
+  {|
+program "kernels" entry 0
+method "K.main(I)I" (public static) returns int {
+  arg "n" int
+  block 0 {
+    (return (call int $1 (load int $0)))
+  }
+}
+method "K.loop(I)I" (public static) returns int {
+  arg  "n" int
+  temp "i" int
+  temp "s" int
+  block 0 {
+    (store void $1 (loadconst int 0))
+    (store void $2 (loadconst int 1))
+    (goto 1)
+  }
+  block 1 {
+    (store void $2 (add int (mul int (load int $2) (loadconst int 3)) (load int $1)))
+    (store void $2 (sub int (load int $2) (div int (load int $1) (load int $0))))
+    (inc void $1 1)
+    (if (cmp.lt int (load int $1) (load int $0)) 1 2)
+  }
+  block 2 {
+    (if (cmp.eq int (load int $0) (loadconst int 1)) 3 7)
+  }
+  block 3 {
+    (return (div int (load int $2) (loadconst int 0)))
+  }
+  block 4 {
+    (if (load int $2) 5 6)
+  }
+  block 5 {
+    (return (load int $2))
+  }
+  block 6 {
+    (return (loadconst int 0))
+  }
+  block 7 {
+    (if (cmp.eq int (load int $0) (loadconst int 3)) 8 4)
+  }
+  block 8 {
+    (if (cmp.lt int (newarray address $3 (loadconst int 2)) (load int $0)) 5 6)
+  }
+}
+|}
+
+let compiled_kinds = [ "k_cmp_br"; "k_load_const_binop"; "k_binop_binop" ]
+
+let test_fusion_oracle () =
+  let modifiers = Helpers.known_answer_modifiers () in
+  List.iter
+    (fun (b : Suites.bench) ->
+      let b = Suites.scale_bench b 0.05 in
+      let program = Tessera_workloads.Generate.program b.Suites.profile in
+      Array.iter
+        (fun level ->
+          List.iteri
+            (fun mi modifier ->
+              let flats =
+                Array.map
+                  (fun m -> (Compiler.compile ~modifier ~program ~level m).Compiler.code)
+                  program.Program.methods
+              in
+              let _, used = clock_reads ~fuel:clock_read_fuel program flats in
+              check_fused_as_unfused
+                ~what:
+                  (Printf.sprintf "%s %s modifier %d"
+                     b.Suites.profile.Tessera_workloads.Profile.name
+                     (Plan.level_name level) mi)
+                ~budgets:[ clock_read_fuel; used / 3; (2 * used / 3) + 1; used - 1 ]
+                program flats)
+            modifiers)
+        Plan.levels)
+    Suites.all;
+  for seed = 0 to 29 do
+    let program = Helpers.gen_program (Int64.of_int (seed + 41)) in
+    let level = Plan.levels.(seed mod Array.length Plan.levels) in
+    let flats =
+      Array.map
+        (fun m -> (Compiler.compile ~program ~level m).Compiler.code)
+        program.Program.methods
+    in
+    check_fused_as_unfused
+      ~what:(Printf.sprintf "generated program %d" seed)
+      ~budgets:(clock_read_fuel :: List.init 301 Fun.id)
+      program flats
+  done;
+  (* every budget of a program that runs each superinstruction, and
+     traps in [k_binop_binop] (n = 0), [k_load_const_binop] (n = 1) and
+     [k_cmp_br] (n = 3: an array compared with an integer) *)
+  let program = parse kernels_src in
+  let flats = Array.map (fun m -> Lower.compile m) program.Program.methods in
+  let pairs = Array.make (Prog.kind_count * Prog.kind_count) 0 in
+  List.iter
+    (fun arg ->
+      let _, used =
+        Flat_interp.census pairs (fun () ->
+            clock_reads ~arg ~fuel:clock_read_fuel program flats)
+      in
+      check_fused_as_unfused ~arg
+        ~what:(Printf.sprintf "kernels program, n = %d" arg)
+        ~budgets:(clock_read_fuel :: List.init (used + 1) Fun.id)
+        program flats)
+    [ 0; 1; 2; 3; 5 ];
+  List.iter
+    (fun name ->
+      let k =
+        Option.get
+          (List.find_opt
+             (fun k -> Prog.kind_name k = name)
+             (List.init Prog.kind_count Fun.id))
+      in
+      let runs = ref 0 in
+      for other = 0 to Prog.kind_count - 1 do
+        runs := !runs + pairs.((other * Prog.kind_count) + k)
+      done;
+      if !runs = 0 then Alcotest.failf "the kernels program never ran %s" name)
+    compiled_kinds
+
 (* ---- compiled-code shape ------------------------------------------ *)
 
 (* The code generator emits only compiled opcodes, the leaves [Const],
    [Load_local] and [New_obj], and a [Begin] exactly where monitor exit
-   has nothing on the stack; fused, these make only the superinstructions
-   of a [Begin] or a [Load_local] and a [Begin], [Load_local] or
-   [Const]. *)
+   has nothing on the stack; fused, every slot read through
+   [Prog.first_half] is one of these. *)
 let check_compiled_code ?(meth : Meth.t option) (p : Prog.t) =
   (match Prog.verify p with
   | Ok _ -> ()
@@ -456,11 +656,9 @@ let check_compiled_code ?(meth : Meth.t option) (p : Prog.t) =
   let begins = ref 0 in
   Array.iteri
     (fun pc ins ->
-      match ins with
-      | Prog.Const _ | Load_local _ | New_obj _ | F_load_load _ | F_load_const _
-      | F_load_begin _ ->
-          ()
-      | Begin _ | F_begin_begin _ | F_begin_load _ | F_begin_const _ -> incr begins
+      match Prog.first_half ins with
+      | Prog.Const _ | Load_local _ | New_obj _ -> ()
+      | Begin _ -> incr begins
       | i when Prog.is_compiled_op i -> ()
       | i ->
           Alcotest.failf "%s: pc %d holds %s" p.Prog.method_name pc
@@ -504,7 +702,11 @@ let test_compiled_code_shape () =
         check_compiled_code (Compiler.compile ~program ~level m).Compiler.code)
       program.Program.methods
   done;
-  (* the pair census runs interpreted, unfused code only *)
+  (* the pair census takes a kind_count x kind_count matrix, and counts
+     compiled code as it is dispatched *)
+  (match Flat_interp.census [| 0 |] ignore with
+  | () -> Alcotest.fail "the census took a 1-cell matrix"
+  | exception Invalid_argument _ -> ());
   let program = Helpers.gen_program 5L in
   let compiled =
     (Compiler.compile ~program ~level:Plan.Hot
@@ -519,13 +721,30 @@ let test_compiled_code_shape () =
       fuel = ref 1_000;
     }
   in
-  match
-    Flat_interp.run_counted
-      ~pairs:(Array.make (Prog.kind_count * Prog.kind_count) 0)
-      ctx compiled (Helpers.entry_args 0)
-  with
-  | _ -> Alcotest.fail "run_counted ran compiled code"
-  | exception Invalid_argument _ -> ()
+  let pairs = Array.make (Prog.kind_count * Prog.kind_count) 0 in
+  (try
+     Flat_interp.census pairs (fun () ->
+         ignore (Flat_interp.run ctx compiled (Helpers.entry_args 0)))
+   with Interp.Out_of_fuel | Values.Trap _ -> ());
+  let dispatched =
+    let kinds = Array.make Prog.kind_count false in
+    let pc = ref 0 in
+    while !pc < Prog.code_size compiled do
+      let i = compiled.Prog.instrs.(!pc) in
+      kinds.(Prog.kind i) <- true;
+      pc := !pc + Prog.width i
+    done;
+    kinds
+  in
+  Alcotest.(check bool) "the census counted pairs" true (Array.exists (fun n -> n > 0) pairs);
+  Array.iteri
+    (fun cell n ->
+      if n > 0 then
+        let a = cell / Prog.kind_count and b = cell mod Prog.kind_count in
+        if not (dispatched.(a) && dispatched.(b)) then
+          Alcotest.failf "the census counted %s -> %s" (Prog.kind_name a)
+            (Prog.kind_name b))
+    pairs
 
 (* ---- newmultiarray bounds ----------------------------------------- *)
 
@@ -605,6 +824,10 @@ let suite =
       test_clock_read_known_answers;
     Alcotest.test_case "compiled code: compiled opcodes and leaves only" `Quick
       test_compiled_code_shape;
+    Alcotest.test_case "fusion oracle: fused = unfused compiled code" `Quick
+      test_fusion_oracle;
+    Alcotest.test_case "fuse: first halves give back the unfused program" `Quick
+      test_first_halves;
     Alcotest.test_case "newmultiarray: each dimension bounded" `Quick
       test_multiarray_bounds;
     Alcotest.test_case "array lengths and indices: compared as int64" `Quick
@@ -615,6 +838,7 @@ let suite =
       test_verifier_rejects_corruption;
     Alcotest.test_case "profile attribution: tree = flat = fused" `Quick
       test_profile_attribution;
+    Alcotest.test_case "profile: known answers" `Quick test_profile_known_answers;
     Alcotest.test_case "engine parity flat vs tree" `Quick test_engine_parity;
     Alcotest.test_case "signed-zero constants: tree = flat = compiled" `Quick
       test_signed_zero_constants;

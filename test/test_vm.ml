@@ -7,13 +7,14 @@ module Cost = Tessera_vm.Cost
 open Values
 
 let test_truncate () =
-  Alcotest.(check int64) "byte wrap" (-128L) (truncate Types.Byte 128L);
-  Alcotest.(check int64) "byte -1" (-1L) (truncate Types.Byte 255L);
-  Alcotest.(check int64) "char zero extends" 65535L (truncate Types.Char (-1L));
-  Alcotest.(check int64) "short sign" (-32768L) (truncate Types.Short 32768L);
-  Alcotest.(check int64) "int wrap" (-2147483648L) (truncate Types.Int 2147483648L);
-  Alcotest.(check int64) "long identity" Int64.max_int (truncate Types.Long Int64.max_int);
-  Alcotest.(check int64) "packed is 64-bit" (-7L) (truncate Types.Packed_decimal (-7L))
+  Alcotest.(check int64) "byte wrap" (-128L) (Semantics.truncate Types.Byte 128L);
+  Alcotest.(check int64) "byte -1" (-1L) (Semantics.truncate Types.Byte 255L);
+  Alcotest.(check int64) "char zero extends" 65535L (Semantics.truncate Types.Char (-1L));
+  Alcotest.(check int64) "short sign" (-32768L) (Semantics.truncate Types.Short 32768L);
+  Alcotest.(check int64) "int wrap" (-2147483648L) (Semantics.truncate Types.Int 2147483648L);
+  Alcotest.(check int64) "long identity" Int64.max_int
+    (Semantics.truncate Types.Long Int64.max_int);
+  Alcotest.(check int64) "packed is 64-bit" (-7L) (Semantics.truncate Types.Packed_decimal (-7L))
 
 let test_binop_semantics () =
   let i v = Int_v v in
@@ -270,7 +271,8 @@ let test_targets () =
   Alcotest.(check bool) "obsidian decimals dearer" true
     (Target.op_cost ob Opcode.Mul Types.Packed_decimal
     > Cost.op_base Opcode.Mul Types.Packed_decimal);
-  (* flag discounts never exceed the op cost on any target *)
+  (* flag discounts never exceed the op cost on any target: a node's
+     cost stays between 0 and its operator's *)
   let alloc =
     Tessera_il.Node.with_flags
       (Tessera_il.Node.mk ~sym:0 Opcode.New Types.Object_ [||])
@@ -281,7 +283,8 @@ let test_targets () =
       Alcotest.(check bool)
         (t.Target.name ^ " discount bounded")
         true
-        (Target.flag_discount t alloc <= Target.op_cost t Opcode.New Types.Object_))
+        (let c = Target.node_cost t alloc in
+         0 <= c && c <= Target.op_cost t Opcode.New Types.Object_))
     Target.all
 
 let test_target_changes_compiled_cost_not_semantics () =
