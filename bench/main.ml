@@ -188,7 +188,8 @@ let run_parallel ~jobs cfg =
 
 (* Two legs: (1) records-per-trunk-invocation of the forking collector
    vs the sweep (queue) collector over the whole training set — the
-   forking paper's headline economy; (2) the differential oracle — the
+   forking paper's headline economy — with each collector's wall and
+   process CPU time per record; (2) the differential oracle — the
    snapshot-based branches must produce an archive record-for-record
    equal to branches measured from a fully re-executed fork point. *)
 let run_fork_bench ~jobs cfg =
@@ -222,19 +223,24 @@ let run_fork_bench ~jobs cfg =
               0 o.Harness.Collection.stats ))
       (0, 0) outcomes
   in
-  let t0 = Unix.gettimeofday () in
+  (* process CPU time, summed over every domain of the process *)
+  let cpu_s () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let t0 = Unix.gettimeofday () and c0 = cpu_s () in
   let sweep =
     Pool.run_list ~jobs (Harness.Collection.collect_bench ~cfg) benches
   in
-  let sweep_s = Unix.gettimeofday () -. t0 in
+  let sweep_s = Unix.gettimeofday () -. t0 and sweep_cpu_s = cpu_s () -. c0 in
   let sweep_records, sweep_invs = totals sweep in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () and c0 = cpu_s () in
   let forked =
     List.map
       (Harness.Collection.collect_bench ~cfg ~fork:true ~fork_jobs:jobs)
       benches
   in
-  let fork_s = Unix.gettimeofday () -. t0 in
+  let fork_s = Unix.gettimeofday () -. t0 and fork_cpu_s = cpu_s () -. c0 in
   let fork_records, fork_invs = totals forked in
   let fork_stat f =
     List.fold_left
@@ -256,6 +262,13 @@ let run_fork_bench ~jobs cfg =
   let sweep_rpi = rpi sweep_records sweep_invs in
   let fork_rpi = rpi fork_records fork_invs in
   let gain = fork_rpi /. Float.max 1e-9 sweep_rpi in
+  (* every entry invocation the fork collector ran, trunk and branches *)
+  let fork_entry_rpi = rpi fork_records (fork_invs + branch_invs) in
+  let ms_per_record s records = s *. 1000.0 /. float_of_int (max 1 records) in
+  let sweep_ms = ms_per_record sweep_s sweep_records in
+  let fork_ms = ms_per_record fork_s fork_records in
+  let sweep_cpu_ms = ms_per_record sweep_cpu_s sweep_records in
+  let fork_cpu_ms = ms_per_record fork_cpu_s fork_records in
   Format.fprintf fmt
     "sweep collector : %5d records / %5d invocations = %.3f records/inv \
      (%.1fs)@."
@@ -268,7 +281,15 @@ let run_fork_bench ~jobs cfg =
     "                  %d fork points, %d branches, %d branch invocations, \
      %d skipped@."
     forks branches branch_invs skipped;
+  Format.fprintf fmt
+    "                  %.3f records per entry invocation, trunk and \
+     branches@."
+    fork_entry_rpi;
   Format.fprintf fmt "records-per-invocation gain: %.1fx (target >= 5x)@." gain;
+  Format.fprintf fmt
+    "per record      : sweep %.2f ms wall, %.2f ms CPU; fork %.2f ms wall, \
+     %.2f ms CPU@."
+    sweep_ms sweep_cpu_ms fork_ms fork_cpu_ms;
   (* -- differential oracle on the first training benchmark, down-scaled:
      correctness, not a timing figure -- *)
   let oracle_bench =
@@ -325,9 +346,14 @@ let run_fork_bench ~jobs cfg =
       \  \"fork_branch_invocations\": %d,\n\
       \  \"fork_skipped_decisions\": %d,\n\
       \  \"fork_wall_s\": %.3f,\n\
+      \  \"sweep_ms_per_record\": %.3f,\n\
+      \  \"fork_ms_per_record\": %.3f,\n\
+      \  \"sweep_cpu_ms_per_record\": %.3f,\n\
+      \  \"fork_cpu_ms_per_record\": %.3f,\n\
       \  \"records_per_invocation_sweep\": %.4f,\n\
       \  \"records_per_invocation_fork\": %.4f,\n\
       \  \"records_per_invocation_gain\": %.4f,\n\
+      \  \"records_per_entry_invocation_fork\": %.4f,\n\
       \  \"oracle_records\": %d,\n\
       \  \"oracle_branches\": %d,\n\
       \  \"oracle_snapshot_wall_s\": %.3f,\n\
@@ -335,8 +361,8 @@ let run_fork_bench ~jobs cfg =
       \  \"oracle_ok\": %b\n\
        }\n"
       (host_json_fields ~quick ~jobs) sweep_records sweep_invs sweep_s fork_records
-      fork_invs forks branches branch_invs skipped fork_s sweep_rpi fork_rpi
-      gain
+      fork_invs forks branches branch_invs skipped fork_s sweep_ms fork_ms
+      sweep_cpu_ms fork_cpu_ms sweep_rpi fork_rpi gain fork_entry_rpi
       (List.length snap_archive.Tessera_collect.Archive.records)
       snap_stats.Tessera_collect.Collector.branches snap_s reexec_s oracle_ok
   in

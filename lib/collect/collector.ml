@@ -234,18 +234,27 @@ let run_sweep ~config ~program ~benchmark ~entry_args () =
 
 (* ------------------------------------------------------------------ *)
 (* Compilation forking: one warm trunk run decides when/where to        *)
-(* compile; at each decision the collector forks one branch per         *)
-(* candidate modifier and measures every candidate from the same        *)
-(* snapshot state (DESIGN.md §15).                                      *)
+(* compile and keeps a snapshot at each decision; then one pool runs a  *)
+(* branch per (decision, candidate modifier), each measuring its        *)
+(* candidate from the decision's snapshot (DESIGN.md §15).              *)
 (* ------------------------------------------------------------------ *)
 
 type decision = { d_meth : int; d_level : Plan.level }
 
+(* A fork point the trunk expanded: the decision, its method's dictionary
+   id, the entry boundary it was reached at, and the trunk state there
+   ([None] for the re-execution oracle, whose branches replay to the
+   boundary instead). *)
+type fork_point = {
+  decision : decision;
+  sig_id : int;
+  start_inv : int;
+  snap : Engine.snapshot option;
+}
+
 let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
     =
   let dictionary = Dictionary.create () in
-  let store = ref [] in
-  let discarded = ref 0 in
   let rng = Prng.create config.seed in
   (* Per-level candidate sets: the null plan first (the baseline
      observation every sweep also makes), then the queue's own modifier
@@ -314,91 +323,26 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
       ~help:"Fork decisions dropped (install still pending at end of run)"
       "collect_fork_skipped_total"
   in
+  (* Phase 1: the trunk runs its whole budget and queues one branch job
+     per candidate of every fork point it expands, in decision order. *)
+  let branch_jobs = ref [] in
   let forks = ref 0 in
-  let branches = ref 0 in
-  let branch_invs = ref 0 in
-  let skipped = ref 0 in
-  (* One branch: measure [candidate] for decision [d] from the trunk
-     state at entry boundary [start_inv].  The record opens when the
-     requested compilation installs and closes early if the method is
-     recompiled again inside the branch (the version under measurement is
-     gone). *)
-  let run_branch ~sig_id ~(d : decision) ~start_inv candidate =
-    let record = ref None in
-    let closed = ref false in
-    let active = ref false in
-    let disc = ref 0 in
-    let invs = ref 0 in
-    let on_compiled e ~meth_id (comp : Compiler.compilation) =
-      if !active && meth_id = d.d_meth then
-        match !record with
-        | None ->
-            record :=
-              Some
-                (Record.make ~sig_id ~features:(Engine.features e meth_id)
-                   ~level:comp.Compiler.level ~modifier:comp.Compiler.modifier
-                   ~compile_cycles:comp.Compiler.compile_cycles)
-        | Some _ -> closed := true
-    in
-    let on_sample _e ~meth_id ~cycles ~valid =
-      if !active && meth_id = d.d_meth && not !closed then
-        match !record with
-        | Some r ->
-            record := Some (Record.add_sample r ~cycles ~valid);
-            if not valid then incr disc
-        | None -> () (* pre-install samples belong to the old version *)
-    in
-    let callbacks =
-      {
-        Engine.no_callbacks with
-        Engine.on_compiled = Some on_compiled;
-        on_sample = Some on_sample;
-      }
-    in
-    let branch =
-      if params.reexec then begin
-        (* The differential oracle's branch: rebuild the fork point by
-           replaying a fresh engine to the same entry boundary.  The
-           callbacks are inert ([active] is false) during the prefix, so
-           determinism makes the replica's state — and therefore every
-           measurement below — identical to the snapshot branch's. *)
-        let e = Engine.create ~config:engine_config ~callbacks program in
-        for i = 0 to start_inv - 1 do
-          ignore (Engine.invoke_entry e (entry_args i))
-        done;
-        e
-      end
-      else Engine.fork ~callbacks trunk
-    in
-    active := true;
-    Engine.request_compile branch ~meth_id:d.d_meth ~level:d.d_level
-      ~modifier:candidate ();
-    let i = ref start_inv in
-    while !invs < config.uses_per_modifier && not !closed do
-      ignore (Engine.invoke_entry branch (entry_args !i));
-      incr i;
-      incr invs
-    done;
-    (!record, !invs, !disc)
-  in
-  let process_decision ~start_inv (d : decision) =
+  let expand ~start_inv (d : decision) =
     let st = Engine.state trunk d.d_meth in
     (* fork only from a settled state: a pending install would race the
        branch's own compilation request *)
     if st.Engine.pending <> None then `Retry
     else begin
       let name = (Program.meth program d.d_meth).Meth.name in
-      let sig_id = Dictionary.intern dictionary name in
       let cands = List.assoc d.d_level candidates in
-      (* extract on the trunk, so the snapshot every branch forks from
+      (* extract on the trunk, so the snapshot every branch starts from
          already carries the vector its record reads *)
       ignore (Engine.features trunk d.d_meth);
       incr forks;
       Metrics.inc m_forks;
-      if !Trace.enabled then
-        Trace.span_begin
-          ~cycles:(Engine.clock_now trunk)
-          ~cat:"collect"
+      if !Trace.enabled then begin
+        let cycles = Engine.clock_now trunk in
+        Trace.span_begin ~cycles ~cat:"collect"
           ~args:
             [
               ("meth", Trace.Str name);
@@ -406,25 +350,17 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
               ("branches", Trace.Int (Int64.of_int (List.length cands)));
             ]
           "fork";
-      let results =
-        Pool.run_list ~jobs:params.jobs
-          (run_branch ~sig_id ~d ~start_inv)
-          cands
+        Trace.span_end ~cycles ~cat:"collect" "fork"
+      end;
+      let point =
+        {
+          decision = d;
+          sig_id = Dictionary.intern dictionary name;
+          start_inv;
+          snap = (if params.reexec then None else Some (Engine.snapshot trunk));
+        }
       in
-      (* branches may have stamped this domain's trace source with their
-         own clocks: the trunk takes it back *)
-      Engine.claim_trace_source trunk;
-      List.iter
-        (fun (record, invs, disc) ->
-          incr branches;
-          Metrics.inc m_branches;
-          branch_invs := !branch_invs + invs;
-          Metrics.add m_branch_invs invs;
-          discarded := !discarded + disc;
-          match record with Some r -> store := r :: !store | None -> ())
-        results;
-      if !Trace.enabled then
-        Trace.span_end ~cycles:(Engine.clock_now trunk) ~cat:"collect" "fork";
+      List.iter (fun c -> branch_jobs := (point, c) :: !branch_jobs) cands;
       `Done
     end
   in
@@ -439,15 +375,96 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
     let ready = Queue.length decisions in
     for _ = 1 to ready do
       let d = Queue.pop decisions in
-      match process_decision ~start_inv:!invocations d with
+      match expand ~start_inv:!invocations d with
       | `Done -> ()
       | `Retry -> Queue.push d decisions
     done
   done;
   (* decisions still blocked on a pending install when the budget ran out *)
-  skipped := Queue.length decisions;
-  Metrics.add m_skipped !skipped;
-  let records = List.rev !store in
+  let skipped = Queue.length decisions in
+  Metrics.add m_skipped skipped;
+  (* Phase 2: one branch measures [candidate] for [point.decision] on a
+     fresh engine started at the fork point.  The record opens when the
+     requested compilation installs and closes early if the method is
+     recompiled again inside the branch (the version under measurement
+     is gone). *)
+  let run_branch (point, candidate) =
+    let d = point.decision in
+    let record = ref None in
+    let closed = ref false in
+    let active = ref false in
+    let disc = ref 0 in
+    let invs = ref 0 in
+    let on_compiled e ~meth_id (comp : Compiler.compilation) =
+      if !active && meth_id = d.d_meth then
+        match !record with
+        | None ->
+            record :=
+              Some
+                (Record.make ~sig_id:point.sig_id
+                   ~features:(Engine.features e meth_id)
+                   ~level:comp.Compiler.level ~modifier:comp.Compiler.modifier
+                   ~compile_cycles:comp.Compiler.compile_cycles)
+        | Some _ -> closed := true
+    in
+    let on_sample _e ~meth_id ~cycles ~valid =
+      if !active && meth_id = d.d_meth && not !closed then
+        match !record with
+        | Some r ->
+            record := Some (Record.add_sample r ~cycles ~valid);
+            if not valid then incr disc
+        | None -> () (* pre-install samples belong to the old version *)
+    in
+    let branch =
+      Engine.create ~config:engine_config
+        ~callbacks:
+          {
+            Engine.no_callbacks with
+            Engine.on_compiled = Some on_compiled;
+            on_sample = Some on_sample;
+          }
+        program
+    in
+    (match point.snap with
+    | Some snap -> Engine.restore branch snap
+    | None ->
+        (* The differential oracle's branch: rebuild the fork point by
+           replaying the fresh engine to the same entry boundary.  The
+           callbacks are inert ([active] is false) during the prefix, so
+           determinism makes the replica's state — and therefore every
+           measurement below — identical to the snapshot branch's. *)
+        for i = 0 to point.start_inv - 1 do
+          ignore (Engine.invoke_entry branch (entry_args i))
+        done);
+    active := true;
+    Engine.request_compile branch ~meth_id:d.d_meth ~level:d.d_level
+      ~modifier:candidate ();
+    let i = ref point.start_inv in
+    while !invs < config.uses_per_modifier && not !closed do
+      ignore (Engine.invoke_entry branch (entry_args !i));
+      incr i;
+      incr invs
+    done;
+    (!record, !invs, !disc)
+  in
+  let results =
+    Pool.run_list ~jobs:params.jobs run_branch (List.rev !branch_jobs)
+  in
+  (* branches stamped this domain's trace source with their own clocks:
+     the trunk takes it back *)
+  Engine.claim_trace_source trunk;
+  let branch_invs = ref 0 in
+  let discarded = ref 0 in
+  let records =
+    List.filter_map
+      (fun (record, invs, disc) ->
+        Metrics.inc m_branches;
+        branch_invs := !branch_invs + invs;
+        Metrics.add m_branch_invs invs;
+        discarded := !discarded + disc;
+        record)
+      results
+  in
   let records =
     List.filter (fun (r : Record.t) -> r.Record.invocations > 0) records
   in
@@ -458,9 +475,9 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
       discarded_samples = !discarded;
       compilations = Engine.compile_count trunk;
       forks = !forks;
-      branches = !branches;
+      branches = List.length results;
       branch_invocations = !branch_invs;
-      skipped_decisions = !skipped;
+      skipped_decisions = skipped;
     } )
 
 let run ?(config = default_config) ~program ~benchmark ~entry_args () =

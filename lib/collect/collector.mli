@@ -25,13 +25,23 @@ module Program = Tessera_il.Program
 
     The trunk run is a plain adaptive execution (null modifiers); every
     first compilation of a method at a collected level marks a {e fork
-    point}.  At the next entry-invocation boundary the collector
-    snapshots the engine ({!Tessera_jit.Engine.snapshot}) and runs one
-    {e branch} per candidate modifier: each branch recompiles the method
-    with its candidate and executes [uses_per_modifier] entry
+    point}.  A collection runs in two phases.  First the trunk runs its
+    whole invocation budget: at the first entry-invocation boundary
+    where a fork point's install has landed, the collector keeps one
+    snapshot of the trunk ({!Tessera_jit.Engine.snapshot}) and queues one
+    {e branch} per candidate modifier.  Then one pool on [jobs] domains
+    runs every branch of the collection, each on a fresh engine restored
+    from its fork point's snapshot: the branch recompiles the method
+    with its candidate and executes up to [uses_per_modifier] entry
     invocations on its private clock, producing one record — so a single
     warm run yields the full (method × modifier) training matrix instead
-    of one modifier per recompilation. *)
+    of one modifier per recompilation.  Records come in decision order,
+    then candidate order, whatever [jobs] is.
+
+    A branch that raises fails the whole collection with the exception
+    of the lowest-indexed failing branch (decision order, then candidate
+    order), raised only after the trunk has used up its budget and every
+    branch has run. *)
 type fork_params = {
   strategy : Tessera_modifiers.Queue_ctrl.strategy;
       (** generates the candidate set per level
@@ -40,13 +50,15 @@ type fork_params = {
   fanout : int;
       (** candidates (beyond null) measured per fork point; [0] means
           the strategy's full sequence *)
-  jobs : int;  (** branch fan-out domains (branches are independent) *)
+  jobs : int;
+      (** domains of the one branch pool (branches are independent) *)
   reexec : bool;
       (** measure branches from a {e re-executed} fork point (a fresh
-          engine replayed to the same entry boundary) instead of a
-          snapshot.  Slower but snapshot-free: by engine determinism the
-          resulting archive must be record-for-record identical, which
-          is the differential oracle validating snapshot/restore *)
+          engine replayed to the same entry boundary, in the same pool)
+          instead of a snapshot.  Slower but snapshot-free: by engine
+          determinism the resulting archive must be record-for-record
+          identical, which is the differential oracle validating
+          snapshot/restore *)
 }
 
 val fork_defaults : Tessera_modifiers.Queue_ctrl.strategy -> fork_params

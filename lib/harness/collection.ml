@@ -76,9 +76,9 @@ let collect_training_set ?(cfg = Expconfig.default)
   (* each benchmark's two searches are seeded from cfg.seed only, so the
      outcomes are independent of which domain runs them; run_list keeps
      the training-set order.  In fork mode the pool parallelism moves
-     inside each collection (branch fan-out): nested pools would run
-     sequentially anyway, and the per-decision branch sets are the wider
-     work surface. *)
+     inside each collection: one pool runs every branch of a search,
+     hundreds of equal jobs against five benchmarks here, and nested
+     pools would run sequentially anyway. *)
   if fork then
     List.map (collect_bench ~cfg ~target ~fork ~fork_jobs:jobs)
       Suites.training_set

@@ -7,7 +7,6 @@ module Plan = Tessera_opt.Plan
 module Modifier = Tessera_modifiers.Modifier
 module Features = Tessera_features.Features
 module Codecache = Tessera_cache.Codecache
-module Flat_cache = Tessera_flat.Cache
 module Flat_interp = Tessera_flat.Interp
 module Trace = Tessera_obs.Trace
 module Metrics = Tessera_obs.Metrics
@@ -248,14 +247,6 @@ let restore t snap =
   t.fuel := snap.snap_fuel;
   t.callee_acc <- ref snap.snap_callee_acc;
   Array.blit snap.snap_flat_forms 0 t.flat_forms 0 (Array.length t.flat_forms)
-
-let fork ?callbacks t =
-  let callbacks =
-    match callbacks with Some c -> c | None -> t.callbacks
-  in
-  let t' = create ~config:t.config ~callbacks t.program in
-  restore t' (snapshot t);
-  t'
 
 let meth_name t meth_id = (Program.meth t.program meth_id).Meth.name
 
@@ -605,10 +596,16 @@ let adaptive_controller t meth_id =
 
 let instrumentation_overhead = 35 (* cycles per TR_jitPTTMethod{Enter,Exit} *)
 
+(* registered on the default registry (idempotent by name) so the flat
+   tier shows up in every metrics exposition alongside jit_* counters *)
+let m_flatten =
+  Metrics.counter Metrics.default ~help:"Methods lowered to flat form"
+    "flat_flatten_total"
+
 (* The fused flat form of what the method runs now: its installed code,
-   or its tree IL while interpreted, flattened at its first run and
-   memoized per engine.  Flattening charges nothing, so when it happens
-   never moves a cycle. *)
+   or its tree IL while interpreted, lowered at its first run (inside a
+   [flatten] span) and memoized per engine.  Flattening charges nothing,
+   so when it happens never moves a cycle. *)
 let flat_form t meth_id st =
   match st.impl with
   | Compiled comp -> comp.Compiler.code
@@ -616,10 +613,22 @@ let flat_form t meth_id st =
       match t.flat_forms.(meth_id) with
       | Some p -> p
       | None ->
-          let p =
-            Tessera_flat.Prog.fuse
-              (Flat_cache.flatten (Program.meth t.program meth_id))
-          in
+          let m = Program.meth t.program meth_id in
+          if !Trace.enabled then
+            Trace.span_begin ~cat:"flat"
+              ~args:[ ("method", Trace.Str m.Meth.name) ]
+              "flatten";
+          let p = Tessera_flat.Lower.of_meth m in
+          Metrics.inc m_flatten;
+          if !Trace.enabled then
+            Trace.span_end ~cat:"flat"
+              ~args:
+                [
+                  ( "code_size",
+                    Trace.Int (Int64.of_int (Tessera_flat.Prog.code_size p)) );
+                ]
+              "flatten";
+          let p = Tessera_flat.Prog.fuse p in
           t.flat_forms.(meth_id) <- Some p;
           p)
 

@@ -116,14 +116,17 @@ val features : t -> int -> Tessera_features.Features.t
     counters, the loop-class and feature memos), the compilation-thread
     horizon, and the per-engine flat-form memo.  {!snapshot} deep-copies
     exactly that state, and {!restore} rewinds an engine to it — so a
-    data collector can, at a compile decision point, fork one branch per
-    candidate modifier and measure every candidate from a single warm
-    run ("compilation forking", see DESIGN.md §15).
+    data collector can keep a snapshot at each compile decision point
+    and later start one branch per candidate modifier from it, each a
+    fresh engine ([create] over the same program and config, then
+    [restore]), measuring every candidate from a single warm run
+    ("compilation forking", see DESIGN.md §15).
 
     Metrics and trace output are observables, not simulation inputs:
     they are {e not} captured or rolled back (a restored engine keeps
-    its monotonic counters).  One snapshot may seed any number of
-    branches; every [restore] copies the state afresh. *)
+    its monotonic counters).  A snapshot is independent of the engine
+    it came from, which may run on; one snapshot may seed any number of
+    engines, and every [restore] copies the state afresh. *)
 
 type snapshot
 
@@ -133,19 +136,11 @@ val restore : t -> snapshot -> unit
 (** Rewind [t] to [snapshot].  The snapshot must come from an engine
     over the same program (raises [Invalid_argument] otherwise). *)
 
-val fork : ?callbacks:callbacks -> t -> t
-(** A new engine over the same program and config whose deterministic
-    state is a deep copy of [t]'s current state (fresh metrics
-    registry, fresh trace claim).  Running the fork never perturbs
-    [t]'s cycle stream.  [callbacks] replaces the parent's callbacks
-    (default: inherit), which is how a collector gives each branch its
-    own record sink. *)
-
 val claim_trace_source : t -> unit
 (** Re-register this engine's clock as the calling domain's trace cycle
-    source ({!Tessera_obs.Trace.set_cycle_source}).  [create] and
-    {!fork} claim it implicitly; a trunk engine re-claims after running
-    forked branches on the same domain. *)
+    source ({!Tessera_obs.Trace.set_cycle_source}).  [create] claims
+    it implicitly; a trunk engine re-claims after branch engines were
+    created on the same domain. *)
 
 val invoke_entry : t -> Values.t array -> (Values.t, Values.trap) result
 (** One invocation of the program's entry method, with trap capture and a

@@ -196,13 +196,10 @@ let test_feature_memo () =
         f)
       program.Tessera_il.Program.methods
   in
-  let forked = Engine.fork e in
   let restored = Engine.create program in
   Engine.restore restored (Engine.snapshot e);
   Array.iteri
     (fun id f ->
-      if Engine.features forked id != f then
-        Alcotest.failf "method %d: the fork extracted again" id;
       if Engine.features restored id != f then
         Alcotest.failf "method %d: snapshot/restore lost the memo" id)
     vectors

@@ -247,6 +247,36 @@ let test_snapshot_restore () =
     Alcotest.(check int64)
       (Printf.sprintf "same clock after invocation %d" k)
       (Engine.clock_now control) (Engine.clock_now engine)
+  done;
+  (* one snapshot seeds several fresh engines, long after its source ran
+     on: each replays a control engine that never diverged, although the
+     one before it ran from the same snapshot *)
+  let control = Engine.create ~config p in
+  for k = 0 to 9 do
+    ignore (Engine.invoke_entry control (entry_args k))
+  done;
+  let future =
+    List.init 20 (fun i ->
+        let r = Engine.invoke_entry control (entry_args (10 + i)) in
+        (r, Engine.clock_now control))
+  in
+  for n = 1 to 2 do
+    let fresh = Engine.create ~config p in
+    Engine.restore fresh snap;
+    Alcotest.(check int64)
+      (Printf.sprintf "fresh engine %d starts at the snapshot" n)
+      at_snap (Engine.clock_now fresh);
+    List.iteri
+      (fun i (r, clock) ->
+        let k = 10 + i in
+        let a = Engine.invoke_entry fresh (entry_args k) in
+        Alcotest.(check bool)
+          (Printf.sprintf "fresh engine %d: same result at %d" n k)
+          true (a = r);
+        Alcotest.(check int64)
+          (Printf.sprintf "fresh engine %d: same clock after invocation %d" n k)
+          clock (Engine.clock_now fresh))
+      future
   done
 
 let test_fork_isolation () =
@@ -259,8 +289,10 @@ let test_fork_isolation () =
     ignore (Engine.invoke_entry control (entry_args k));
     ignore (Engine.invoke_entry trunk (entry_args k));
     if k mod 5 = 0 then begin
-      (* fork a branch, perturb it hard, throw it away *)
-      let branch = Engine.fork trunk in
+      (* branch a fresh engine off the trunk, perturb it hard, throw it
+         away *)
+      let branch = Engine.create ~config p in
+      Engine.restore branch (Engine.snapshot trunk);
       Engine.request_compile branch ~meth_id:1 ~level:Plan.Scorching ();
       for j = 0 to 4 do
         ignore (Engine.invoke_entry branch (entry_args (k + j)))
