@@ -1877,6 +1877,30 @@ let run_micro ~jobs cfg =
     Tessera_cache.Codecache.encode_entry
       (Tessera_jit.Compiler.compile ~program ~level:Plan.Hot meth)
   in
+  (* the warm path's store open: a read-only open of a fixed cache
+     holding every method of [program] at all five levels *)
+  let store_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tessera_micro_cache_%d" (Unix.getpid ()))
+  in
+  let store_file = Filename.concat store_dir Codecache.file_name in
+  at_exit (fun () ->
+      if Sys.file_exists store_file then Sys.remove store_file;
+      if Sys.file_exists store_dir then Sys.rmdir store_dir);
+  let filled = Codecache.create ~dir:store_dir () in
+  Array.iter
+    (fun m ->
+      Array.iter
+        (fun level ->
+          Codecache.store filled
+            ~key:
+              (Codecache.fingerprint ~target:Tessera_vm.Target.zircon ~level
+                 ~modifier:Modifier.null m)
+            (Tessera_jit.Compiler.compile ~program ~level m))
+        Plan.levels)
+    program.Il_program.methods;
+  Codecache.close filled;
   let tests =
     [
       ("flat loop, compiled (hot)", loop_compiled);
@@ -1901,6 +1925,8 @@ let run_micro ~jobs cfg =
           ignore (Tessera_jit.Compiler.compile ~program ~level:Plan.Cold meth) );
       ( "code-cache entry decode",
         fun () -> ignore (Tessera_cache.Codecache.decode_entry entry_bytes) );
+      ( "code-cache store open",
+        fun () -> Codecache.close (Codecache.create ~dir:store_dir ~readonly:true ()) );
       ("archive encode", fun () -> ignore (Tessera_collect.Archive.to_string archive));
       ( "archive decode",
         fun () -> ignore (Tessera_collect.Archive.of_string archive_bytes) );

@@ -32,16 +32,18 @@ module Injector = Tessera_faults.Injector
 module Codecache = Tessera_cache.Codecache
 
 (* The serving deployment owns the shared code-cache directory: verify
-   it at startup (every frame is CRC-checked on open) and, unless
-   read-only, compact away any damage or garbage found, so compiler
-   clients warm-start from a scrubbed store. *)
+   it at startup and, unless read-only, compact away any damage or
+   garbage found, so compiler clients warm-start from a scrubbed store.
+   Opening checks every frame's header; closing a writable store checks
+   every payload as well, so the line printed after it counts all the
+   damage a read-only open leaves for lookups to find. *)
 let scrub_code_cache dir capacity_mb readonly =
   let c = Codecache.create ~dir ~capacity_mb ~readonly () in
+  Codecache.close c;
   Format.printf "code cache %s: %d entries, %d bytes, %a%s@." dir
     (Codecache.entry_count c) (Codecache.byte_size c) Codecache.pp_counters
     (Codecache.counters c)
-    (if readonly then " (readonly)" else "");
-  Codecache.close c
+    (if readonly then " (readonly)" else "")
 
 let dump_metrics metrics_out =
   (* the same exposition a live client gets from a Stats_req, dumped for
@@ -225,7 +227,8 @@ let code_cache_mb =
 
 let code_cache_readonly =
   Arg.(value & flag & info [ "code-cache-readonly" ]
-         ~doc:"Verify the code cache without rewriting it.")
+         ~doc:"Verify the code cache's framing and frame headers without \
+               rewriting it (payloads are checked as clients read them).")
 
 let resync_budget =
   Arg.(value & opt int 4096 & info [ "resync-budget" ] ~docv:"BYTES"

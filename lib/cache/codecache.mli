@@ -12,11 +12,13 @@
     age out of the LRU.
 
     A cache hit must be {e exactly} as trustworthy as a fresh
-    compilation: a decoded entry whose payload is damaged (CRC, framing,
-    codec errors), whose program fails {!Tessera_flat.Prog.verify}, or
-    whose metadata disagrees with the request (fingerprint collision) is
-    dropped, counted, and the caller recompiles — cache trouble can
-    never change program behaviour. *)
+    compilation: an entry whose bytes are damaged (framing or a frame
+    header's CRC, checked when the cache opens; the payload's CRC,
+    checked at the entry's first lookup; codec errors), whose program
+    fails {!Tessera_flat.Prog.verify}, or whose metadata disagrees with
+    the request (fingerprint collision) is dropped, counted, and the
+    caller recompiles — cache trouble can never change program
+    behaviour. *)
 
 module Meth = Tessera_il.Meth
 module Plan = Tessera_opt.Plan

@@ -11,14 +11,29 @@ type counters = {
   mutable stale_entries : int;
 }
 
-type slot = { mutable value : string; mutable tick : int; mutable bytes : int }
+(* An entry read from the file names its payload in the file image
+   ([pos], [len]: key and value) until a lookup or the compaction checks
+   the payload CRC and copies the value out; [pos = -1] marks a checked
+   entry, and an entry added in this session is checked from the start. *)
+type slot = {
+  mutable value : string;
+  mutable pos : int;
+  len : int;
+  mutable tick : int;
+  bytes : int;
+}
 
 type t = {
   path : string;
   capacity : int;
   ro : bool;
+  image : string;  (** the file as opened *)
   tbl : (int64, slot) Hashtbl.t;
   cnt : counters;
+  mutable valid : int;
+      (** the leading bytes of [image] a reader gets through: all of
+          them, unless the header was rejected (0) or the scan stopped
+          at a frame it could not get past *)
   mutable tick : int;
   mutable live_bytes : int;
   mutable dirty : bool;  (** file holds superseded/evicted/damaged frames *)
@@ -27,11 +42,14 @@ type t = {
 }
 
 let magic = "TSCC"
-let version = 1
+let version = 2
+let header = magic ^ String.make 1 (Char.chr version)
 let frame_magic = 0xE5
 
-(* The frame is built once; its payload checksum is computed where the
-   payload lies and written over the placeholder that ends the frame. *)
+(* The frame is built once; both checksums are computed where their
+   bytes lie and written over the placeholder that ends the frame: the
+   payload's in its low half, the header's (frame magic, length, key)
+   in its high half. *)
 let frame_of key value =
   let plen = String.length value + 8 in
   let buf = Buffer.create (plen + 18) in
@@ -42,26 +60,24 @@ let frame_of key value =
   Buffer.add_string buf value;
   Codec.write_i64 buf 0L;
   let b = Buffer.to_bytes buf in
-  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:p ~len:plen in
-  Bytes.set_int64_le b (p + plen) (Int64.of_int32 crc);
-  Bytes.unsafe_to_string b
+  let s = Bytes.unsafe_to_string b in
+  Bytes.set_int32_le b (p + plen) (Crc32.sub s ~pos:p ~len:plen);
+  Bytes.set_int32_le b (p + plen + 4) (Crc32.sub s ~pos:0 ~len:(p + 8));
+  s
 
 let next_tick t =
   t.tick <- t.tick + 1;
   t.tick
 
-let insert t key value bytes =
+let insert t key (s : slot) =
   (match Hashtbl.find_opt t.tbl key with
   | Some old ->
-      t.live_bytes <- t.live_bytes - old.bytes + bytes;
-      t.dirty <- true;
-      old.value <- value;
-      old.bytes <- bytes;
-      old.tick <- next_tick t
-  | None ->
-      t.live_bytes <- t.live_bytes + bytes;
-      Hashtbl.replace t.tbl key { value; tick = next_tick t; bytes });
-  ()
+      t.live_bytes <- t.live_bytes - old.bytes;
+      t.dirty <- true
+  | None -> ());
+  t.live_bytes <- t.live_bytes + s.bytes;
+  s.tick <- next_tick t;
+  Hashtbl.replace t.tbl key s
 
 let remove t key =
   match Hashtbl.find_opt t.tbl key with
@@ -70,6 +86,23 @@ let remove t key =
       t.live_bytes <- t.live_bytes - s.bytes;
       t.dirty <- true;
       Hashtbl.remove t.tbl key
+
+let corrupt t =
+  t.cnt.corrupt_entries <- t.cnt.corrupt_entries + 1;
+  t.dirty <- true
+
+(* An unchecked payload is checksummed where it lies in the image, and
+   only a verified value is copied out of it, once. *)
+let checked t (s : slot) =
+  s.pos < 0
+  || Int32.equal
+       (String.get_int32_le t.image (s.pos + s.len))
+       (Crc32.sub t.image ~pos:s.pos ~len:s.len)
+     && begin
+          s.value <- String.sub t.image (s.pos + 8) (s.len - 8);
+          s.pos <- -1;
+          true
+        end
 
 let evict_lru t =
   let victim =
@@ -94,24 +127,22 @@ let enforce_capacity t =
 (* Hand-rolled scan over the raw file image: unlike {!Codec.reader} it
    must survive arbitrary garbage at any offset and resume at the next
    frame boundary when the frame length is still trustworthy.  Each
-   payload is checksummed where it lies; only a verified value is copied
-   out of the image. *)
-let load t s =
+   frame's header is checksummed where it lies, so a damaged key or
+   length is counted here; its payload is left for {!checked}. *)
+let load t =
+  let s = t.image in
   let len = String.length s in
   if len = 0 then ()
   else if len < 5 || not (String.starts_with ~prefix:magic s) then begin
-    t.cnt.corrupt_entries <- t.cnt.corrupt_entries + 1;
-    t.dirty <- true
+    t.valid <- 0;
+    corrupt t
   end
   else if Char.code s.[4] <> version then begin
+    t.valid <- 0;
     t.cnt.stale_entries <- t.cnt.stale_entries + 1;
     t.dirty <- true
   end
   else begin
-    let corrupt () =
-      t.cnt.corrupt_entries <- t.cnt.corrupt_entries + 1;
-      t.dirty <- true
-    in
     (* returns (value, pos') or raises Exit on malformed/oversized input *)
     let read_varint pos =
       let rec go pos shift acc =
@@ -124,45 +155,51 @@ let load t s =
       go pos 0 0
     in
     let pos = ref 5 in
-    (try
-       while !pos < len do
-         if Char.code s.[!pos] <> frame_magic then begin
-           (* unknown framing: the rest of the file is untrustworthy *)
-           corrupt ();
-           raise Exit
-         end;
-         let plen, p = read_varint (!pos + 1) in
-         let next = p + plen + 8 in
-         if plen < 0 || next <= !pos || next > len then begin
-           (* a torn tail (e.g. crash mid-append), or a length no frame
-              has: negative, or so large the boundary wraps around.  The
-              scan only ever moves forward *)
-           corrupt ();
-           raise Exit
-         end;
-         if
-           plen >= 8
-           && Int64.equal
-                (String.get_int64_le s (p + plen))
-                (Int64.of_int32 (Crc32.sub s ~pos:p ~len:plen))
-         then
-           insert t (String.get_int64_le s p)
-             (String.sub s (p + 8) (plen - 8))
-             (next - !pos)
-         else corrupt ();
-         (* the frame length was covered by the scan either way: resume
-            at the next frame boundary *)
-         pos := next
-       done
-     with Exit -> ())
+    try
+      while !pos < len do
+        if Char.code s.[!pos] <> frame_magic then
+          (* unknown framing: the rest of the file is untrustworthy *)
+          raise Exit;
+        let plen, p = read_varint (!pos + 1) in
+        let next = p + plen + 8 in
+        if plen < 0 || next <= !pos || next > len then
+          (* a torn tail (e.g. crash mid-append), or a length no frame
+             has: negative, or so large the boundary wraps around.  The
+             scan only ever moves forward *)
+          raise Exit;
+        if
+          plen >= 8
+          && Int32.equal
+               (String.get_int32_le s (p + plen + 4))
+               (Crc32.sub s ~pos:!pos ~len:(p + 8 - !pos))
+        then
+          insert t (String.get_int64_le s p)
+            { value = ""; pos = p; len = plen; tick = 0; bytes = next - !pos }
+        else corrupt t;
+        (* the frame length was covered by the scan either way: resume
+           at the next frame boundary *)
+        pos := next
+      done
+    with Exit ->
+      t.valid <- !pos;
+      corrupt t
   end
 
 let open_ ~path ~capacity_bytes ~readonly =
+  let image =
+    if Sys.file_exists path then
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    else ""
+  in
   let t =
     {
       path;
       capacity = capacity_bytes;
       ro = readonly;
+      image;
       tbl = Hashtbl.create 64;
       cnt =
         {
@@ -173,6 +210,7 @@ let open_ ~path ~capacity_bytes ~readonly =
           corrupt_entries = 0;
           stale_entries = 0;
         };
+      valid = String.length image;
       tick = 0;
       live_bytes = 0;
       dirty = false;
@@ -180,12 +218,7 @@ let open_ ~path ~capacity_bytes ~readonly =
       closed = false;
     }
   in
-  (if Sys.file_exists path then
-     let ic = open_in_bin path in
-     Fun.protect
-       ~finally:(fun () -> close_in ic)
-       (fun () ->
-         load t (really_input_string ic (in_channel_length ic))));
+  load t;
   enforce_capacity t;
   t
 
@@ -205,6 +238,11 @@ let find t key decode =
   in
   match Hashtbl.find_opt t.tbl key with
   | None -> miss ()
+  | Some s when not (checked t s) ->
+      remove t key;
+      corrupt t;
+      trace_key "store_corrupt" key;
+      miss ()
   | Some s -> (
       match decode s.value with
       | Ok v ->
@@ -219,7 +257,7 @@ let find t key decode =
           miss ()
       | Error `Corrupt ->
           remove t key;
-          t.cnt.corrupt_entries <- t.cnt.corrupt_entries + 1;
+          corrupt t;
           trace_key "store_corrupt" key;
           miss ())
 
@@ -227,14 +265,15 @@ let out_channel t =
   match t.out with
   | Some oc -> oc
   | None ->
-      let fresh = not (Sys.file_exists t.path) in
+      if t.valid < String.length t.image then
+        (* a reader stops where [load] did, so frames appended after a
+           rejected header or an unreadable frame would be lost until
+           [close] rewrites the file: it restarts from what is readable *)
+        Fileio.atomic_write ~path:t.path (String.sub t.image 0 t.valid);
       let oc =
         open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.path
       in
-      if fresh then begin
-        output_string oc magic;
-        output_char oc (Char.chr version)
-      end;
+      if out_channel_length oc = 0 then output_string oc header;
       t.out <- Some oc;
       oc
 
@@ -242,7 +281,8 @@ let add t key value =
   if t.ro || t.closed then ()
   else begin
     let frame = frame_of key value in
-    insert t key value (String.length frame);
+    insert t key
+      { value; pos = -1; len = 0; tick = 0; bytes = String.length frame };
     t.cnt.inserts <- t.cnt.inserts + 1;
     let oc = out_channel t in
     output_string oc frame;
@@ -263,20 +303,32 @@ let close t =
         close_out oc;
         t.out <- None
     | None -> ());
-    if (not t.ro) && t.dirty then begin
-      let entries =
-        Hashtbl.fold (fun key s acc -> (key, s) :: acc) t.tbl []
-        |> List.sort (fun (_, (a : slot)) (_, (b : slot)) ->
-               compare a.tick b.tick)
-      in
-      let buf = Buffer.create (t.live_bytes + 16) in
-      Buffer.add_string buf magic;
-      Codec.write_u8 buf version;
-      List.iter
-        (fun (key, s) -> Buffer.add_string buf (frame_of key s.value))
-        entries;
-      Fileio.atomic_write ~path:t.path (Buffer.contents buf);
-      t.dirty <- false
+    if not t.ro then begin
+      (* the compaction keeps only checked payloads: one nobody looked up
+         is checked now, never framed again under a fresh CRC unchecked *)
+      Hashtbl.filter_map_inplace
+        (fun _ s ->
+          if checked t s then Some s
+          else begin
+            t.live_bytes <- t.live_bytes - s.bytes;
+            corrupt t;
+            None
+          end)
+        t.tbl;
+      if t.dirty then begin
+        let entries =
+          Hashtbl.fold (fun key s acc -> (key, s) :: acc) t.tbl []
+          |> List.sort (fun (_, (a : slot)) (_, (b : slot)) ->
+                 compare a.tick b.tick)
+        in
+        let buf = Buffer.create (t.live_bytes + 16) in
+        Buffer.add_string buf header;
+        List.iter
+          (fun (key, s) -> Buffer.add_string buf (frame_of key s.value))
+          entries;
+        Fileio.atomic_write ~path:t.path (Buffer.contents buf);
+        t.dirty <- false
+      end
     end
   end
 

@@ -187,7 +187,14 @@ let all_simple =
     Arrayop Array_cmp; Arrayop Array_length; Mixedop;
   ]
 
-let of_name s = List.find_opt (fun op -> String.equal (name op) s) all_simple
+module By_name = Hashtbl.Make (String)
+
+let by_name =
+  let tbl = By_name.create 64 in
+  List.iter (fun op -> By_name.replace tbl (name op) op) all_simple;
+  tbl
+
+let of_name s = By_name.find_opt by_name s
 
 let equal (a : t) (b : t) = a = b
 

@@ -81,7 +81,11 @@ val group_name : int -> string
 val name : t -> string
 (** Unique printable mnemonic, parseable by the [lang] front end. *)
 
+val all_simple : t list
+(** Every opcode, each refinement spelled out. *)
+
 val of_name : string -> t option
+(** The opcode whose {!name} this is, from a table built once. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -312,6 +312,151 @@ let test_store_negative_length () =
         0 );
     ]
 
+let flip image pos =
+  let b = Bytes.of_string image in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+  Bytes.to_string b
+
+let check_store what s ~entries ~corrupt ~stale =
+  let c = Store.counters s in
+  Alcotest.(check (list int))
+    (what ^ ": entries, corrupt, stale")
+    [ entries; corrupt; stale ]
+    [ Store.entry_count s; c.Store.corrupt_entries; c.Store.stale_entries ]
+
+(* [add 1L "alpha"] as the version-1 store wrote it: its trailer was the
+   payload CRC sign-extended to 64 bits *)
+let version1_image =
+  "TSCC\x01\xe5\x0d\x01\x00\x00\x00\x00\x00\x00\x00alpha\x70\x51\x20\xc4\xff\xff\xff\xff"
+
+(* A writer that opened an empty file, a file whose header it rejected,
+   or one whose scan stopped at a torn frame, appends where a reader can
+   find it: a second reader opened before the writer closes sees the new
+   entry. *)
+let test_store_append_after_rejected_bytes () =
+  with_store_dir @@ fun dir ->
+  let path = Filename.concat dir "s.tscc" in
+  let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
+  Store.add s 1L "alpha";
+  Store.close s;
+  let one_frame = read_file path in
+  List.iter
+    (fun (what, image, corrupt, stale, kept) ->
+      write_file path image;
+      let w = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
+      check_store (what ^ ", writer") w ~entries:(List.length kept) ~corrupt
+        ~stale;
+      Store.add w 2L "beta";
+      let r = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:true in
+      check_store (what ^ ", reader before close") r
+        ~entries:(List.length kept + 1) ~corrupt:0 ~stale:0;
+      List.iter
+        (fun (key, value) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: key %Ld found" what key)
+            (Some value) (Store.find r key Result.ok))
+        ((2L, "beta") :: kept);
+      Store.close r;
+      Store.close w;
+      let r = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:true in
+      check_store (what ^ ", after close") r ~entries:(List.length kept + 1)
+        ~corrupt:0 ~stale:0;
+      Store.close r)
+    [
+      (* what, image, corrupt and stale at open, the entries it keeps *)
+      ("empty file", "", 0, 0, []);
+      ("another version", "TSCC\x00", 0, 1, []);
+      ("bad magic", "TSCX\x02" ^ String.make 30 'x', 1, 0, []);
+      ("torn frame", one_frame ^ String.sub one_frame 5 9, 1, 0, [ (1L, "alpha") ]);
+      (* cut inside the frame's length: the scan cannot read it *)
+      ("cut after a frame magic", one_frame ^ "\xe5", 1, 0, [ (1L, "alpha") ]);
+    ]
+
+(* A version-1 file reads as one stale entry, and a writable store
+   replaces it with a version-2 file. *)
+let test_store_version1_migrates () =
+  with_store_dir @@ fun dir ->
+  let path = Filename.concat dir "s.tscc" in
+  write_file path version1_image;
+  Alcotest.(check int) "the frozen file" 28 (String.length version1_image);
+  let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
+  check_store "version 1" s ~entries:0 ~corrupt:0 ~stale:1;
+  Alcotest.(check (option string)) "nothing served" None
+    (Store.find s 1L Result.ok);
+  Store.add s 1L "alpha";
+  Store.close s;
+  let image = read_file path in
+  Alcotest.(check int) "version byte" 2 (Char.code image.[4]);
+  Alcotest.(check int) "one 28-byte frame file" 28 (String.length image);
+  let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:true in
+  check_store "reopened" s ~entries:1 ~corrupt:0 ~stale:0;
+  Alcotest.(check (option string)) "served" (Some "alpha")
+    (Store.find s 1L Result.ok);
+  Store.close s
+
+(* The store checks each frame's header at open and its payload at the
+   first lookup or at compaction. *)
+let test_store_checks_payloads_lazily () =
+  with_store_dir @@ fun dir ->
+  let path = Filename.concat dir "s.tscc" in
+  let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
+  Store.add s 1L "alpha";
+  Store.add s 2L "beta";
+  Store.add s 3L "gamma";
+  Store.close s;
+  let pristine = read_file path in
+  (* key 2's frame: magic at 28, length 29, key 30-37, value 38-41,
+     payload CRC 42-45, header CRC 46-49 *)
+  Alcotest.(check int) "three frames" 73 (String.length pristine);
+  let open_ro image =
+    write_file path image;
+    Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:true
+  in
+  List.iter
+    (fun (what, pos) ->
+      let s = open_ro (flip pristine pos) in
+      check_store (what ^ ": open counts nothing") s ~entries:3 ~corrupt:0
+        ~stale:0;
+      Alcotest.(check (option string)) (what ^ ": intact entry") (Some "alpha")
+        (Store.find s 1L Result.ok);
+      check_store (what ^ ": an intact lookup counts nothing") s ~entries:3
+        ~corrupt:0 ~stale:0;
+      Alcotest.(check (option string)) (what ^ ": damaged entry") None
+        (Store.find s 2L Result.ok);
+      check_store (what ^ ": its lookup counts it and drops it") s ~entries:2
+        ~corrupt:1 ~stale:0;
+      Alcotest.(check int) (what ^ ": a miss") 1 (Store.counters s).Store.misses;
+      Alcotest.(check (option string)) (what ^ ": later entry") (Some "gamma")
+        (Store.find s 3L Result.ok);
+      Store.close s)
+    [ ("value byte", 39); ("payload CRC", 43) ];
+  List.iter
+    (fun (what, pos) ->
+      let s = open_ro (flip pristine pos) in
+      Alcotest.(check bool) (what ^ ": counted corrupt at open") true
+        ((Store.counters s).Store.corrupt_entries > 0);
+      Alcotest.(check (option string)) (what ^ ": intact entry") (Some "alpha")
+        (Store.find s 1L Result.ok);
+      Store.close s)
+    [ ("frame magic", 28); ("length", 29); ("key", 33); ("header CRC", 47) ];
+  (* a writable store that nobody reads checks every payload it keeps *)
+  write_file path (flip pristine 39);
+  let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:false in
+  check_store "writable: open counts nothing" s ~entries:3 ~corrupt:0 ~stale:0;
+  Store.close s;
+  check_store "writable: compaction counts and drops" s ~entries:2 ~corrupt:1
+    ~stale:0;
+  let s = Store.open_ ~path ~capacity_bytes:1_000_000 ~readonly:true in
+  check_store "compacted" s ~entries:2 ~corrupt:0 ~stale:0;
+  List.iter
+    (fun (key, value) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "compacted: key %Ld" key)
+        value (Store.find s key Result.ok))
+    [ (1L, Some "alpha"); (2L, None); (3L, Some "gamma") ];
+  check_store "compacted, read" s ~entries:2 ~corrupt:0 ~stale:0;
+  Store.close s
+
 (* ------------------------------------------------------------------ *)
 (* Engine warm start                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -800,6 +945,14 @@ let suite =
         test_store_version_stale;
       Alcotest.test_case "store: negative frame length is a torn tail" `Quick
         test_store_negative_length;
+      Alcotest.test_case
+        "store: frames appended after rejected bytes are found" `Quick
+        test_store_append_after_rejected_bytes;
+      Alcotest.test_case "store: a version-1 file reads as stale, migrates"
+        `Quick test_store_version1_migrates;
+      Alcotest.test_case
+        "store: headers checked at open, payloads at first lookup" `Quick
+        test_store_checks_payloads_lazily;
       Alcotest.test_case "codecache: pre-schema entry reads as stale" `Quick
         test_pre_schema_entry_stale;
       Alcotest.test_case

@@ -60,17 +60,19 @@ let test_opcode_groups () =
     (Opcode.group (Opcode.Compare Opcode.Lt))
 
 let test_opcode_name_roundtrip () =
+  Alcotest.(check int) "every opcode, once" 49
+    (List.length (List.sort_uniq compare Opcode.all_simple));
   List.iter
     (fun op ->
       Alcotest.(check bool)
         (Opcode.name op ^ " roundtrip")
         true
         (Opcode.of_name (Opcode.name op) = Some op))
-    [
-      Opcode.Add; Opcode.Shift Opcode.Ushr; Opcode.Compare Opcode.Ge;
-      Opcode.Cast Opcode.C_zoned; Opcode.Synchronization Opcode.Monitor_exit;
-      Opcode.Arrayop Opcode.Array_copy; Opcode.Mixedop;
-    ]
+    Opcode.all_simple;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " is no opcode") true (Opcode.of_name s = None))
+    [ ""; "cmp."; "cmp.lt "; "ADD"; "cast"; "monitor" ]
 
 let test_node_structure () =
   let a = Node.iconst Types.Int 1L in
