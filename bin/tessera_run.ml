@@ -168,12 +168,14 @@ let run_target ~fmt ~model_dir ~iterations ~tir ~fault_spec ~fault_seed
     (Engine.compiles_by_level engine);
   (match cache with
   | Some c ->
+      (* a writable close checks every payload no lookup reached, so the
+         counter line printed after it shows the damage it dropped *)
+      Codecache.close c;
       Format.fprintf fmt "aot cache loads    : %d\n" (Engine.cache_hits engine);
       Format.fprintf fmt "code cache         : %a (%d entries, %d bytes%s)@."
         Codecache.pp_counters (Codecache.counters c) (Codecache.entry_count c)
         (Codecache.byte_size c)
-        (if Codecache.readonly c then ", readonly" else "");
-      Codecache.close c
+        (if Codecache.readonly c then ", readonly" else "")
   | None -> ());
   report_faults engine;
   if !traps > 0 then Format.fprintf fmt "uncaught exceptions: %d\n" !traps;

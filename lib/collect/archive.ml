@@ -38,20 +38,20 @@ let of_string s =
   if not (Int64.equal stored actual) then
     raise (Corrupt (Printf.sprintf "crc mismatch: stored %Lx actual %Lx" stored actual));
   if not (String.starts_with ~prefix:magic s) then raise (Corrupt "bad magic");
-  let rd = Codec.reader_of_string s in
-  for _ = 1 to 4 do
-    ignore (Codec.read_u8 rd) (* skip magic *)
-  done;
-  let v = Codec.read_u8 ~what:"version" rd in
-  if v <> version then raise (Corrupt (Printf.sprintf "unsupported version %d" v));
+  (* the reader stops at the checksum: a body that runs short must not
+     borrow its bytes *)
+  let rd = Codec.reader_sub s ~pos:0 ~len:n_body in
   try
+    for _ = 1 to 4 do
+      ignore (Codec.read_u8 rd) (* skip magic *)
+    done;
+    let v = Codec.read_u8 ~what:"version" rd in
+    if v <> version then
+      raise (Corrupt (Printf.sprintf "unsupported version %d" v));
     let benchmark = Codec.read_string ~what:"benchmark" rd in
     let dictionary = Dictionary.decode rd in
     let n = Codec.read_varint ~what:"record count" rd in
     let records = List.init n (fun _ -> Record.decode rd) in
-    (* the reader spans the checksum too: a body that ran short must not
-       borrow its bytes *)
-    if Codec.reader_pos rd > n_body then raise (Codec.Truncated "records");
     { benchmark; dictionary; records }
   with Codec.Truncated what -> raise (Corrupt ("truncated: " ^ what))
 

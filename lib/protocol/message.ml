@@ -92,8 +92,9 @@ let encode m =
 
 let max_payload = 1 lsl 20
 
-let of_tagged_payload tag body =
-  let r = Codec.reader_of_string body in
+(* [r] spans the payload alone: [Tracectx.read_opt] takes the end of
+   the payload for "untraced", so bytes after it must read as the end *)
+let of_tagged_payload tag r =
   try
     match tag with
     | 1 -> Init { model_name = Codec.read_string ~what:"model name" r }
@@ -161,7 +162,9 @@ let scan s ~pos =
                  (Crc32.sub s ~pos:(pos + 1) ~len:(body_pos + plen - pos - 1)))
           then Scan_bad "frame checksum mismatch"
           else
-            match of_tagged_payload tag (String.sub s body_pos plen) with
+            match
+              of_tagged_payload tag (Codec.reader_sub s ~pos:body_pos ~len:plen)
+            with
             | m -> Scan_msg (m, body_pos + plen + 4)
             | exception Malformed w -> Scan_bad w
 

@@ -1,14 +1,19 @@
-type reader = { data : string; mutable pos : int }
+(* [pos] runs from [start] to [stop]: a reader over part of a string
+   sees neither the bytes before it nor those after it *)
+type reader = { data : string; start : int; stop : int; mutable pos : int }
 
 exception Truncated of string
 
-let reader_of_string data = { data; pos = 0 }
-let reader_pos r = r.pos
-let reader_length r = String.length r.data
-let at_end r = r.pos >= String.length r.data
+let reader_sub data ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length data - len then
+    invalid_arg "Codec.reader_sub";
+  { data; start = pos; stop = pos + len; pos }
 
-let need r n what =
-  if r.pos + n > String.length r.data then raise (Truncated what)
+let reader_of_string data = reader_sub data ~pos:0 ~len:(String.length data)
+let reader_pos r = r.pos - r.start
+let reader_length r = r.stop - r.start
+let at_end r = r.pos >= r.stop
+let need r n what = if n > r.stop - r.pos then raise (Truncated what)
 
 let write_u8 buf v =
   if v < 0 || v > 0xff then invalid_arg "Codec.write_u8: out of range";

@@ -4,11 +4,22 @@
     an explicit cursor, so decoding never allocates intermediate slices. *)
 
 type reader
-(** A cursor over an immutable byte string. *)
+(** A cursor over an immutable byte string, or over a slice of one. *)
 
 val reader_of_string : string -> reader
+
+val reader_sub : string -> pos:int -> len:int -> reader
+(** A reader over the [len] bytes of the string from [pos], decoded
+    where they lie: a read past the slice's end raises [Truncated] even
+    where the string goes on.  Raises [Invalid_argument] if the slice is
+    not inside the string. *)
+
 val reader_pos : reader -> int
+(** Bytes read so far, counted from the start of the reader's slice. *)
+
 val reader_length : reader -> int
+(** The length of the reader's slice. *)
+
 val at_end : reader -> bool
 
 exception Truncated of string

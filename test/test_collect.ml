@@ -106,6 +106,14 @@ let test_archive_corruption () =
   (match Archive.of_string (String.sub s 0 (String.length s - 3)) with
   | _ -> Alcotest.fail "truncation undetected"
   | exception Archive.Corrupt _ -> ());
+  (* a body that ends inside its last record, under an honest checksum:
+     decoding must not read the checksum's bytes as fields *)
+  let body = String.sub s 0 (String.length s - 8 - 3) in
+  let crc = Buffer.create 8 in
+  Buffer.add_int64_le crc (Int64.of_int32 (Tessera_util.Crc32.string body));
+  (match Archive.of_string (body ^ Buffer.contents crc) with
+  | _ -> Alcotest.fail "short body undetected"
+  | exception Archive.Corrupt _ -> ());
   (* bad magic *)
   match Archive.of_string ("XXXX" ^ String.sub s 4 (String.length s - 4)) with
   | _ -> Alcotest.fail "bad magic undetected"

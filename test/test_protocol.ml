@@ -67,13 +67,30 @@ let frame ~tag payload =
   in
   "\xa7" ^ body ^ crc_le
 
+(* A well-formed traced frame to put after a frame under test: the
+   verdict on the first frame must not depend on the bytes that follow
+   it in the buffer. *)
+let valid_frame =
+  Message.encode
+    (Message.Predict
+       {
+         level = Plan.Hot;
+         features = [| 0.25; 0.5; 0.75 |];
+         trace = { Tracectx.trace_id = 9; span_id = 9 };
+       })
+
 let test_malformed_detected () =
   let check_bad what want s =
-    match Message.scan s ~pos:0 with
-    | Message.Scan_bad why -> Alcotest.(check string) what want why
-    | Message.Scan_msg (m, _) ->
-        Alcotest.failf "%s: decoded as %s" what (Format.asprintf "%a" Message.pp m)
-    | Message.Scan_need_more -> Alcotest.failf "%s: waited for more bytes" what
+    List.iter
+      (fun (what, s) ->
+        match Message.scan s ~pos:0 with
+        | Message.Scan_bad why -> Alcotest.(check string) what want why
+        | Message.Scan_msg (m, _) ->
+            Alcotest.failf "%s: decoded as %s" what
+              (Format.asprintf "%a" Message.pp m)
+        | Message.Scan_need_more ->
+            Alcotest.failf "%s: waited for more bytes" what)
+      [ (what, s); (what ^ ", then a valid frame", s ^ valid_frame) ]
   in
   check_bad "unknown tag" "unknown tag 42" (frame ~tag:42 "");
   (* a predict frame that claims 3 features and carries none *)
@@ -359,19 +376,23 @@ let test_garbage_trace_degrades () =
   List.iter
     (fun (what, tail) ->
       let frame = predict_frame_with_tail tail in
-      match Message.scan frame ~pos:0 with
-      | Message.Scan_msg (Message.Predict { features; trace; _ }, consumed) ->
-          Alcotest.(check int) (what ^ ": whole frame consumed")
-            (String.length frame) consumed;
-          Alcotest.(check int) (what ^ ": features intact") 2
-            (Array.length features);
-          Alcotest.(check bool) (what ^ ": degrades to untraced") true
-            (Tracectx.is_none trace)
-      | Message.Scan_msg (m, _) ->
-          Alcotest.failf "%s: unexpected message %s" what
-            (Format.asprintf "%a" Message.pp m)
-      | Message.Scan_need_more -> Alcotest.failf "%s: need more" what
-      | Message.Scan_bad e -> Alcotest.failf "%s: struck: %s" what e)
+      List.iter
+        (fun (what, buf) ->
+          match Message.scan buf ~pos:0 with
+          | Message.Scan_msg (Message.Predict { features; trace; _ }, consumed)
+            ->
+              Alcotest.(check int) (what ^ ": whole frame consumed")
+                (String.length frame) consumed;
+              Alcotest.(check int) (what ^ ": features intact") 2
+                (Array.length features);
+              Alcotest.(check bool) (what ^ ": degrades to untraced") true
+                (Tracectx.is_none trace)
+          | Message.Scan_msg (m, _) ->
+              Alcotest.failf "%s: unexpected message %s" what
+                (Format.asprintf "%a" Message.pp m)
+          | Message.Scan_need_more -> Alcotest.failf "%s: need more" what
+          | Message.Scan_bad e -> Alcotest.failf "%s: struck: %s" what e)
+        [ (what, frame); (what ^ ", then a valid frame", frame ^ valid_frame) ])
     [
       ("truncated varint", "\xff\xff\xff");
       ("zero trace id", "\x00\x05");
